@@ -11,8 +11,8 @@ from ._kernels import HAVE_NUMBA, USING_NUMBA
 from .analysis import (RoundStats, StructureReport, classify_structure,
                        exact_round_expectation, round_stats, verify_proper)
 from .cover import (DpCover, PartialColoring, Violation, cover_from_json,
-                    cover_to_json, from_list_assignment, regularize, residual,
-                    trim, uniform_list_cover, validate)
+                    cover_to_json, from_list_assignment, regularize,
+                    uniform_list_cover, validate)
 from .errors import (BudgetExceededError, CoverValidationError, DpnibbleError,
                      GenerationError, PipelineError, ResampleBudgetError,
                      RetriesExhaustedError)

@@ -71,24 +71,32 @@ def _uniforms_numpy(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return out[0], out[1]
 
 
+def gather_rows(ptr, idx, rows):
+    """The CSR rows ``idx[ptr[r]:ptr[r + 1]]`` of ``rows``, concatenated."""
+    starts = ptr[rows]
+    lens = ptr[rows + 1] - starts
+    shift = np.repeat(starts - np.cumsum(lens) + lens, lens)
+    return idx[shift + np.arange(shift.size)]
+
+
 def round_numpy(seed, eta, lptr, lcolors, owner, cptr, cidx):
-    """One nibble round; returns (activated, col, kept, phi)."""
+    """One nibble round; returns (activated, col, kept, phi).
+
+    The lists may hold a subset of the colors; ``kept`` covers them all.
+    """
     n = lptr.size - 1
     num_colors = owner.size
-    if num_colors == 0:
+    if lcolors.size == 0:
         return (np.zeros(n, bool), np.full(n, -1, np.int64),
-                np.zeros(0, bool), np.full(n, -1, np.int64))
+                np.ones(num_colors, bool), np.full(n, -1, np.int64))
     u_act, u_col = _uniforms_numpy(seed, n)
     sizes = np.diff(lptr)
     activated = (u_act < eta) & (sizes > 0)
     idx = np.minimum((u_col * sizes).astype(np.int64), np.maximum(sizes - 1, 0))
-    pos = np.clip(lptr[:-1] + idx, 0, num_colors - 1)
+    pos = np.minimum(lptr[:-1] + idx, lcolors.size - 1)
     col = np.where(activated, lcolors[pos], -1)
-    assigned = np.zeros(num_colors, dtype=bool)
-    assigned[col[activated]] = True
-    hit = assigned[cidx].astype(np.int64) if cidx.size else np.zeros(0, np.int64)
-    cs = np.concatenate([[0], np.cumsum(hit)])
-    kept = (cs[cptr[1:]] - cs[cptr[:-1]]) == 0
+    kept = np.ones(num_colors, dtype=bool)
+    kept[gather_rows(cptr, cidx, col[activated])] = False
     phi = np.where(activated & kept[np.maximum(col, 0)] & (col >= 0), col, -1)
     return activated, col.astype(np.int64), kept, phi.astype(np.int64)
 
@@ -165,7 +173,7 @@ if HAVE_NUMBA:
         num_colors = owner.size
         activated = np.zeros(n, np.bool_)
         col = np.full(n, -1, np.int64)
-        assigned = np.zeros(num_colors, np.bool_)
+        kept = np.ones(num_colors, np.bool_)
         seed_u = _U(seed)
         for v in range(n):
             size = lptr[v + 1] - lptr[v]
@@ -179,13 +187,8 @@ if HAVE_NUMBA:
                 c = lcolors[lptr[v] + idx]
                 activated[v] = True
                 col[v] = c
-                assigned[c] = True
-        kept = np.ones(num_colors, np.bool_)
-        for c in range(num_colors):
-            for k in range(cptr[c], cptr[c + 1]):
-                if assigned[cidx[k]]:
-                    kept[c] = False
-                    break
+                for k in range(cptr[c], cptr[c + 1]):
+                    kept[cidx[k]] = False
         phi = np.full(n, -1, np.int64)
         for v in range(n):
             if activated[v] and kept[col[v]]:
@@ -315,11 +318,9 @@ if HAVE_NUMBA:
 
 if USING_NUMBA:
     round_dispatch = round_numba
-    residual_degrees_dispatch = residual_degrees_numba
     round_stats_dispatch = round_stats_numba
     girth_dispatch = girth_numba
 else:
     round_dispatch = round_numpy
-    residual_degrees_dispatch = residual_degrees_numpy
     round_stats_dispatch = round_stats_numpy
     girth_dispatch = girth_numpy

@@ -137,20 +137,32 @@ def classify_structure(cover: Graph, anchor: int, d: int, t: int) -> StructureRe
 
 @dataclass
 class RoundStats:
-    """Accumulated statistics over seeded independent rounds."""
+    """Integer sums over seeded independent rounds, and their statistics.
+
+    Sums over disjoint trial ranges add exactly; the statistics divide once.
+    """
 
     trials: int
     params: RoundParams
-    kept_mean: np.ndarray
-    kept_var: np.ndarray
-    res_mean: np.ndarray
-    res_var: np.ndarray
-    kept_tail_freq: np.ndarray  # freq of |kept(v) - keep*ell| > ell^(1-beta)
-    res_tail_freq: np.ndarray   # freq of resdeg(c) > keep*uncolor*d + d^(1-beta)
+    kept_sum: np.ndarray
+    kept_sumsq: np.ndarray
+    res_sum: np.ndarray
+    res_sumsq: np.ndarray
+    kept_tail: np.ndarray  # count of |kept(v) - keep*ell| > ell^(1-beta)
+    res_tail: np.ndarray   # count of resdeg(c) > keep*uncolor*d + d^(1-beta)
     anchor: int | None = None
     anchor_u: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     anchor_u_minus_k: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     anchor_res: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+
+    def __post_init__(self):
+        n = float(self.trials)
+        self.kept_mean = self.kept_sum / n
+        self.kept_var = np.maximum(self.kept_sumsq / n - self.kept_mean ** 2, 0.0)
+        self.res_mean = self.res_sum / n
+        self.res_var = np.maximum(self.res_sumsq / n - self.res_mean ** 2, 0.0)
+        self.kept_tail_freq = self.kept_tail / n
+        self.res_tail_freq = self.res_tail / n
 
     @property
     def anchor_u_mean(self) -> float:
@@ -178,25 +190,12 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
     ell_tail = p.ell ** (1.0 - p.beta)
     res_thresh = keep * uncolor_fn(p.d, p.ell, p.eta) * p.d + p.d ** (1.0 - p.beta)
     a = -1 if anchor is None else int(anchor)
-    (kept_sum, kept_sumsq, res_sum, res_sumsq, kept_tail, res_tail,
-     anchor_u, anchor_umk, anchor_res) = _kernels.round_stats_dispatch(
+    sums = _kernels.round_stats_dispatch(
         normalize_seed(seed), trials, p.eta,
         c.lptr, c.lcolors, c.owner, c.cover.indptr, c.cover.indices,
         keep_ell, ell_tail, res_thresh, a)
-    n = float(trials)
-    kept_mean = kept_sum / n
-    res_mean = res_sum / n
-    return RoundStats(
-        trials=trials, params=p,
-        kept_mean=kept_mean,
-        kept_var=np.maximum(kept_sumsq / n - kept_mean ** 2, 0.0),
-        res_mean=res_mean,
-        res_var=np.maximum(res_sumsq / n - res_mean ** 2, 0.0),
-        kept_tail_freq=kept_tail / n,
-        res_tail_freq=res_tail / n,
-        anchor=anchor,
-        anchor_u=anchor_u, anchor_u_minus_k=anchor_umk, anchor_res=anchor_res,
-    )
+    # the kernel returns the six sums, then the three anchor sample arrays
+    return RoundStats(trials, p, *sums[:6], anchor, *sums[6:])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ validation error, 3 budget exhaustion.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -184,7 +185,7 @@ def cmd_color(cover_file, seed, epsilon, s, t, slack, max_retries,
     try:
         with open(cover_file) as fh:
             cov = cover_from_json(fh.read())
-    except (CoverValidationError, ValueError, KeyError) as exc:
+    except (CoverValidationError, ValueError, OverflowError) as exc:
         _fail(EXIT_USAGE, f"cannot load cover: {exc}")
     d = max(max_degree(cov.cover), 1)
     if epsilon is None:
@@ -243,7 +244,7 @@ def cmd_stats(cover_file, seed, trials, eta, t, anchor, jobs, out, summary_path)
     try:
         with open(cover_file) as fh:
             cov = cover_from_json(fh.read())
-    except (CoverValidationError, ValueError, KeyError) as exc:
+    except (CoverValidationError, ValueError, OverflowError) as exc:
         _fail(EXIT_USAGE, f"cannot load cover: {exc}")
     d = max(max_degree(cov.cover), 1)
     ell = int(cov.list_sizes().min())
@@ -274,33 +275,14 @@ def _run_stats(cov: DpCover, params: RoundParams, trials: int, seed: int,
             lambda c: analysis.round_stats(cov, params, c[1] - c[0],
                                            seed + c[0], anchor=anchor),
             chunks))
-    return _merge_stats(parts, params, anchor)
-
-
-def _merge_stats(parts, params, anchor):
-    total = sum(p.trials for p in parts)
-    w = np.array([p.trials for p in parts], dtype=np.float64)
-
-    def mean_merge(attr):
-        return sum(getattr(p, attr) * p.trials for p in parts) / total
-
-    kept_mean = mean_merge("kept_mean")
-    res_mean = mean_merge("res_mean")
-    kept_sq = sum((p.kept_var + p.kept_mean ** 2) * p.trials for p in parts) / total
-    res_sq = sum((p.res_var + p.res_mean ** 2) * p.trials for p in parts) / total
-    return analysis.RoundStats(
-        trials=total, params=params,
-        kept_mean=kept_mean,
-        kept_var=np.maximum(kept_sq - kept_mean ** 2, 0.0),
-        res_mean=res_mean,
-        res_var=np.maximum(res_sq - res_mean ** 2, 0.0),
-        kept_tail_freq=mean_merge("kept_tail_freq"),
-        res_tail_freq=mean_merge("res_tail_freq"),
-        anchor=anchor,
-        anchor_u=np.concatenate([p.anchor_u for p in parts]),
-        anchor_u_minus_k=np.concatenate([p.anchor_u_minus_k for p in parts]),
-        anchor_res=np.concatenate([p.anchor_res for p in parts]),
-    )
+    # the chunks' integer sums add exactly; the statistics divide once
+    summed = ("trials", "kept_sum", "kept_sumsq", "res_sum", "res_sumsq",
+              "kept_tail", "res_tail")
+    joined = ("anchor_u", "anchor_u_minus_k", "anchor_res")
+    return dataclasses.replace(
+        parts[0],
+        **{f: sum(getattr(p, f) for p in parts) for f in summed},
+        **{f: np.concatenate([getattr(p, f) for p in parts]) for f in joined})
 
 
 if __name__ == "__main__":

@@ -5,17 +5,13 @@ per-vertex lists partition the colors, every list is independent in ``H``,
 and the ``H``-edges between two lists form a matching that may be nonempty
 only across a base edge.  A proper coloring picks one color per vertex with
 no two picks adjacent in ``H``.
-
-Covers carry optional ``vertex_labels`` / ``color_labels`` arrays mapping the
-dense local ids of a derived cover (after trimming or taking residuals) back
-to the ids of the cover it came from; the pipeline uses them to lift partial
-colorings.  Labels are metadata and play no role in validation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,12 +34,9 @@ class Violation:
 class DpCover:
     """Immutable cover: base graph, cover graph, and the list partition."""
 
-    __slots__ = ("base", "cover", "owner", "lptr", "lcolors",
-                 "vertex_labels", "color_labels")
+    __slots__ = ("base", "cover", "owner", "lptr", "lcolors")
 
-    def __init__(self, base: Graph, cover: Graph, lists: Sequence[np.ndarray],
-                 vertex_labels: np.ndarray | None = None,
-                 color_labels: np.ndarray | None = None):
+    def __init__(self, base: Graph, cover: Graph, lists: Sequence[np.ndarray]):
         if len(lists) != base.vertex_count:
             raise ValueError("need one list per base vertex")
         self.base = base
@@ -61,12 +54,7 @@ class DpCover:
         self.owner = owner
         self.lptr = lptr
         self.lcolors = lcolors
-        self.vertex_labels = (np.arange(base.vertex_count, dtype=np.int64)
-                              if vertex_labels is None else np.asarray(vertex_labels, np.int64))
-        self.color_labels = (np.arange(cover.vertex_count, dtype=np.int64)
-                             if color_labels is None else np.asarray(color_labels, np.int64))
-        for a in (self.owner, self.lptr, self.lcolors,
-                  self.vertex_labels, self.color_labels):
+        for a in (self.owner, self.lptr, self.lcolors):
             a.flags.writeable = False
 
     # -- accessors ---------------------------------------------------------
@@ -78,10 +66,6 @@ class DpCover:
     def lists(self, v: int) -> np.ndarray:
         """Sorted color ids available to base vertex ``v``."""
         return self.lcolors[self.lptr[v]:self.lptr[v + 1]]
-
-    def list_of(self, c: int) -> int:
-        """Owning base vertex of color ``c``."""
-        return int(self.owner[c])
 
     def list_sizes(self) -> np.ndarray:
         return np.diff(self.lptr)
@@ -219,74 +203,23 @@ def uniform_list_cover(g: Graph, ell: int) -> DpCover:
     return from_list_assignment(g, [range(ell)] * g.vertex_count)
 
 
-def subcover(c: DpCover, keep_vertices: np.ndarray, kept_colors: Sequence[np.ndarray]) -> DpCover:
-    """Induced cover on ``keep_vertices`` with per-vertex color subsets.
+def subcover(c: DpCover, vertices: np.ndarray, colors: np.ndarray) -> DpCover:
+    """Induced cover on the vertices and colors marked in two boolean masks.
 
-    ``kept_colors[i]`` lists the surviving colors of ``keep_vertices[i]`` in
-    the ids of ``c``.  Vertices and colors are renumbered densely; labels are
-    composed so they keep pointing at the originating cover's ancestors.
+    Every marked color must belong to a marked vertex.  Vertices and colors
+    are renumbered densely in increasing order of their ids in ``c``.
     """
-    keep_vertices = np.asarray(keep_vertices, dtype=np.int64)
-    nv = keep_vertices.size
-    old_colors = (np.concatenate([np.asarray(k, np.int64) for k in kept_colors])
-                  if nv else np.zeros(0, np.int64))
-    old_colors = np.sort(old_colors)
-    color_map = np.full(c.num_colors, -1, dtype=np.int64)
-    color_map[old_colors] = np.arange(old_colors.size)
-    vmap = np.full(c.base.vertex_count, -1, dtype=np.int64)
-    vmap[keep_vertices] = np.arange(nv)
-
-    new_base = induced_subgraph(c.base, vmap, nv)
-    new_cover = induced_subgraph(c.cover, color_map, old_colors.size)
-
-    new_lists = [color_map[np.sort(np.asarray(k, np.int64))] for k in kept_colors]
-    return DpCover(
-        new_base, new_cover, new_lists,
-        vertex_labels=c.vertex_labels[keep_vertices],
-        color_labels=c.color_labels[old_colors],
-    )
+    vmap = np.where(vertices, np.cumsum(vertices) - 1, -1)
+    cmap = np.where(colors, np.cumsum(colors) - 1, -1)
+    lists = [cmap[lst[colors[lst]]] for lst in map(c.lists, np.flatnonzero(vertices))]
+    return DpCover(induced_subgraph(c.base, vmap, int(np.count_nonzero(vertices))),
+                   induced_subgraph(c.cover, cmap, int(np.count_nonzero(colors))),
+                   lists)
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def trim(c: DpCover, ell: int) -> DpCover:
-    """Reduce every list to exactly ``ell`` colors, dropping the largest ids.
-
-    Base edges whose cross-matching becomes empty are deleted afterwards, so
-    the base max degree is at most ``ell`` times the cover max degree.
-    """
-    n = c.base.vertex_count
-    kept_colors = []
-    for v in range(n):
-        lst = c.lists(v)
-        if lst.size < ell:
-            raise ValueError(f"vertex {v} has only {lst.size} colors, need {ell}")
-        kept_colors.append(lst[:ell])
-    trimmed = subcover(c, np.arange(n, dtype=np.int64), kept_colors)
-    # drop base edges that no longer carry any cover edge
-    carrying = set()
-    for c1, c2 in trimmed.cover.edge_array():
-        u, v = int(trimmed.owner[c1]), int(trimmed.owner[c2])
-        carrying.add((min(u, v), max(u, v)))
-    base_edges = [e for e in map(tuple, trimmed.base.edge_array()) if e in carrying]
-    new_base = Graph.from_edges(n, base_edges)
-    return DpCover(new_base, trimmed.cover, trimmed.all_lists(),
-                   vertex_labels=trimmed.vertex_labels,
-                   color_labels=trimmed.color_labels)
-
-
-def residual(c: DpCover, phi: PartialColoring, kept: Mapping[int, np.ndarray] | Sequence[np.ndarray]) -> DpCover:
-    """Induced cover on blank vertices with lists restricted to ``kept``."""
-    blanks = np.nonzero(phi.assignment < 0)[0]
-    kept_lists = [np.asarray(kept[int(v)], dtype=np.int64) for v in blanks]
-    for v, lst in zip(blanks, kept_lists):
-        own = c.lists(int(v))
-        if np.setdiff1d(lst, own).size:
-            raise ValueError(f"kept colors of vertex {v} are not a subset of its list")
-    return subcover(c, blanks, kept_lists)
 
 
 def regularize(c: DpCover, d: int, s: int, t: int, seed: int,
@@ -373,14 +306,42 @@ def cover_to_json(c: DpCover) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _edge_array(value, what: str, exact: bool) -> np.ndarray:
+    """An (m, 2) int64 array of the id pairs in ``value``.
+
+    numpy reads ``true`` among integers as 1, so with ``exact`` the type of
+    every id is checked too.
+    """
+    arr = np.asarray(value)
+    if arr.size == 0:
+        return np.zeros((0, 2), np.int64)
+    if (arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind != "i"
+            or exact and set(map(type, chain.from_iterable(value))) != {int}):
+        raise ValueError(f"{what} must be a list of pairs of integer ids")
+    return arr.astype(np.int64, copy=False)
+
+
 def cover_from_json(text: str) -> DpCover:
     """Parse and validate a cover document; refuses invalid covers."""
     doc = json.loads(text)
-    base_edges = np.asarray(doc["base"]["edges"], dtype=np.int64).reshape(-1, 2)
-    base = Graph.from_edges(int(doc["base"]["vertex_count"]), base_edges)
-    lists = [np.asarray(lst, dtype=np.int64) for lst in doc["lists"]]
+    try:
+        n, lists = doc["base"]["vertex_count"], doc["lists"]
+        base_edges, cover_edges = doc["base"]["edges"], doc["cover_edges"]
+    except (TypeError, KeyError) as exc:
+        raise ValueError("a cover document is an object with keys base (with "
+                         "vertex_count and edges), lists and cover_edges") from exc
+    if not (isinstance(lists, list) and set(map(type, lists)) <= {list}
+            and set(map(type, chain.from_iterable(lists))) <= {int}):
+        raise ValueError("lists must be a list of lists of integer ids")
+    if type(n) is not int or n != len(lists):
+        raise ValueError(f"base.vertex_count must equal the number of lists "
+                         f"({len(lists)}), got {n!r}")
+    # a JSON boolean needs a true/false token in the text
+    exact = "true" in text or "false" in text
+    base = Graph.from_edges(n, _edge_array(base_edges, "base.edges", exact))
+    lists = [np.asarray(lst, dtype=np.int64) for lst in lists]
     num_colors = int(sum(len(lst) for lst in lists))
-    cover_edges = np.asarray(doc["cover_edges"], dtype=np.int64).reshape(-1, 2)
+    cover_edges = _edge_array(cover_edges, "cover_edges", exact)
     cover_graph = Graph.from_edges(num_colors, cover_edges)
     cov = DpCover(base, cover_graph, lists)
     return require_valid(cov)

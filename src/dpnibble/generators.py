@@ -351,7 +351,8 @@ def kst_free_bipartite(m: int, n: int, s: int, t: int, seed: int) -> Graph:
         adj_y[y].add(x)
     edges = [(x, m + y) for x in range(m) for y in sorted(adj_x[x])]
     g = Graph.from_edges(m + n, edges)
-    assert not contains_kst(g, s, t, left=range(m), right=range(m, m + n))
+    if contains_kst(g, s, t, left=range(m), right=range(m, m + n)):
+        raise GenerationError(f"greedy construction contains a K_({s},{t})")
     return g
 
 

@@ -89,67 +89,122 @@ class RoundParams:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
 
 
-class RoundOutcome:
-    """Result of one round, backed by the kernel arrays.
+class ResidualView:
+    """The residual of a partial coloring, as masks over a root cover.
 
-    ``activated_mask``/``col``/``kept_mask``/``phi`` are the raw arrays;
-    the mapping-style views and the residual cover are built on demand.
+    ``blank`` marks uncolored vertices, ``alive`` the colors left on their
+    lists; ``sizes`` counts alive colors per vertex, ``deg`` alive neighbours
+    per color.  Residual vertex ``i`` is the ``i``-th blank vertex with its
+    alive colors in increasing order: the ids a renumbered residual cover
+    would give them, so a round draws the same streams on either.
     """
 
-    def __init__(self, cover: DpCover, params: RoundParams, seed: int,
-                 activated_mask: np.ndarray, col: np.ndarray,
-                 kept_mask: np.ndarray, phi: np.ndarray):
-        self.cover = cover
-        self.params = params
+    def __init__(self, root: DpCover, blank: np.ndarray, alive: np.ndarray,
+                 sizes: np.ndarray, deg: np.ndarray):
+        self.root = root
+        self.blank = blank
+        self.alive = alive
+        self.sizes = sizes
+        self.deg = deg
+        self.vertices = np.flatnonzero(blank)
+        self.lcolors = root.lcolors[alive[root.lcolors]]
+        self.lptr = np.concatenate([[0], np.cumsum(sizes[self.vertices])])
+
+    @classmethod
+    def of(cls, cover: DpCover) -> "ResidualView":
+        """The whole cover: every vertex blank, every color alive."""
+        return cls(cover, np.ones(cover.base.vertex_count, bool),
+                   np.ones(cover.num_colors, bool), cover.list_sizes(),
+                   cover.cover.degrees())
+
+    def lists(self, i: int) -> np.ndarray:
+        """Alive colors of residual vertex ``i``, in increasing order."""
+        return self.lcolors[self.lptr[i]:self.lptr[i + 1]]
+
+    def list_sizes(self) -> np.ndarray:
+        return np.diff(self.lptr)
+
+    def max_degree(self) -> int:
+        """Largest residual cover degree; 0 without alive colors."""
+        return int(self.deg[self.lcolors].max(initial=0))
+
+    def to_cover(self) -> DpCover:
+        """The residual as a cover of its own, colors renumbered in root order."""
+        return subcover(self.root, self.blank, self.alive)
+
+
+def _as_view(cover: DpCover | ResidualView) -> ResidualView:
+    return cover if isinstance(cover, ResidualView) else ResidualView.of(cover)
+
+
+class RoundOutcome:
+    """Result of one round on a residual view, backed by the kernel arrays.
+
+    Vertices are residual ranks and colors root ids.  ``activated_mask``/
+    ``col``/``kept_mask``/``phi`` are the raw arrays; the next residual and
+    its cover are built on demand.
+    """
+
+    def __init__(self, view: ResidualView, seed: int, activated_mask: np.ndarray,
+                 col: np.ndarray, kept_mask: np.ndarray, phi: np.ndarray):
+        self.view = view
         self.seed = seed
         self.activated_mask = activated_mask
         self.col = col
         self.kept_mask = kept_mask
         self.phi = phi
 
-    @property
-    def activated(self) -> np.ndarray:
-        return np.nonzero(self.activated_mask)[0]
-
-    @property
-    def assigned(self) -> dict[int, int]:
-        return {int(v): int(self.col[v]) for v in self.activated}
-
     def kept(self, v: int) -> np.ndarray:
-        lst = self.cover.lists(v)
+        lst = self.view.lists(v)
         return lst[self.kept_mask[lst]]
 
     def kept_sizes(self) -> np.ndarray:
-        hit = self.kept_mask[self.cover.lcolors].astype(np.int64)
+        hit = self.kept_mask[self.view.lcolors].astype(np.int64)
         cs = np.concatenate([[0], np.cumsum(hit)])
-        return cs[self.cover.lptr[1:]] - cs[self.cover.lptr[:-1]]
+        return cs[self.view.lptr[1:]] - cs[self.view.lptr[:-1]]
 
     @property
     def coloring(self) -> PartialColoring:
         return PartialColoring(self.phi.copy())
 
-    def residual_degrees(self) -> np.ndarray:
-        """Residual degree of every color of the input cover."""
-        return _kernels.residual_degrees_dispatch(
-            self.kept_mask, self.phi, self.cover.owner,
-            self.cover.cover.indptr, self.cover.cover.indices)
+    @cached_property
+    def next_view(self) -> ResidualView:
+        """The residual after this round, as masks over the same root.
+
+        Both counts drop by a ``bincount`` over the dying colors, so the
+        work follows their cover rows, not the whole cover.
+        """
+        v = self.view
+        stays = self.kept_mask[v.lcolors] & np.repeat(self.phi < 0, v.list_sizes())
+        dying = v.lcolors[~stays]
+        blank = v.blank.copy()
+        blank[v.vertices[self.phi >= 0]] = False
+        alive = v.alive.copy()
+        alive[dying] = False
+        g = v.root.cover
+        lost = np.bincount(_kernels.gather_rows(g.indptr, g.indices, dying),
+                           minlength=g.vertex_count)
+        sizes = v.sizes - np.bincount(v.root.owner[dying], minlength=v.blank.size)
+        return ResidualView(v.root, blank, alive, sizes, v.deg - lost)
 
     @cached_property
     def residual(self) -> DpCover:
         """Induced cover on blank vertices with their kept lists."""
-        blanks = np.nonzero(self.phi < 0)[0]
-        return subcover(self.cover, blanks, [self.kept(int(v)) for v in blanks])
+        return self.next_view.to_cover()
 
 
-def run_round(cover: DpCover, params: RoundParams, seed: int) -> RoundOutcome:
+def run_round(cover: DpCover | ResidualView, params: RoundParams,
+              seed: int) -> RoundOutcome:
     """Execute one round; a pure function of (cover, params, seed)."""
-    if np.any(cover.list_sizes() < 1):
+    view = _as_view(cover)
+    if np.any(view.list_sizes() < 1):
         raise ValueError("every vertex needs a nonempty list")
     s = normalize_seed(seed)
+    g = view.root.cover
     activated, col, kept, phi = _kernels.round_dispatch(
-        s, params.eta, cover.lptr, cover.lcolors, cover.owner,
-        cover.cover.indptr, cover.cover.indices)
-    return RoundOutcome(cover, params, seed, activated, col, kept, phi)
+        s, params.eta, view.lptr, view.lcolors, view.root.owner,
+        g.indptr, g.indices)
+    return RoundOutcome(view, seed, activated, col, kept, phi)
 
 
 def round_is_good(outcome: RoundOutcome, ell_target: float, d_target: float) -> bool:
@@ -162,13 +217,12 @@ def count_violations(outcome: RoundOutcome, ell_target: float, d_target: float) 
     """(#vertices with kept size <= ell_target, #residual colors with degree >= d_target)."""
     kept_sizes = outcome.kept_sizes()
     bad_v = int(np.count_nonzero(kept_sizes <= ell_target))
-    resdeg = outcome.residual_degrees()
-    in_res = outcome.kept_mask & (outcome.phi[outcome.cover.owner] < 0)
-    bad_c = int(np.count_nonzero(in_res & (resdeg >= d_target)))
+    res = outcome.next_view
+    bad_c = int(np.count_nonzero(res.deg[res.lcolors] >= d_target))
     return bad_v, bad_c
 
 
-def run_round_until_good(cover: DpCover, params: RoundParams,
+def run_round_until_good(cover: DpCover | ResidualView, params: RoundParams,
                          ell_target: float, d_target: float,
                          max_retries: int, seed: int) -> RoundOutcome:
     """First good round among seeds ``seed, seed+1, ...``.
@@ -181,8 +235,9 @@ def run_round_until_good(cover: DpCover, params: RoundParams,
     best: RoundOutcome | None = None
     best_score = None
     violations: dict[int, tuple[int, int]] = {}
+    view = _as_view(cover)
     for k in range(max_retries):
-        outcome = run_round(cover, params, seed + k)
+        outcome = run_round(view, params, seed + k)
         bad_v, bad_c = count_violations(outcome, ell_target, d_target)
         if bad_v == 0 and bad_c == 0:
             return outcome

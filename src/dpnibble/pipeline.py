@@ -1,6 +1,7 @@
 """End-to-end coloring: iterated good rounds, then resampling completion.
 
-Round-to-round the engine tracks the *observed* state of the residual cover:
+Round-to-round the engine tracks the *observed* state of the residual cover,
+kept as masks over the root cover (:class:`~dpnibble.nibble.ResidualView`):
 the uniform list bound for the next round is the smallest surviving kept
 list, and the degree bound is the largest residual cover degree (never worse
 than the closed-form prediction after a good round).  Nibbling stops as soon
@@ -22,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import gather_rows
 from ._rng import derive_seed, normalize_seed
 from .analysis import verify_proper
 from .cover import DpCover, PartialColoring, regularize, require_valid
 from .errors import PipelineError, ResampleBudgetError, RetriesExhaustedError
 from .graph import max_degree
-from .nibble import RoundParams, good_round_targets, run_round_until_good
+from .nibble import (ResidualView, RoundParams, good_round_targets,
+                     run_round_until_good)
 from .schedule import ScheduleError, ScheduleInput, derive_constants
 
 
@@ -147,16 +150,15 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
 
     n_orig = original.base.vertex_count
     phi_total = np.full(c.base.vertex_count, -1, dtype=np.int64)
-    current = c
+    view = ResidualView.of(c)
     telemetry: list[RoundTelemetry] = []
     consts = None
 
     for i in range(1, cfg.max_rounds + 1):
-        if current.base.vertex_count == 0:
+        if view.vertices.size == 0:
             break
-        d_cur = max_degree(current.cover)
-        sizes = current.list_sizes()
-        ell_cur = int(sizes.min())
+        d_cur = view.max_degree()
+        ell_cur = int(view.list_sizes().min())
         if ell_cur >= 8 * d_cur:
             break
         if ell_cur == 0:
@@ -180,44 +182,42 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
         round_seed = derive_seed(base_seed, i)
         try:
             outcome = run_round_until_good(
-                current, params, ell_t, d_t, cfg.max_round_retries, round_seed)
+                view, params, ell_t, d_t, cfg.max_round_retries, round_seed)
         except RetriesExhaustedError as exc:
             raise PipelineError(
                 f"round {i}: {exc}", telemetry=telemetry) from exc
 
-        colored_ids = np.nonzero(outcome.phi >= 0)[0]
-        phi_total[current.vertex_labels[colored_ids]] = \
-            current.color_labels[outcome.phi[colored_ids]]
-        residual = outcome.residual
+        colored = outcome.phi >= 0
+        phi_total[view.vertices[colored]] = outcome.phi[colored]
+        view = outcome.next_view
         if cfg.verify_rounds:
-            _assert_composition_sound(c, phi_total, residual)
-        res_sizes = residual.list_sizes()
+            _assert_composition_sound(c, phi_total, view)
+        res_sizes = view.list_sizes()
         telemetry.append(RoundTelemetry(
             iteration=i,
             retries_used=outcome.seed - round_seed,
             ell=ell_cur, d=d_cur,
             min_kept=int(res_sizes.min()) if res_sizes.size else ell_cur,
-            max_residual_degree=max_degree(residual.cover),
-            colored=int(colored_ids.size),
-            remaining=residual.base.vertex_count,
+            max_residual_degree=view.max_degree(),
+            colored=int(np.count_nonzero(colored)),
+            remaining=view.vertices.size,
         ))
-        current = residual
     else:
         raise PipelineError(
             f"round budget ({cfg.max_rounds}) exhausted before lists cleared "
             f"8x the residual degree", telemetry=telemetry)
 
     finish_resamples = 0
-    if current.base.vertex_count > 0:
+    if view.vertices.size > 0:
         try:
             fin, finish_resamples, _ = finish_with_stats(
-                current, cfg.max_finish_resamples, derive_seed(base_seed, 0))
+                view.to_cover() if telemetry else c,
+                cfg.max_finish_resamples, derive_seed(base_seed, 0))
         except (ValueError, ResampleBudgetError) as exc:
             raise PipelineError(f"completion failed: {exc}",
                                 telemetry=telemetry) from exc
-        done = np.nonzero(fin.assignment >= 0)[0]
-        phi_total[current.vertex_labels[done]] = \
-            current.color_labels[fin.assignment[done]]
+        # the finisher's cover numbers the alive colors in increasing root id
+        phi_total[view.vertices] = np.flatnonzero(view.alive)[fin.assignment]
 
     result = PartialColoring(phi_total[:n_orig] if cfg.regularize_first else phi_total)
     ok, witness = verify_proper(original, result)
@@ -230,16 +230,13 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
 
 
 def _assert_composition_sound(root: DpCover, phi_total: np.ndarray,
-                              residual: DpCover) -> None:
-    """Every surviving color must avoid all colors assigned so far (full scan)."""
-    assigned = np.zeros(root.num_colors, dtype=bool)
-    assigned[phi_total[phi_total >= 0]] = True
-    surviving = residual.color_labels
-    for col in surviving:
-        for nb in root.cover.neighbors(int(col)):
-            if assigned[int(nb)]:
-                raise AssertionError(
-                    f"surviving color {int(col)} conflicts with assigned {int(nb)}")
+                              view: ResidualView) -> None:
+    """No alive color may neighbour a color assigned so far."""
+    g = root.cover
+    touched = gather_rows(g.indptr, g.indices, phi_total[phi_total >= 0])
+    bad = touched[view.alive[touched]]
+    if bad.size:
+        raise AssertionError(f"surviving color {int(bad[0])} conflicts with an assigned one")
 
 
 def result_to_json(result: ColoringResult | None, cfg: PipelineConfig,

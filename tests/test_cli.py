@@ -145,6 +145,67 @@ class TestColor:
         assert result.exit_code == 2
 
 
+def valid_doc():
+    from dpnibble import cover_to_json
+    from conftest import regular_cover
+    return json.loads(cover_to_json(regular_cover(6, 2, 3, seed=1)))
+
+
+def set_path(doc, path, value):
+    *outer, last = path
+    for key in outer:
+        doc = doc[key]
+    doc[last] = value
+
+
+class TestLoaderRefusals:
+    """Malformed cover files end in exit 2 with a message, never a traceback."""
+
+    def refused(self, runner, tmp_path, doc):
+        p = tmp_path / "cover.json"
+        p.write_text(json.dumps(doc))
+        for cmd in (["color", str(p), "--seed", "1"],
+                    ["stats", str(p), "--seed", "1", "--trials", "2", "--eta", "0.5"]):
+            r = runner.invoke(main, cmd)
+            assert r.exit_code == 2, (r.output, r.exception)
+            assert isinstance(r.exception, SystemExit)
+            assert "error: cannot load cover:" in r.output
+
+    @pytest.mark.parametrize("mutate", ["array", "number", "no_lists",
+                                        "no_cover_edges", "no_vertex_count",
+                                        "base_not_object", "lists_not_lists"])
+    def test_not_a_cover_object(self, runner, tmp_path, mutate):
+        doc = valid_doc()
+        if mutate == "array":
+            doc = [1, 2, 3]
+        elif mutate == "number":
+            doc = 7
+        elif mutate == "base_not_object":
+            doc["base"] = [6, []]
+        elif mutate == "lists_not_lists":
+            doc["lists"] = 5
+        elif mutate == "no_vertex_count":
+            del doc["base"]["vertex_count"]
+        else:
+            del doc[mutate[3:]]
+        self.refused(runner, tmp_path, doc)
+
+    @pytest.mark.parametrize("path", [("lists", 0, 0), ("base", "edges", 0, 1),
+                                      ("cover_edges", 0, 0)])
+    @pytest.mark.parametrize("value", [0.5, 1.0, True, False, "3", None, 2 ** 70])
+    def test_non_integer_ids(self, runner, tmp_path, path, value):
+        doc = valid_doc()
+        set_path(doc, path, value)
+        self.refused(runner, tmp_path, doc)
+
+    @pytest.mark.parametrize("count", [-1, 5, 7, 10 ** 11, True, 6.0, "6"])
+    def test_vertex_count_must_match_lists(self, runner, tmp_path, count):
+        doc = valid_doc()
+        assert len(doc["lists"]) == 6
+        doc["base"]["vertex_count"] = count
+        self.refused(runner, tmp_path, doc)
+
+
 class TestStats:
     def make_cover_file(self, tmp_path):
         from dpnibble import cover_to_json
@@ -176,12 +237,20 @@ class TestStats:
                 assert int(res) == int(u) - int(umk)
 
     def test_jobs_do_not_change_output(self, runner, tmp_path):
-        path = self.make_cover_file(tmp_path)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["stats", str(path), "--seed", "5", "--trials", "60", "--eta", "0.4"]
-        invoke(runner, base + ["--jobs", "1", "--out", str(a)])
-        invoke(runner, base + ["--jobs", "3", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+        # chunked sums must add up to the serial bytes; float merging of
+        # per-chunk means once changed the last digits at 200 trials
+        path = tmp_path / "cover.json"
+        invoke(runner, ["generate", "--kind", "dp_cover", "--n", "34", "--d", "16",
+                        "--ell", "12", "--rho", "1", "--seed", "1", "--out", str(path)])
+        for trials in ("60", "200", "1000"):
+            base = ["stats", str(path), "--seed", "3", "--trials", trials,
+                    "--eta", "0.1", "--anchor", "0"]
+            serial = tmp_path / "serial.csv"
+            invoke(runner, base + ["--jobs", "1", "--out", str(serial)])
+            for jobs in ("2", "3"):
+                out = tmp_path / f"jobs{jobs}.csv"
+                invoke(runner, base + ["--jobs", jobs, "--out", str(out)])
+                assert out.read_bytes() == serial.read_bytes(), (trials, jobs)
 
     def test_summary_json(self, runner, tmp_path):
         path = self.make_cover_file(tmp_path)

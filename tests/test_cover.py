@@ -5,11 +5,11 @@ import pytest
 
 from dpnibble import (DpCover, Graph, PartialColoring, contains_kst, cover_from_json,
                       cover_to_json, from_list_assignment, max_degree, regularize,
-                      residual, trim, uniform_list_cover, validate)
-from dpnibble.cover import require_valid, subcover
+                      validate)
+from dpnibble.cover import require_valid
 from dpnibble.errors import CoverValidationError
 from dpnibble.generators import random_dp_cover, random_girth5_regular, random_regular
-from dpnibble.nibble import RoundParams, run_round
+from dpnibble.nibble import ResidualView, RoundParams, run_round
 
 from conftest import cycle_graph, regular_cover
 
@@ -106,81 +106,59 @@ class TestValidate:
             require_valid(cov)
 
 
-class TestTrim:
-    def test_idempotent_at_target_size(self):
-        cov = regular_cover(8, 3, 4, seed=5)
-        out = trim(cov, 4)
-        assert list(out.list_sizes()) == [4] * 8
-        assert out.cover.num_edges == cov.cover.num_edges
-
-    def test_drops_largest_ids(self):
-        g = Graph.empty(1)
-        cov = from_list_assignment(g, [[0, 1, 2, 3, 4]])
-        out = trim(cov, 3)
-        # survivor labels are the three smallest of the original list
-        assert list(out.color_labels) == [0, 1, 2]
-
-    def test_base_edges_with_empty_matchings_removed(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        # only the largest colors are matched; trimming kills the matching
-        cover_graph = Graph.from_edges(4, [(1, 3)])
-        cov = DpCover(g, cover_graph, [[0, 1], [2, 3]])
-        out = trim(cov, 1)
-        assert out.base.num_edges == 0
-
-    def test_every_base_edge_carries_cover_edge(self):
-        cov = random_dp_cover(random_regular(12, 4, seed=3), 5, 0.6, seed=4)
-        out = trim(cov, 3)
-        assert validate(out) == []
-        carried = set()
-        for c1, c2 in out.cover.edge_array():
-            u, v = out.list_of(int(c1)), out.list_of(int(c2))
-            carried.add((min(u, v), max(u, v)))
-        assert carried == set(map(tuple, out.base.edge_array()))
-        assert max_degree(out.base) <= 3 * max_degree(out.cover)
-
-    def test_list_too_small(self):
-        cov = regular_cover(8, 3, 4, seed=5)
-        with pytest.raises(ValueError, match="only 4"):
-            trim(cov, 5)
-
-
 class TestResidual:
     def test_identity_when_nothing_colored(self):
         cov = regular_cover(10, 3, 4, seed=6)
-        phi = PartialColoring.blank(10)
-        out = residual(cov, phi, cov.all_lists())
+        out = ResidualView.of(cov).to_cover()
         assert out.base == cov.base
         assert out.cover == cov.cover
+        assert np.array_equal(out.lcolors, cov.lcolors)
 
     def test_empty_when_all_colored(self):
-        g = Graph.empty(3)
-        cov = from_list_assignment(g, [[0]] * 3)
-        phi = PartialColoring(np.array([0, 1, 2], dtype=np.int64))
-        out = residual(cov, phi, [[]] * 3)
+        cov = from_list_assignment(Graph.empty(3), [[0]] * 3)
+        outcome = run_round(cov, RoundParams(eta=1.0, d=1, ell=1, beta=0.1), seed=0)
+        assert list(outcome.phi) == [0, 1, 2]
+        view = outcome.next_view
+        assert view.vertices.size == 0 and not view.alive.any()
+        out = outcome.residual
         assert out.base.vertex_count == 0
         assert out.num_colors == 0
 
     def test_round_outcome_residual_avoids_image(self):
         cov = regular_cover(12, 4, 6, seed=7)
         outcome = run_round(cov, RoundParams(eta=0.5, d=4, ell=6, beta=0.02), seed=3)
-        res = outcome.residual
+        view = outcome.next_view
         image = set(outcome.phi[outcome.phi >= 0].tolist())
-        for col in res.color_labels:
+        for col in np.flatnonzero(view.alive):
             for nb in cov.cover.neighbors(int(col)):
                 assert int(nb) not in image
         # monotone: lists shrink, vertex set shrinks
-        assert res.base.vertex_count <= cov.base.vertex_count
-        for i, v in enumerate(res.vertex_labels):
-            assert set(res.color_labels[res.lists(i)]) <= set(cov.lists(int(v)).tolist())
+        assert view.vertices.size <= cov.base.vertex_count
+        for i, v in enumerate(view.vertices):
+            assert set(view.lists(i).tolist()) <= set(cov.lists(int(v)).tolist())
+        # the renumbered residual cover holds the same lists in the same order
+        res = outcome.residual
+        alive = np.flatnonzero(view.alive)
+        assert res.base.vertex_count == view.vertices.size
+        for i in range(view.vertices.size):
+            assert np.array_equal(alive[res.lists(i)], view.lists(i))
 
     def test_kept_must_be_subset(self):
-        cov = regular_cover(6, 3, 4, seed=8)
-        phi = PartialColoring.blank(6)
-        bad = [list(cov.lists(v)) for v in range(6)]
-        bad[0] = [cov.lists(1)[0]]  # color from another vertex's list
-        with pytest.raises(ValueError, match="subset"):
-            residual(cov, phi, bad)
+        # alive colors belong to blank vertices only, and the kept counts
+        # match the masks after every round
+        cov = regular_cover(16, 4, 8, seed=8)
+        view = ResidualView.of(cov)
+        p = RoundParams(eta=0.5, d=4, ell=8, beta=0.02)
+        for seed in range(5):
+            view = run_round(view, p, seed).next_view
+            assert np.all(view.blank[cov.owner[view.alive]])
+            assert np.array_equal(
+                view.sizes, np.bincount(cov.owner[view.alive], minlength=16))
+            live = np.flatnonzero(view.alive)
+            src = np.repeat(np.arange(cov.num_colors), cov.cover.degrees())
+            alive_nbrs = np.bincount(src[view.alive[cov.cover.indices]],
+                                     minlength=cov.num_colors)
+            assert np.array_equal(view.deg[live], alive_nbrs[live])
 
 
 class TestRegularize:
@@ -257,13 +235,3 @@ class TestCoverJson:
     def test_byte_identical_serialization(self):
         cov = regular_cover(8, 3, 4, seed=12)
         assert cover_to_json(cov) == cover_to_json(cov)
-
-
-class TestSubcoverLabels:
-    def test_labels_compose(self):
-        cov = regular_cover(10, 3, 5, seed=13)
-        first = subcover(cov, np.arange(5), [cov.lists(v)[:3] for v in range(5)])
-        second = subcover(first, np.arange(2), [first.lists(v)[:2] for v in range(2)])
-        for i, v in enumerate(second.vertex_labels):
-            assert int(v) == i  # chained selection keeps original ids here
-        assert set(second.color_labels) <= set(cov.color_labels)

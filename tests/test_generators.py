@@ -176,3 +176,16 @@ class TestKstFreeBipartite:
         a = kst_free_bipartite(8, 6, 2, 2, seed=9)
         b = kst_free_bipartite(8, 6, 2, 2, seed=9)
         assert a == b
+
+    def test_failed_verification_raises_generation_error(self, monkeypatch):
+        # the final check must survive python -O, and the CLI maps it to exit 3
+        from click.testing import CliRunner
+        from dpnibble import generators
+        from dpnibble.cli import main
+        monkeypatch.setattr(generators, "contains_kst", lambda *a, **k: True)
+        with pytest.raises(GenerationError, match="K_"):
+            kst_free_bipartite(4, 4, 2, 2, seed=1)
+        r = CliRunner().invoke(main, ["generate", "--kind", "kst_free_bipartite",
+                                      "--m", "4", "--n", "4", "--s", "2",
+                                      "--t", "2", "--seed", "1"])
+        assert r.exit_code == 3, r.output
