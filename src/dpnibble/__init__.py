@@ -7,7 +7,6 @@ and regularization, closed-form parameter schedules, reproducible instance
 generators, and seeded Monte-Carlo verification of the per-round laws.
 """
 
-from ._kernels import HAVE_NUMBA, USING_NUMBA
 from .analysis import (RoundStats, StructureReport, classify_structure,
                        exact_round_expectation, round_stats, verify_proper)
 from .cover import (DpCover, PartialColoring, Violation, cover_from_json,

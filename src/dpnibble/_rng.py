@@ -2,8 +2,8 @@
 
 A nibble round must consume exactly two uniforms per vertex (activation and
 color index) from a stream that depends only on ``(seed, vertex)``, so the
-outcome is independent of iteration order and can be reproduced draw-for-draw
-by both the numba kernels and the pure-numpy fallback.  We hash the counter
+outcome is independent of iteration order and any draw can be reproduced on
+its own by :func:`scalar_uniform`.  We hash the counter
 ``(seed, vertex, draw)`` with the splitmix64 finalizer; the multiplier
 constants are the standard splitmix64 / LXM stream constants.
 """
@@ -42,7 +42,7 @@ def vertex_uniforms(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Two float64 uniforms in [0, 1) per vertex, vectorized.
 
     Returns ``(u_act, u_col)`` of shape ``(n,)``.  Must stay bit-identical to
-    the scalar recurrence in ``_kernels`` (the kernel parity tests enforce it).
+    :func:`scalar_uniform` (the draw-stream tests enforce it).
     """
     v = np.arange(n, dtype=np.uint64)
     base = U64((normalize_seed(seed) * GOLDEN) & MASK64) + v * U64(STREAM)

@@ -190,7 +190,7 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
     ell_tail = p.ell ** (1.0 - p.beta)
     res_thresh = keep * uncolor_fn(p.d, p.ell, p.eta) * p.d + p.d ** (1.0 - p.beta)
     a = -1 if anchor is None else int(anchor)
-    sums = _kernels.round_stats_dispatch(
+    sums = _kernels.round_stats_kernel(
         normalize_seed(seed), trials, p.eta,
         c.lptr, c.lcolors, c.owner, c.cover.indptr, c.cover.indices,
         keep_ell, ell_tail, res_thresh, a)

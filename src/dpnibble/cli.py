@@ -70,6 +70,22 @@ def _resolve(flag_value, config: dict, key: str, default=None):
     return default
 
 
+def _load_cover(path: str) -> DpCover:
+    """Read and validate a cover file; any malformed document exits 2."""
+    try:
+        with open(path) as fh:
+            return cover_from_json(fh.read())
+    # json.loads raises RecursionError on deeply nested arrays
+    except (CoverValidationError, ValueError, OverflowError, RecursionError) as exc:
+        _fail(EXIT_USAGE, f"cannot load cover: {exc}")
+
+
+def _smallest_list(cov: DpCover) -> int:
+    """Size of the cover's smallest list; 0 for a cover without vertices."""
+    sizes = cov.list_sizes()
+    return int(sizes.min()) if sizes.size else 0
+
+
 @click.group()
 def main():
     """DP-coloring engine: generators, schedules, coloring runs, statistics."""
@@ -167,7 +183,7 @@ def cmd_schedule(d, epsilon, s, t, max_iters, out):
 
 
 @main.command("color")
-@click.argument("cover_file", type=click.Path(exists=True))
+@click.argument("cover_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, required=True)
 @click.option("--epsilon", type=float, default=None,
               help="Margin for the schedule; default matches the cover's lists.")
@@ -182,17 +198,13 @@ def cmd_schedule(d, epsilon, s, t, max_iters, out):
 def cmd_color(cover_file, seed, epsilon, s, t, slack, max_retries,
               max_resamples, max_rounds, regularize_first, out):
     """Run the full coloring pipeline on a cover file."""
-    try:
-        with open(cover_file) as fh:
-            cov = cover_from_json(fh.read())
-    except (CoverValidationError, ValueError, OverflowError) as exc:
-        _fail(EXIT_USAGE, f"cannot load cover: {exc}")
+    cov = _load_cover(cover_file)
     d = max(max_degree(cov.cover), 1)
     if epsilon is None:
         # choose the margin so the schedule's initial list size matches the
         # cover's smallest list
         import math
-        ell_min = int(cov.list_sizes().min())
+        ell_min = _smallest_list(cov)
         epsilon = max(ell_min * math.log(max(d, 3)) / max(d, 3) - 1.0, 0.01)
     try:
         cfg = pipeline.PipelineConfig(
@@ -228,7 +240,7 @@ def cmd_color(cover_file, seed, epsilon, s, t, slack, max_retries,
 
 
 @main.command("stats")
-@click.argument("cover_file", type=click.Path(exists=True))
+@click.argument("cover_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, required=True)
 @click.option("--trials", type=int, required=True)
 @click.option("--eta", type=float, required=True)
@@ -241,13 +253,9 @@ def cmd_color(cover_file, seed, epsilon, s, t, slack, max_retries,
 @click.option("--summary", "summary_path", type=click.Path(), default=None)
 def cmd_stats(cover_file, seed, trials, eta, t, anchor, jobs, out, summary_path):
     """Seeded Monte-Carlo statistics for one round on a cover."""
-    try:
-        with open(cover_file) as fh:
-            cov = cover_from_json(fh.read())
-    except (CoverValidationError, ValueError, OverflowError) as exc:
-        _fail(EXIT_USAGE, f"cannot load cover: {exc}")
+    cov = _load_cover(cover_file)
     d = max(max_degree(cov.cover), 1)
-    ell = int(cov.list_sizes().min())
+    ell = _smallest_list(cov)
     try:
         params = RoundParams(eta=eta, d=d, ell=ell, beta=1.0 / (25.0 * t))
     except ValueError as exc:

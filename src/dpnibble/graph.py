@@ -2,7 +2,7 @@
 
 Vertices are dense integers ``0..n-1``.  Adjacency is stored in CSR form
 (``indptr``/``indices``) with each row sorted, which keeps runs reproducible
-and feeds the numba kernels directly.  Graphs are immutable after
+and feeds the array kernels directly.  Graphs are immutable after
 construction; every query here is pure.
 """
 
@@ -149,13 +149,7 @@ def girth(g: Graph) -> float:
     improved.  Exact for all simple graphs; intended for graphs up to around
     10^4 vertices.
     """
-    from ._kernels import girth_dispatch
-
-    return girth_dispatch(g.indptr, g.indices, g.vertex_count)
-
-
-def girth_python(indptr: np.ndarray, indices: np.ndarray, n: int) -> float:
-    """Pure-Python BFS girth (fallback path and small-graph oracle)."""
+    n, indptr, indices = g.vertex_count, g.indptr, g.indices
     best = -1  # -1 encodes "no cycle yet"
     dist = np.empty(n, dtype=np.int64)
     parent = np.empty(n, dtype=np.int64)

@@ -201,7 +201,7 @@ def run_round(cover: DpCover | ResidualView, params: RoundParams,
         raise ValueError("every vertex needs a nonempty list")
     s = normalize_seed(seed)
     g = view.root.cover
-    activated, col, kept, phi = _kernels.round_dispatch(
+    activated, col, kept, phi = _kernels.round_kernel(
         s, params.eta, view.lptr, view.lcolors, view.root.owner,
         g.indptr, g.indices)
     return RoundOutcome(view, seed, activated, col, kept, phi)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -158,15 +162,20 @@ def set_path(doc, path, value):
     doc[last] = value
 
 
+def run_both(runner, path):
+    """``color`` and ``stats`` on one cover file, as click results."""
+    return [runner.invoke(main, cmd) for cmd in (
+        ["color", str(path), "--seed", "1"],
+        ["stats", str(path), "--seed", "1", "--trials", "2", "--eta", "0.5"])]
+
+
 class TestLoaderRefusals:
     """Malformed cover files end in exit 2 with a message, never a traceback."""
 
-    def refused(self, runner, tmp_path, doc):
+    def refused(self, runner, tmp_path, text):
         p = tmp_path / "cover.json"
-        p.write_text(json.dumps(doc))
-        for cmd in (["color", str(p), "--seed", "1"],
-                    ["stats", str(p), "--seed", "1", "--trials", "2", "--eta", "0.5"]):
-            r = runner.invoke(main, cmd)
+        p.write_text(text)
+        for r in run_both(runner, p):
             assert r.exit_code == 2, (r.output, r.exception)
             assert isinstance(r.exception, SystemExit)
             assert "error: cannot load cover:" in r.output
@@ -188,7 +197,7 @@ class TestLoaderRefusals:
             del doc["base"]["vertex_count"]
         else:
             del doc[mutate[3:]]
-        self.refused(runner, tmp_path, doc)
+        self.refused(runner, tmp_path, json.dumps(doc))
 
     @pytest.mark.parametrize("path", [("lists", 0, 0), ("base", "edges", 0, 1),
                                       ("cover_edges", 0, 0)])
@@ -196,14 +205,54 @@ class TestLoaderRefusals:
     def test_non_integer_ids(self, runner, tmp_path, path, value):
         doc = valid_doc()
         set_path(doc, path, value)
-        self.refused(runner, tmp_path, doc)
+        self.refused(runner, tmp_path, json.dumps(doc))
 
     @pytest.mark.parametrize("count", [-1, 5, 7, 10 ** 11, True, 6.0, "6"])
     def test_vertex_count_must_match_lists(self, runner, tmp_path, count):
         doc = valid_doc()
         assert len(doc["lists"]) == 6
         doc["base"]["vertex_count"] = count
-        self.refused(runner, tmp_path, doc)
+        self.refused(runner, tmp_path, json.dumps(doc))
+
+    def test_deeply_nested_document(self, runner, tmp_path):
+        self.refused(runner, tmp_path, "[" * 100000 + "]" * 100000)
+
+    def test_directory(self, runner, tmp_path):
+        for r in run_both(runner, tmp_path):
+            assert r.exit_code == 2, (r.output, r.exception)
+            assert "is a directory" in r.output
+
+
+class TestEmptyCover:
+    """A cover without vertices: nothing to color, no round to measure."""
+
+    def write(self, tmp_path):
+        p = tmp_path / "cover.json"
+        p.write_text('{"base": {"vertex_count": 0, "edges": []}, '
+                     '"lists": [], "cover_edges": []}')
+        return p
+
+    def test_color_exits_zero(self, runner, tmp_path):
+        out = tmp_path / "res.json"
+        r = invoke(runner, ["color", str(self.write(tmp_path)), "--seed", "1",
+                            "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        doc = json.loads(out.read_text())
+        assert doc["ok"] is True and doc["coloring"] == []
+
+    def test_stats_refused(self, runner, tmp_path):
+        r = runner.invoke(main, ["stats", str(self.write(tmp_path)), "--seed", "1",
+                                 "--trials", "2", "--eta", "0.5"])
+        assert r.exit_code == 2, (r.output, r.exception)
+        assert "error: d and ell must be >= 1" in r.output
+
+
+def test_import_warns_nothing():
+    src = Path(__file__).resolve().parents[1] / "src"
+    r = subprocess.run(
+        [sys.executable, "-W", "error::UserWarning", "-c", "import dpnibble.cli"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert r.returncode == 0, r.stderr
 
 
 class TestStats:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dpnibble import Graph, contains_kst, girth, graph_from_text, graph_to_text, kst_edge_bound, max_degree
 from dpnibble.errors import BudgetExceededError
-from dpnibble.graph import girth_python, has_cycle_up_to_4
+from dpnibble.graph import has_cycle_up_to_4
 
 from conftest import (contains_kst_oracle, cycle_graph, girth_by_cycle_enumeration,
                       path_graph, random_graph, star_graph)
@@ -79,10 +79,6 @@ class TestGirth:
     def test_girth_property(self, seed, p):
         g = random_graph(7, p, seed=seed)
         assert girth(g) == girth_by_cycle_enumeration(g)
-
-    def test_python_fallback_agrees(self):
-        g = random_graph(10, 0.35, seed=9)
-        assert girth(g) == girth_python(g.indptr, g.indices, g.vertex_count)
 
     def test_short_cycle_probe(self):
         assert not has_cycle_up_to_4(cycle_graph(5))
