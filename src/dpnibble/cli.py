@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -256,11 +257,13 @@ def cmd_stats(cover_file, seed, trials, eta, t, anchor, jobs, out, summary_path)
     cov = _load_cover(cover_file)
     d = max(max_degree(cov.cover), 1)
     ell = _smallest_list(cov)
+    if t < 1:
+        _fail(EXIT_USAGE, "t must be >= 1")
     try:
         params = RoundParams(eta=eta, d=d, ell=ell, beta=1.0 / (25.0 * t))
+        stats = _run_stats(cov, params, trials, seed, anchor, jobs)
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
-    stats = _run_stats(cov, params, trials, seed, anchor, jobs)
     config = {"cover_file": cover_file, "seed": seed, "trials": trials,
               "eta": eta, "t": t, "anchor": anchor,
               "d": d, "ell": ell}
@@ -278,7 +281,7 @@ def _run_stats(cov: DpCover, params: RoundParams, trials: int, seed: int,
         return analysis.round_stats(cov, params, trials, seed, anchor=anchor)
     bounds = np.linspace(0, trials, jobs + 1).astype(int)
     chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
         parts = list(pool.map(
             lambda c: analysis.round_stats(cov, params, c[1] - c[0],
                                            seed + c[0], anchor=anchor),

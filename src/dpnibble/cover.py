@@ -34,28 +34,30 @@ class Violation:
 class DpCover:
     """Immutable cover: base graph, cover graph, and the list partition."""
 
-    __slots__ = ("base", "cover", "owner", "lptr", "lcolors")
+    __slots__ = ("base", "cover", "owner", "lptr", "lcolors", "_valid")
 
-    def __init__(self, base: Graph, cover: Graph, lists: Sequence[np.ndarray]):
-        if len(lists) != base.vertex_count:
+    def __init__(self, base: Graph, cover: Graph, lists: Sequence[Sequence[int]]):
+        n = base.vertex_count
+        if len(lists) != n:
             raise ValueError("need one list per base vertex")
         self.base = base
         self.cover = cover
-        lptr = np.zeros(base.vertex_count + 1, dtype=np.int64)
-        for v, lst in enumerate(lists):
-            lptr[v + 1] = lptr[v] + len(lst)
-        lcolors = np.concatenate([np.sort(np.asarray(lst, dtype=np.int64))
-                                  for lst in lists]) if lptr[-1] else np.zeros(0, np.int64)
+        lptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, lists), np.int64, count=n), out=lptr[1:])
+        lcolors = np.fromiter(chain.from_iterable(lists), np.int64, count=int(lptr[-1]))
+        vertex = np.repeat(np.arange(n, dtype=np.int64), np.diff(lptr))
+        if np.any((lcolors[1:] < lcolors[:-1]) & (vertex[1:] == vertex[:-1])):
+            lcolors = lcolors[np.lexsort((lcolors, vertex))]
         if lcolors.size and (lcolors.min() < 0 or lcolors.max() >= cover.vertex_count):
             raise ValueError("list entries must be color ids of the cover graph")
         owner = np.full(cover.vertex_count, -1, dtype=np.int64)
-        for v in range(base.vertex_count):
-            owner[lcolors[lptr[v]:lptr[v + 1]]] = v
+        owner[lcolors] = vertex
         self.owner = owner
         self.lptr = lptr
         self.lcolors = lcolors
         for a in (self.owner, self.lptr, self.lcolors):
             a.flags.writeable = False
+        self._valid = False  # set by require_valid once validate finds nothing
 
     # -- accessors ---------------------------------------------------------
 
@@ -88,17 +90,8 @@ class PartialColoring:
     def blank(cls, n: int) -> "PartialColoring":
         return cls(np.full(n, -1, dtype=np.int64))
 
-    def domain(self) -> np.ndarray:
-        return np.nonzero(self.assignment >= 0)[0]
-
-    def image(self) -> np.ndarray:
-        return self.assignment[self.assignment >= 0]
-
     def is_total(self) -> bool:
         return bool(np.all(self.assignment >= 0))
-
-    def as_dict(self) -> dict[int, int]:
-        return {int(v): int(c) for v, c in enumerate(self.assignment) if c >= 0}
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +152,12 @@ def validate(c: DpCover, max_violations: int = 1000) -> list[Violation]:
 
 
 def require_valid(c: DpCover) -> DpCover:
-    violations = validate(c)
-    if violations:
-        raise CoverValidationError(violations)
+    """``c`` if it is valid; a success is kept on the cover, whose arrays are read-only."""
+    if not c._valid:
+        violations = validate(c)
+        if violations:
+            raise CoverValidationError(violations)
+        c._valid = True
     return c
 
 
@@ -183,19 +179,28 @@ def from_list_assignment(g: Graph, lists: Mapping[int, Iterable] | Sequence[Iter
         if not labels:
             raise ValueError(f"vertex {v} has an empty color list")
         label_lists.append(labels)
-    lptr = np.zeros(n + 1, dtype=np.int64)
-    for v in range(n):
-        lptr[v + 1] = lptr[v] + len(label_lists[v])
-    index_of = [{lab: int(lptr[v]) + i for i, lab in enumerate(label_lists[v])}
-                for v in range(n)]
-    edges = []
-    for u, v in g.edge_array():
-        common = set(label_lists[u]) & set(label_lists[v])
-        for lab in common:
-            edges.append((index_of[u][lab], index_of[v][lab]))
-    cover_graph = Graph.from_edges(int(lptr[-1]), edges)
-    list_arrays = [np.arange(lptr[v], lptr[v + 1], dtype=np.int64) for v in range(n)]
-    return DpCover(g, cover_graph, list_arrays)
+    # color ids run through the vertices' sorted labels; each color gets the
+    # key vertex * (number of labels) + label number, labels numbered by first use
+    sizes = np.fromiter(map(len, label_lists), np.int64, count=n)
+    lptr = np.concatenate([[0], np.cumsum(sizes)])
+    number: dict = {}
+    label = np.fromiter((number.setdefault(lab, len(number))
+                         for lab in chain.from_iterable(label_lists)),
+                        np.int64, count=int(lptr[-1]))
+    keys = np.repeat(np.arange(n, dtype=np.int64), sizes) * len(number) + label
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    # every color of u looks up its label at v, for each base edge (u, v)
+    e = g.edge_array()
+    counts = sizes[e[:, 0]]
+    starts = np.repeat(lptr[e[:, 0]] - (np.cumsum(counts) - counts), counts)
+    colors_u = np.arange(int(counts.sum()), dtype=np.int64) + starts
+    wanted = np.repeat(e[:, 1], counts) * len(number) + label[colors_u]
+    pos = np.minimum(np.searchsorted(sorted_keys, wanted), keys.size - 1)
+    hit = sorted_keys[pos] == wanted
+    cover_graph = Graph.from_edges(
+        int(lptr[-1]), np.stack([colors_u[hit], by_key[pos[hit]]], axis=1))
+    return DpCover(g, cover_graph, [range(a, b) for a, b in zip(lptr[:-1], lptr[1:])])
 
 
 def uniform_list_cover(g: Graph, ell: int) -> DpCover:
@@ -294,6 +299,10 @@ def regularize(c: DpCover, d: int, s: int, t: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
+_CANONICAL = {"sort_keys": True, "separators": (",", ":")}
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
 def cover_to_json(c: DpCover) -> str:
     doc = {
         "base": {
@@ -303,7 +312,42 @@ def cover_to_json(c: DpCover) -> str:
         "lists": [lst.tolist() for lst in c.all_lists()],
         "cover_edges": c.cover.edge_array().tolist(),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, **_CANONICAL) + "\n"
+
+
+def _canonical_parts(text: str) -> tuple[dict, np.ndarray] | None:
+    """The document with ``[]`` for its cover edges and the (m, 2) array of those
+    edges, if ``text`` is byte for byte what :func:`cover_to_json` writes for a
+    cover with cover edges; else None.  ``np.fromstring`` reads ``01`` as 1 and
+    saturates past 2**63, so the ids' digits must add up to the text's digits.
+    """
+    start = text.find('"cover_edges":[[')
+    if start < 0:
+        return None
+    a = start + len('"cover_edges":')
+    b = text.find("]]", a) + 2
+    seg = text[a:b].encode()
+    skeleton = seg.translate(None, b"0123456789")
+    m = (len(skeleton) - 1) // 4
+    if m < 1 or skeleton != b"[" + b"[,]," * (m - 1) + b"[,]]":
+        return None
+    try:
+        ids = np.fromstring(seg.translate(None, b"[]"), dtype=np.int64, sep=",")
+    except ValueError:  # an empty id
+        return None
+    if (ids.size != 2 * m or ids.max() >= 10 ** 18 or len(seg) - len(skeleton)
+            != ids.size + np.searchsorted(_POWERS_OF_TEN, ids, side="right").sum()):
+        return None
+    # the rest must be canonical too, with these edges as its top-level key
+    rest = text[:a] + "[]" + text[b:]
+    try:
+        doc = json.loads(rest)
+        if (not isinstance(doc, dict) or json.dumps(doc, **_CANONICAL) + "\n" != rest
+                or text[:start] != '{"base":' + json.dumps(doc.get("base"), **_CANONICAL) + ","):
+            return None
+    except (ValueError, RecursionError):
+        return None
+    return doc, ids.reshape(m, 2)
 
 
 def _edge_array(value, what: str, exact: bool) -> np.ndarray:
@@ -322,8 +366,12 @@ def _edge_array(value, what: str, exact: bool) -> np.ndarray:
 
 
 def cover_from_json(text: str) -> DpCover:
-    """Parse and validate a cover document; refuses invalid covers."""
-    doc = json.loads(text)
+    """Parse and validate a cover document; refuses invalid covers.
+
+    Text in the layout :func:`cover_to_json` writes takes a fast path; any
+    other text is read by ``json.loads`` and refused with the same messages.
+    """
+    doc, parsed_edges = _canonical_parts(text) or (json.loads(text), None)
     try:
         n, lists = doc["base"]["vertex_count"], doc["lists"]
         base_edges, cover_edges = doc["base"]["edges"], doc["cover_edges"]
@@ -341,7 +389,8 @@ def cover_from_json(text: str) -> DpCover:
     base = Graph.from_edges(n, _edge_array(base_edges, "base.edges", exact))
     lists = [np.asarray(lst, dtype=np.int64) for lst in lists]
     num_colors = int(sum(len(lst) for lst in lists))
-    cover_edges = _edge_array(cover_edges, "cover_edges", exact)
+    cover_edges = (_edge_array(cover_edges, "cover_edges", exact)
+                   if parsed_edges is None else parsed_edges)
     cover_graph = Graph.from_edges(num_colors, cover_edges)
     cov = DpCover(base, cover_graph, lists)
     return require_valid(cov)

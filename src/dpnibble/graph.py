@@ -54,22 +54,15 @@ class Graph:
             if np.any(e[:, 0] == e[:, 1]):
                 bad = e[e[:, 0] == e[:, 1]][0]
                 raise ValueError(f"self-loop at vertex {bad[0]}")
-            lo = np.minimum(e[:, 0], e[:, 1])
-            hi = np.maximum(e[:, 0], e[:, 1])
-            keys = lo * n + hi
-            if np.unique(keys).size != keys.size:
-                raise ValueError("duplicate edge in edge list")
-            src = np.concatenate([lo, hi])
-            dst = np.concatenate([hi, lo])
-        else:
-            src = np.zeros(0, dtype=np.int64)
-            dst = np.zeros(0, dtype=np.int64)
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        # one sort of the directed keys orders every row and puts the copies
+        # of a repeated edge side by side
+        keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate edge in edge list")
+        src, dst = np.divmod(keys, max(n, 1))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n, indptr, dst.astype(np.int64))
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return cls(n, indptr, dst)
 
     # -- basic queries -----------------------------------------------------
 
@@ -85,11 +78,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return int(self.indices.size // 2)
-
-    @property
-    def adjacency(self) -> list[np.ndarray]:
-        """Per-vertex sorted neighbor arrays (read-only views)."""
-        return [self.neighbors(v) for v in range(self.vertex_count)]
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
@@ -109,9 +97,6 @@ class Graph:
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.indices, other.indices)
         )
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.indices.tobytes()))
 
     def __repr__(self):
         return f"Graph(n={self.vertex_count}, m={self.num_edges})"

@@ -223,6 +223,19 @@ class TestLoaderRefusals:
             assert "is a directory" in r.output
 
 
+def test_color_validates_a_loaded_cover_once(runner, tmp_path, monkeypatch):
+    from dpnibble import cover, cover_to_json
+    from conftest import regular_cover
+    path = tmp_path / "cover.json"
+    path.write_text(cover_to_json(regular_cover(10, 2, 16, seed=2)))
+    calls = []
+    validate = cover.validate
+    monkeypatch.setattr(cover, "validate", lambda c: calls.append(c) or validate(c))
+    r = invoke(runner, ["color", str(path), "--seed", "1"])
+    assert r.exit_code == 0, r.output
+    assert len(calls) == 1
+
+
 class TestEmptyCover:
     """A cover without vertices: nothing to color, no round to measure."""
 
@@ -300,6 +313,48 @@ class TestStats:
                 out = tmp_path / f"jobs{jobs}.csv"
                 invoke(runner, base + ["--jobs", jobs, "--out", str(out)])
                 assert out.read_bytes() == serial.read_bytes(), (trials, jobs)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--trials", "0"], "error: trials must be >= 1"),
+        (["--trials", "2", "--anchor", "-5"], "error: anchor -5 is not a color id"),
+        (["--trials", "2", "--t", "0"], "error: t must be >= 1"),
+    ])
+    def test_bad_run_arguments_refused(self, runner, tmp_path, flags, message):
+        path = self.make_cover_file(tmp_path)
+        r = runner.invoke(main, ["stats", str(path), "--seed", "5", "--eta", "0.4"] + flags)
+        assert r.exit_code == 2, (r.output, r.exception)
+        assert message in r.output
+
+    def test_jobs_capped_at_cpu_count(self, runner, tmp_path, monkeypatch):
+        from dpnibble import cli
+
+        class SerialPool:
+            """Records ``max_workers`` and maps in the calling thread."""
+            workers = []
+
+            def __init__(self, max_workers):
+                self.workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        path = self.make_cover_file(tmp_path)
+        base = ["stats", str(path), "--seed", "5", "--trials", "40", "--eta", "0.4"]
+        serial = tmp_path / "serial.csv"
+        invoke(runner, base + ["--out", str(serial)])
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        out = tmp_path / "jobs.csv"
+        r = invoke(runner, base + ["--jobs", "16", "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        assert SerialPool.workers == [2]
+        assert out.read_bytes() == serial.read_bytes()
 
     def test_summary_json(self, runner, tmp_path):
         path = self.make_cover_file(tmp_path)

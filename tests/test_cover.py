@@ -1,17 +1,21 @@
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpnibble import (DpCover, Graph, PartialColoring, contains_kst, cover_from_json,
                       cover_to_json, from_list_assignment, max_degree, regularize,
                       validate)
+from dpnibble import cover as cover_module
 from dpnibble.cover import require_valid
 from dpnibble.errors import CoverValidationError
 from dpnibble.generators import random_dp_cover, random_girth5_regular, random_regular
 from dpnibble.nibble import ResidualView, RoundParams, run_round
 
-from conftest import cycle_graph, regular_cover
+from conftest import cycle_graph, random_graph, regular_cover
 
 
 def drop_cover_edges(cov: DpCover, count: int, seed: int) -> DpCover:
@@ -72,6 +76,38 @@ class TestFromListAssignment:
         assert list(cov.list_sizes()) == [4] * 8
         assert cov.base == g
 
+    def test_matches_label_oracle(self):
+        # uneven lists of string labels with repeats; colors run through each
+        # vertex's sorted labels and equal labels across a base edge match
+        g = random_graph(12, 0.4, seed=3)
+        rng = np.random.default_rng(4)
+        lists = [rng.choice(list("abcdefgh"), size=rng.integers(1, 7)).tolist()
+                 for _ in range(12)]
+        cov = from_list_assignment(g, lists)
+        labels = [sorted(set(lst)) for lst in lists]
+        color = {(v, lab): i for i, (v, lab) in enumerate(
+            (v, lab) for v in range(12) for lab in labels[v])}
+        expected = sorted((color[u, lab], color[v, lab])
+                          for u, v in g.edge_array().tolist()
+                          for lab in set(labels[u]) & set(labels[v]))
+        assert cov.cover.edge_array().tolist() == [list(e) for e in expected]
+        assert [cov.lists(v).tolist() for v in range(12)] == [
+            [color[v, lab] for lab in labels[v]] for v in range(12)]
+
+
+class TestDpCoverInit:
+    def test_unsorted_lists_are_sorted(self):
+        g = Graph.from_edges(3, [(0, 1)])
+        cov = DpCover(g, Graph.empty(6), [[4, 0, 2], np.array([5]), [3, 1]])
+        assert [cov.lists(v).tolist() for v in range(3)] == [[0, 2, 4], [5], [1, 3]]
+        assert cov.owner.tolist() == [0, 2, 0, 2, 0, 1]
+
+    def test_empty_lists_and_range_check(self):
+        cov = DpCover(Graph.empty(3), Graph.empty(2), [[], [1, 0], []])
+        assert cov.lptr.tolist() == [0, 0, 2, 2]
+        with pytest.raises(ValueError, match="color ids"):
+            DpCover(Graph.empty(2), Graph.empty(2), [[0], [2]])
+
 
 class TestValidate:
     def test_valid_cover(self):
@@ -104,6 +140,14 @@ class TestValidate:
         cov = DpCover(g, Graph.from_edges(2, [(0, 1)]), [[0], [1]])
         with pytest.raises(CoverValidationError):
             require_valid(cov)
+        with pytest.raises(CoverValidationError):  # a refusal is not kept
+            require_valid(cov)
+
+    def test_require_valid_validates_once(self):
+        cov = regular_cover(10, 3, 4, seed=1)
+        with mock.patch.object(cover_module, "validate", wraps=validate) as spy:
+            assert require_valid(require_valid(cov)) is cov
+        assert spy.call_count == 1
 
 
 class TestResidual:
@@ -235,3 +279,71 @@ class TestCoverJson:
     def test_byte_identical_serialization(self):
         cov = regular_cover(8, 3, 4, seed=12)
         assert cover_to_json(cov) == cover_to_json(cov)
+
+
+def load_outcome(text: str, fast: bool = True):
+    """The arrays ``cover_from_json`` builds from ``text``, or the type and
+    message of what it raised; ``fast=False`` turns the canonical path off."""
+    try:
+        if fast:
+            cov = cover_from_json(text)
+        else:
+            with mock.patch.object(cover_module, "_canonical_parts", return_value=None):
+                cov = cover_from_json(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [a.tolist() for a in (cov.base.indptr, cov.base.indices, cov.cover.indptr,
+                                 cov.cover.indices, cov.owner, cov.lptr, cov.lcolors)]
+
+
+@st.composite
+def canonical_covers(draw):
+    d = draw(st.integers(1, 4))
+    n = 2 * draw(st.integers(d // 2 + 1, 6))
+    g = random_regular(n, d, seed=draw(st.integers(0, 999)))
+    cov = random_dp_cover(g, draw(st.integers(1, 4)), draw(st.sampled_from([0.5, 1.0])),
+                          seed=draw(st.integers(0, 999)))
+    return cover_to_json(cov)
+
+
+MUTATION_BYTES = '0123456789[],:-." {}etx\n'
+
+
+class TestCanonicalFastPath:
+    """Canonical cover files skip ``json.loads`` for the cover edges; every
+    other text must load, or be refused, exactly as ``json.loads`` reads it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(canonical_covers())
+    def test_valid_covers_agree(self, text):
+        if '"cover_edges":[]' not in text:
+            assert cover_module._canonical_parts(text) is not None
+        assert load_outcome(text) == load_outcome(text, fast=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(canonical_covers(), st.data())
+    def test_single_byte_mutations_agree(self, text, data):
+        at = data.draw(st.integers(0, len(text) - 1))
+        text = text[:at] + data.draw(st.sampled_from(MUTATION_BYTES)) + text[at + 1:]
+        assert load_outcome(text) == load_outcome(text, fast=False)
+
+    @pytest.mark.parametrize("old, new", [
+        ('"cover_edges":[[', '"cover_edges":[[0'),        # leading zero
+        ('"cover_edges":[[', '"cover_edges":[[ '),        # whitespace
+        ('"cover_edges":[[', '"cover_edges":[[-'),        # negative id
+        ('"cover_edges":[[', f'"cover_edges":[[{2 ** 70}'),  # overflow
+        ('"cover_edges":[[', f'"cover_edges":[[{10 ** 19 - 1},0],['),  # 19 digits saturate
+        ('"cover_edges":[[', '"cover_edges":[[true,1],['),
+        ("]],\"lists\"", "],],\"lists\""),                 # trailing comma
+        ("]],\"lists\"", "],[1,]],\"lists\""),             # missing id
+        ("]],\"lists\"", "]],\"cover_edges\":[],\"lists\""),  # second key
+        ('{"base":{', '{"base":{"cover_edges":[[0,1]],'),  # key inside base
+        ('{"base":', '{"a":1,"base":'),                  # key before base
+        ("]],\"lists\"", "]], \"lists\""),
+    ])
+    def test_non_canonical_text_takes_json_loads(self, old, new):
+        text = cover_to_json(regular_cover(8, 3, 4, seed=12))
+        assert cover_module._canonical_parts(text) is not None
+        text = text.replace(old, new, 1)
+        assert cover_module._canonical_parts(text) is None
+        assert load_outcome(text) == load_outcome(text, fast=False)

@@ -32,6 +32,18 @@ REGULARIZED = "f06cd426c9e714d318e40c19173b1143a89ec910d9fbab03da98a2ee97851ae4"
 FINISH_ONLY = "d4024a80d7efc1861c24318aec07ee49624024751ca3db9cfb09a1782c6d3aba"
 # 200 trials of stats --anchor 0 on a 16-regular cover with lists of 12
 STATS = "067530bf15680fa03cfacef9f6d5e5619e4ff459b49ea3994933535401877402"
+# generate outputs, recorded before from_list_assignment was vectorized
+GENERATED = {
+    "list_cover_girth5": (["--kind", "list_cover", "--n", "26", "--d", "4", "--girth5",
+                           "--ell", "12", "--seed", "2"],
+                          "6f5c488cdb92c4af2b24193563bbe73bdba698aef0b33012f824f59f96572a25"),
+    "list_cover": (["--kind", "list_cover", "--n", "40", "--d", "6", "--ell", "9",
+                    "--seed", "3"],
+                   "700f7c7492474c5c010e975360bbc807a4db550203ed514b2eafe31e07d837c8"),
+    "dp_cover": (["--kind", "dp_cover", "--n", "50", "--d", "4", "--ell", "6",
+                  "--rho", "0.8", "--seed", "1"],
+                 "0bd3edde9d7d08a05f5f1335681027f60a5008e5441e18436d8b06e2513c594e"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +96,9 @@ def test_stats_anchor_csv(covers, tmp_path, monkeypatch):
     args = ["stats", "stats.json", "--seed", "3", "--trials", "200",
             "--eta", "0.1", "--anchor", "0"]
     assert digest(args, tmp_path / "s.csv") == STATS
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATED))
+def test_generated_cover(tmp_path, kind):
+    args, expected = GENERATED[kind]
+    assert digest(["generate"] + args, tmp_path / "c.json") == expected

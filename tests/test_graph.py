@@ -22,6 +22,17 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="duplicate"):
             Graph.from_edges(3, [(0, 1), (1, 0)])
 
+    @pytest.mark.parametrize("edges", [[(1, 2), (0, 1), (1, 2)],
+                                       np.array([[2, 0], [0, 1], [0, 2]])])
+    def test_from_edges_rejects_separated_duplicates(self, edges):
+        with pytest.raises(ValueError, match="duplicate"):
+            Graph.from_edges(3, edges)
+
+    def test_from_edges_any_order_same_graph(self):
+        edges = random_graph(30, 0.3, seed=5).edge_array()
+        shuffled = np.random.default_rng(6).permutation(edges)[:, ::-1]
+        assert Graph.from_edges(30, shuffled) == Graph.from_edges(30, edges)
+
     def test_from_edges_rejects_bad_ids(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(3, [(0, 3)])
