@@ -24,6 +24,9 @@ MIX2 = 0x94D049BB133111EB
 
 INV_2_53 = 2.0 ** -53
 
+# row ``draw`` of the counters vertex_uniforms hashes is offset by draw * DRAW
+_DRAW_OFFSETS = np.array([[0], [DRAW]], dtype=np.uint64)
+
 
 def normalize_seed(seed: int) -> int:
     """Map an arbitrary Python int seed onto the u64 counter domain."""
@@ -46,14 +49,12 @@ def vertex_uniforms(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     v = np.arange(n, dtype=np.uint64)
     base = U64((normalize_seed(seed) * GOLDEN) & MASK64) + v * U64(STREAM)
-    out = []
-    for draw in (0, 1):
-        x = base + U64((draw * DRAW) & MASK64)
-        x = (x ^ (x >> U64(30))) * U64(MIX1)
-        x = (x ^ (x >> U64(27))) * U64(MIX2)
-        x = x ^ (x >> U64(31))
-        out.append((x >> U64(11)).astype(np.float64) * INV_2_53)
-    return out[0], out[1]
+    x = base + _DRAW_OFFSETS
+    x = (x ^ (x >> U64(30))) * U64(MIX1)
+    x = (x ^ (x >> U64(27))) * U64(MIX2)
+    x = x ^ (x >> U64(31))
+    u = (x >> U64(11)).astype(np.float64) * INV_2_53
+    return u[0], u[1]
 
 
 def scalar_uniform(seed: int, vertex: int, draw: int) -> float:

@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-from ._rng import normalize_seed
 from .cover import DpCover, PartialColoring
 from .errors import BudgetExceededError
 from .graph import Graph
-from .nibble import RoundParams, keep_fn, uncolor_fn
+from .nibble import ResidualView, RoundParams, keep_fn, run_round, uncolor_fn
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +187,32 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
     keep_ell = keep * p.ell
     ell_tail = p.ell ** (1.0 - p.beta)
     res_thresh = keep * uncolor_fn(p.d, p.ell, p.eta) * p.d + p.d ** (1.0 - p.beta)
-    a = -1 if anchor is None else int(anchor)
-    sums = _kernels.round_stats_kernel(
-        normalize_seed(seed), trials, p.eta,
-        c.lptr, c.lcolors, c.owner, c.cover.indptr, c.cover.indices,
-        keep_ell, ell_tail, res_thresh, a)
-    # the kernel returns the six sums, then the three anchor sample arrays
-    return RoundStats(trials, p, *sums[:6], anchor, *sums[6:])
+    view = ResidualView.of(c)
+    n, num_colors = c.base.vertex_count, c.num_colors
+    kept_sum, kept_sumsq, kept_tail = (np.zeros(n, np.int64) for _ in range(3))
+    res_sum, res_sumsq, res_tail = (np.zeros(num_colors, np.int64) for _ in range(3))
+    m = 0 if anchor is None else trials
+    anchor_u, anchor_umk, anchor_res = (np.zeros(m, np.int64) for _ in range(3))
+    if m:
+        nbrs = c.cover.neighbors(int(anchor))
+        nbr_owners = c.owner[nbrs]
+    for trial in range(trials):
+        outcome = run_round(view, p, seed + trial)
+        kcnt = outcome.kept_sizes()
+        resdeg = outcome.next_deg
+        kept_sum += kcnt
+        kept_sumsq += kcnt * kcnt
+        kept_tail += np.abs(kcnt - keep_ell) > ell_tail
+        res_sum += resdeg
+        res_sumsq += resdeg * resdeg
+        res_tail += resdeg > res_thresh
+        if m:
+            blank = outcome.phi[nbr_owners] < 0
+            anchor_u[trial] = np.count_nonzero(blank)
+            anchor_umk[trial] = np.count_nonzero(blank & ~outcome.kept_mask[nbrs])
+            anchor_res[trial] = resdeg[anchor]
+    return RoundStats(trials, p, kept_sum, kept_sumsq, res_sum, res_sumsq,
+                      kept_tail, res_tail, anchor, anchor_u, anchor_umk, anchor_res)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,16 @@ def main():
 # ---------------------------------------------------------------------------
 
 
+# the size options each kind of instance is built from
+_GENERATE_NEEDS = {
+    "regular": ("n", "d"),
+    "girth5_regular": ("n", "d"),
+    "dp_cover": ("n", "d", "ell"),
+    "list_cover": ("n", "d", "ell"),
+    "kst_free_bipartite": ("m", "n", "s", "t"),
+}
+
+
 @main.command("generate")
 @click.option("--kind", type=click.Choice(
     ["regular", "girth5_regular", "dp_cover", "list_cover", "kst_free_bipartite"]),
@@ -130,6 +140,13 @@ def cmd_generate(kind, n, d, ell, rho, m, s, t, girth5_base, seed, config_path, 
         _fail(EXIT_USAGE, "missing --kind")
     if seed is None:
         _fail(EXIT_USAGE, "a --seed is mandatory for every randomized command")
+    if kind not in _GENERATE_NEEDS:  # a config file's kind skips click's check
+        _fail(EXIT_USAGE, f"unknown --kind {kind!r}")
+    given = {"n": n, "d": d, "ell": ell, "m": m, "s": s, "t": t}
+    for opt in _GENERATE_NEEDS[kind]:
+        if given[opt] is None:
+            _fail(EXIT_USAGE, f"missing --{opt}: --kind {kind} needs "
+                              + " ".join(f"--{o}" for o in _GENERATE_NEEDS[kind]))
     try:
         if kind == "regular":
             g = generators.random_regular(n, d, seed)
@@ -140,8 +157,6 @@ def cmd_generate(kind, n, d, ell, rho, m, s, t, girth5_base, seed, config_path, 
         elif kind in ("dp_cover", "list_cover"):
             base = (generators.random_girth5_regular(n, d, seed + 1)
                     if girth5_base else generators.random_regular(n, d, seed + 1))
-            if ell is None:
-                _fail(EXIT_USAGE, "--ell is required for cover kinds")
             if kind == "dp_cover":
                 cov = generators.random_dp_cover(base, ell, rho, seed)
             else:
@@ -203,10 +218,12 @@ def cmd_color(cover_file, seed, epsilon, s, t, slack, max_retries,
     d = max(max_degree(cov.cover), 1)
     if epsilon is None:
         # choose the margin so the schedule's initial list size matches the
-        # cover's smallest list
+        # cover's smallest list, kept below the schedule's bound of 100: lists
+        # that long are already 8x the degree and need no schedule
         import math
         ell_min = _smallest_list(cov)
-        epsilon = max(ell_min * math.log(max(d, 3)) / max(d, 3) - 1.0, 0.01)
+        epsilon = min(max(ell_min * math.log(max(d, 3)) / max(d, 3) - 1.0, 0.01),
+                      math.nextafter(100.0, 0.0))
     try:
         cfg = pipeline.PipelineConfig(
             schedule_input=ScheduleInput(d=d, epsilon=epsilon, s=s, t=t),

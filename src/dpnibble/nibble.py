@@ -108,7 +108,8 @@ class ResidualView:
         self.deg = deg
         self.vertices = np.flatnonzero(blank)
         self.lcolors = root.lcolors[alive[root.lcolors]]
-        self.lptr = np.concatenate([[0], np.cumsum(sizes[self.vertices])])
+        self._list_sizes = sizes[self.vertices]
+        self.lptr = np.concatenate([[0], np.cumsum(self._list_sizes)])
 
     @classmethod
     def of(cls, cover: DpCover) -> "ResidualView":
@@ -122,7 +123,8 @@ class ResidualView:
         return self.lcolors[self.lptr[i]:self.lptr[i + 1]]
 
     def list_sizes(self) -> np.ndarray:
-        return np.diff(self.lptr)
+        """Alive colors per residual vertex: the view's own array, not a copy."""
+        return self._list_sizes
 
     def max_degree(self) -> int:
         """Largest residual cover degree; 0 without alive colors."""
@@ -141,8 +143,8 @@ class RoundOutcome:
     """Result of one round on a residual view, backed by the kernel arrays.
 
     Vertices are residual ranks and colors root ids.  ``activated_mask``/
-    ``col``/``kept_mask``/``phi`` are the raw arrays; the next residual and
-    its cover are built on demand.
+    ``col``/``kept_mask``/``phi`` are the raw arrays; the residual degrees
+    (``next_deg``), the next residual and its cover are built on demand.
     """
 
     def __init__(self, view: ResidualView, seed: int, activated_mask: np.ndarray,
@@ -159,33 +161,45 @@ class RoundOutcome:
         return lst[self.kept_mask[lst]]
 
     def kept_sizes(self) -> np.ndarray:
-        hit = self.kept_mask[self.view.lcolors].astype(np.int64)
-        cs = np.concatenate([[0], np.cumsum(hit)])
-        return cs[self.view.lptr[1:]] - cs[self.view.lptr[:-1]]
+        # run_round only runs on nonempty lists, so no segment is empty
+        return np.add.reduceat(self.kept_mask[self.view.lcolors],
+                               self.view.lptr[:-1], dtype=np.int64)
 
     @property
     def coloring(self) -> PartialColoring:
         return PartialColoring(self.phi.copy())
 
     @cached_property
-    def next_view(self) -> ResidualView:
-        """The residual after this round, as masks over the same root.
+    def stays(self) -> np.ndarray:
+        """Mask over ``view.lcolors``: the kept colors of vertices left blank."""
+        v = self.view
+        return self.kept_mask[v.lcolors] & (self.phi < 0).repeat(v.list_sizes())
 
-        Both counts drop by a ``bincount`` over the dying colors, so the
-        work follows their cover rows, not the whole cover.
+    @cached_property
+    def next_deg(self) -> np.ndarray:
+        """Alive neighbours of every root color after this round.
+
+        ``view.deg`` minus a ``bincount`` over the dying colors' cover rows,
+        so the work follows those rows, not the whole cover.  On a whole
+        cover this is each color's residual degree: its neighbours that were
+        kept and whose vertex stayed blank.
         """
         v = self.view
-        stays = self.kept_mask[v.lcolors] & np.repeat(self.phi < 0, v.list_sizes())
-        dying = v.lcolors[~stays]
+        g = v.root.cover
+        dying = _kernels.gather_rows(g.indptr, g.indices, v.lcolors[~self.stays])
+        return v.deg - np.bincount(dying, minlength=g.vertex_count)
+
+    @cached_property
+    def next_view(self) -> ResidualView:
+        """The residual after this round, as masks over the same root."""
+        v = self.view
+        dying = v.lcolors[~self.stays]
         blank = v.blank.copy()
         blank[v.vertices[self.phi >= 0]] = False
         alive = v.alive.copy()
         alive[dying] = False
-        g = v.root.cover
-        lost = np.bincount(_kernels.gather_rows(g.indptr, g.indices, dying),
-                           minlength=g.vertex_count)
         sizes = v.sizes - np.bincount(v.root.owner[dying], minlength=v.blank.size)
-        return ResidualView(v.root, blank, alive, sizes, v.deg - lost)
+        return ResidualView(v.root, blank, alive, sizes, self.next_deg)
 
     @cached_property
     def residual(self) -> DpCover:
@@ -197,12 +211,12 @@ def run_round(cover: DpCover | ResidualView, params: RoundParams,
               seed: int) -> RoundOutcome:
     """Execute one round; a pure function of (cover, params, seed)."""
     view = _as_view(cover)
-    if np.any(view.list_sizes() < 1):
+    sizes = view.list_sizes()
+    if np.any(sizes < 1):
         raise ValueError("every vertex needs a nonempty list")
-    s = normalize_seed(seed)
     g = view.root.cover
     activated, col, kept, phi = _kernels.round_kernel(
-        s, params.eta, view.lptr, view.lcolors, view.root.owner,
+        normalize_seed(seed), params.eta, view.lptr, sizes, view.lcolors,
         g.indptr, g.indices)
     return RoundOutcome(view, seed, activated, col, kept, phi)
 
@@ -215,10 +229,9 @@ def round_is_good(outcome: RoundOutcome, ell_target: float, d_target: float) -> 
 
 def count_violations(outcome: RoundOutcome, ell_target: float, d_target: float) -> tuple[int, int]:
     """(#vertices with kept size <= ell_target, #residual colors with degree >= d_target)."""
-    kept_sizes = outcome.kept_sizes()
-    bad_v = int(np.count_nonzero(kept_sizes <= ell_target))
-    res = outcome.next_view
-    bad_c = int(np.count_nonzero(res.deg[res.lcolors] >= d_target))
+    bad_v = int(np.count_nonzero(outcome.kept_sizes() <= ell_target))
+    survivors = outcome.view.lcolors[outcome.stays]
+    bad_c = int(np.count_nonzero(outcome.next_deg[survivors] >= d_target))
     return bad_v, bad_c
 
 

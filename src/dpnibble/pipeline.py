@@ -112,7 +112,9 @@ def finish_with_stats(c: DpCover, max_resamples: int, seed: int):
         j = min(int(rng.random() * lst.size), lst.size - 1)
         return int(lst[j])
 
-    chosen = np.array([draw(v) for v in range(n)], dtype=np.int64)
+    # one uniform per vertex, in vertex order: the same doubles as n scalar draws
+    pick = np.minimum((rng.random(n) * sizes).astype(np.int64), sizes - 1)
+    chosen = c.lcolors[c.lptr[:-1] + pick]
     edges = c.cover.edge_array()
     if edges.size == 0:
         return PartialColoring(chosen), 0, []

@@ -5,6 +5,7 @@ import pytest
 
 from dpnibble import (Graph, PartialColoring, from_list_assignment, keep_fn,
                       uncolor_fn)
+from dpnibble._rng import scalar_uniform
 from dpnibble.analysis import (classify_structure, exact_round_expectation,
                                round_stats, stats_summary_json, stats_to_csv,
                                verify_proper)
@@ -112,6 +113,51 @@ class TestRoundStats:
         two_b = round_stats(cov, p, trials=5, seed=105)
         merged = (two_a.kept_mean * 5 + two_b.kept_mean * 5) / 10
         assert np.allclose(one.kept_mean, merged)
+
+
+def recount_one_round(cov, p, seed, anchor):
+    """One round's counts by direct definition, from the scalar draw stream."""
+    picks = {}
+    for v in range(cov.base.vertex_count):
+        lst = [int(c) for c in cov.lists(v)]
+        if scalar_uniform(seed, v, 0) < p.eta:
+            j = min(int(scalar_uniform(seed, v, 1) * len(lst)), len(lst) - 1)
+            picks[v] = lst[j]
+    assigned = set(picks.values())
+    kept = {c for c in range(cov.num_colors)
+            if not any(int(nb) in assigned for nb in cov.cover.neighbors(c))}
+    colored = {v for v, c in picks.items() if c in kept}
+    kept_sizes = [sum(int(c) in kept for c in cov.lists(v))
+                  for v in range(cov.base.vertex_count)]
+    resdeg = [sum(int(nb) in kept and int(cov.owner[nb]) not in colored
+                  for nb in cov.cover.neighbors(c)) for c in range(cov.num_colors)]
+    uncolored_nbrs = [int(nb) for nb in cov.cover.neighbors(anchor)
+                      if int(cov.owner[nb]) not in colored]
+    u_minus_k = sum(nb not in kept for nb in uncolored_nbrs)
+    return kept_sizes, resdeg, (len(uncolored_nbrs), u_minus_k, resdeg[anchor])
+
+
+class TestOneTrialAgainstRecount:
+    @pytest.mark.parametrize("cov, p, anchor", [
+        (regular_cover(12, 4, 5, seed=4), RoundParams(eta=0.6, d=4, ell=5, beta=0.05), 7),
+        (regular_cover(10, 3, 4, seed=5, rho=0.6),
+         RoundParams(eta=0.8, d=3, ell=4, beta=0.1), 2),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2 ** 64 + 3])
+    def test_counts_match(self, cov, p, anchor, seed):
+        st = round_stats(cov, p, trials=1, seed=seed, anchor=anchor)
+        kept_sizes, resdeg, anchor_row = recount_one_round(cov, p, seed, anchor)
+        keep = keep_fn(p.d, p.ell, p.eta)
+        res_thresh = keep * uncolor_fn(p.d, p.ell, p.eta) * p.d + p.d ** (1 - p.beta)
+        assert st.kept_sum.tolist() == kept_sizes
+        assert st.kept_sumsq.tolist() == [k * k for k in kept_sizes]
+        assert st.kept_tail.tolist() == [
+            int(abs(k - keep * p.ell) > p.ell ** (1 - p.beta)) for k in kept_sizes]
+        assert st.res_sum.tolist() == resdeg
+        assert st.res_sumsq.tolist() == [r * r for r in resdeg]
+        assert st.res_tail.tolist() == [int(r > res_thresh) for r in resdeg]
+        got = (st.anchor_u.tolist(), st.anchor_u_minus_k.tolist(), st.anchor_res.tolist())
+        assert got == tuple([x] for x in anchor_row)
 
 
 class TestExactRoundExpectation:

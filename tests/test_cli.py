@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -80,6 +81,26 @@ class TestGenerate:
                             "--d", "3", "--seed", "1"])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("args, missing", [
+        (["--kind", "regular"], "--n"),
+        (["--kind", "girth5_regular", "--n", "10"], "--d"),
+        (["--kind", "dp_cover", "--n", "10", "--d", "2"], "--ell"),
+        (["--kind", "list_cover", "--d", "2", "--ell", "3"], "--n"),
+        (["--kind", "kst_free_bipartite", "--m", "4", "--n", "4", "--s", "2"], "--t"),
+    ])
+    def test_missing_size_option_named(self, runner, args, missing):
+        r = runner.invoke(main, ["generate", *args, "--seed", "1"])
+        assert r.exit_code == 2
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert f"error: missing {missing}:" in r.output
+
+    def test_unknown_kind_in_config_refused(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "petersen", "seed": 1}))
+        r = runner.invoke(main, ["generate", "--config", str(cfg)])
+        assert r.exit_code == 2
+        assert "error: unknown --kind 'petersen'" in r.output
+
 
 class TestSchedule:
     def test_emits_terminal_line(self, runner):
@@ -140,6 +161,21 @@ class TestColor:
         assert r.exit_code == 0, r.output
         doc = json.loads(out.read_text())
         assert doc["ok"] and len(doc["rounds"]) > 0
+
+    def test_long_lists_need_no_epsilon(self, runner, tmp_path):
+        # lists of 300 on a degree-2 cover: the derived margin would be 108.9,
+        # outside the schedule's (0, 100); no round runs, so none is needed
+        cover = tmp_path / "c.json"
+        r = invoke(runner, ["generate", "--kind", "dp_cover", "--n", "10", "--d", "2",
+                            "--ell", "300", "--rho", "1", "--seed", "5",
+                            "--out", str(cover)])
+        assert r.exit_code == 0, r.output
+        out = tmp_path / "res.json"
+        r = invoke(runner, ["color", str(cover), "--seed", "1", "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        doc = json.loads(out.read_text())
+        assert doc["ok"] and doc["rounds"] == []
+        assert doc["config"]["schedule_input"]["epsilon"] == math.nextafter(100.0, 0.0)
 
     def test_bad_cover_file_usage_error(self, runner, tmp_path):
         p = tmp_path / "bad.json"

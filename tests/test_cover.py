@@ -135,6 +135,34 @@ class TestValidate:
         kinds = [v.kind for v in validate(cov)]
         assert kinds == ["cover-edge-without-base-edge"]
 
+    def test_full_violation_list_of_several_defects(self):
+        # color 1 sits in lists 0 and 2, color 9 in none; colors 0, 2 and 8
+        # each have two partners in one list; 0-6 joins unadjacent vertices;
+        # 6-7 lies inside list 3.  The list was recorded before validate
+        # moved to a bincount and one sort.
+        base = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        cover_graph = Graph.from_edges(10, [(0, 2), (0, 3), (0, 6), (1, 2), (2, 4),
+                                            (3, 5), (6, 7), (3, 9), (4, 8), (5, 8)])
+        cov = DpCover(base, cover_graph, [[0, 1], [2, 3], [4, 5, 1], [6, 7, 8]])
+        assert [str(v) for v in validate(cov)] == [
+            "color-in-no-list(9,)",
+            "color-in-multiple-lists(1,)",
+            "list-not-independent(3, 6, 7)",
+            "cover-edge-without-base-edge(0, 3, 0, 6)",
+            "not-a-matching(1, 0)",
+            "not-a-matching(2, 2)",
+            "not-a-matching(2, 8)",
+        ]
+        assert [str(v) for v in validate(cov, max_violations=3)] == [
+            "color-in-no-list(9,)", "color-in-multiple-lists(1,)",
+            "list-not-independent(3, 6, 7)"]
+
+    def test_thrice_matched_color_reported_once(self):
+        g = Graph.from_edges(2, [(0, 1)])
+        cover_graph = Graph.from_edges(6, [(0, 3), (0, 4), (0, 5)])
+        cov = DpCover(g, cover_graph, [[0, 1, 2], [3, 4, 5]])
+        assert [str(v) for v in validate(cov)] == ["not-a-matching(1, 0)"]
+
     def test_require_valid_raises(self):
         g = Graph.empty(2)
         cov = DpCover(g, Graph.from_edges(2, [(0, 1)]), [[0], [1]])
