@@ -266,7 +266,10 @@ def cmd_color(cover_file, seed, epsilon, s, t, slack, max_retries,
               help="Sets the tail exponent beta = 1/(25t).")
 @click.option("--anchor", type=int, default=None,
               help="Track one color's uncolored/kept overlap per trial.")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="Worker threads over chunks of trials. They share the "
+                   "interpreter lock: on 2 vCPUs --jobs 2 was slower than "
+                   "--jobs 1.")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--summary", "summary_path", type=click.Path(), default=None)
 def cmd_stats(cover_file, seed, trials, eta, t, anchor, jobs, out, summary_path):

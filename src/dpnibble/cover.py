@@ -303,15 +303,20 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def cover_to_json(c: DpCover) -> str:
-    doc = {
-        "base": {
-            "vertex_count": c.base.vertex_count,
-            "edges": c.base.edge_array().tolist(),
-        },
-        "lists": [lst.tolist() for lst in c.all_lists()],
-        "cover_edges": c.cover.edge_array().tolist(),
-    }
-    return json.dumps(doc, **_CANONICAL) + "\n"
+    """The canonical document: ``json.dumps`` with sorted keys and no spaces.
+
+    The two edge arrays are formatted straight from their ids, which gives
+    the same text as dumping them as lists of pairs.
+    """
+    lists = json.dumps([lst.tolist() for lst in c.all_lists()], **_CANONICAL)
+    return (f'{{"base":{{"edges":{_pairs_text(c.base.edge_array())},'
+            f'"vertex_count":{c.base.vertex_count}}},'
+            f'"cover_edges":{_pairs_text(c.cover.edge_array())},"lists":{lists}}}\n')
+
+
+def _pairs_text(e: np.ndarray) -> str:
+    """``json.dumps`` of an (m, 2) id array as a list of pairs, without spaces."""
+    return "[" + ("[%d,%d]," * len(e) % tuple(e.ravel().tolist()))[:-1] + "]"
 
 
 def _canonical_parts(text: str) -> tuple[dict, np.ndarray] | None:

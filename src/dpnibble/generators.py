@@ -316,13 +316,17 @@ def random_dp_cover(g: Graph, ell: int, rho: float, seed: int) -> DpCover:
         raise ValueError("rho must be in [0, 1]")
     n = g.vertex_count
     rng = _rng(seed, 23)
-    cover_edges = []
-    for u, v in map(tuple, g.edge_array()):
-        perm = rng.permutation(ell)
-        mask = rng.random(ell) < rho
-        for j in np.nonzero(mask)[0]:
-            cover_edges.append((u * ell + int(j), v * ell + int(perm[j])))
-    cover_graph = Graph.from_edges(n * ell, cover_edges)
+    e = g.edge_array()
+    # per base edge, in edge order: its bijection, then its thinning draws
+    perm = np.empty((len(e), ell), dtype=np.int64)
+    keep = np.empty((len(e), ell))
+    for i in range(len(e)):
+        perm[i] = rng.permutation(ell)
+        keep[i] = rng.random(ell)
+    mask = keep < rho
+    src = e[:, :1] * ell + np.arange(ell)
+    dst = e[:, 1:] * ell + perm
+    cover_graph = Graph.from_edges(n * ell, np.stack([src[mask], dst[mask]], axis=1))
     lists = [np.arange(v * ell, (v + 1) * ell, dtype=np.int64) for v in range(n)]
     return DpCover(g, cover_graph, lists)
 

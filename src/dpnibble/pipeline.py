@@ -19,6 +19,7 @@ trimming to them would destroy viable instances).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,10 @@ class PipelineConfig:
     verify_rounds: bool = False
 
     def __post_init__(self):
+        # NaN fails every comparison, and a NaN or infinite slack passes
+        # every round and cannot be written as JSON
+        if not math.isfinite(self.slack):
+            raise ValueError(f"slack must be finite, got {self.slack}")
         if self.slack < 1.0:
             raise ValueError("slack must be >= 1")
         if min(self.max_round_retries, self.max_finish_resamples, self.max_rounds) < 1:
@@ -90,6 +95,15 @@ def finish(c: DpCover, max_resamples: int, seed: int) -> PartialColoring:
     Assigns every vertex a uniform color, then repeatedly picks the first
     violated cover edge (lexicographic order) and redraws both endpoint
     vertices, until no violation remains or the budget runs out.
+
+    This is the resampling algorithm of Moser and Tardos, and like it the
+    finisher re-checks only the events a redraw can change: a vertex moving
+    from color ``a`` to ``b`` touches the cover rows of ``a``, ``b`` and the
+    chosen neighbours of ``a`` below it (lists are independent, so ``a`` and
+    ``b`` are never adjacent).  The state is the chosen mask, the violation
+    count and ``lead[x]``, set when ``x`` is chosen and has a chosen neighbour
+    above it; the first violated edge starts at the first lead.  A resample
+    costs O(d) array work plus one scan of ``lead``.
     """
     coloring, resamples, _ = finish_with_stats(c, max_resamples, seed)
     return coloring
@@ -115,16 +129,41 @@ def finish_with_stats(c: DpCover, max_resamples: int, seed: int):
     # one uniform per vertex, in vertex order: the same doubles as n scalar draws
     pick = np.minimum((rng.random(n) * sizes).astype(np.int64), sizes - 1)
     chosen = c.lcolors[c.lptr[:-1] + pick]
-    edges = c.cover.edge_array()
-    if edges.size == 0:
+    if c.cover.num_edges == 0:
         return PartialColoring(chosen), 0, []
-    o1 = c.owner[edges[:, 0]]
-    o2 = c.owner[edges[:, 1]]
+    ptr, idx = c.cover.indptr, c.cover.indices
+
+    def row(x: int) -> np.ndarray:
+        return idx[ptr[x]:ptr[x + 1]]
+
+    on = np.zeros(c.num_colors, dtype=bool)
+    on[chosen] = True
+    # every violated edge, seen from both of its ends
+    src = np.repeat(chosen, ptr[chosen + 1] - ptr[chosen])
+    dst = gather_rows(ptr, idx, chosen)
+    hit = on[dst]
+    count = int(np.count_nonzero(hit)) // 2
+    lead = np.zeros(c.num_colors, dtype=bool)
+    lead[src[hit & (src < dst)]] = True
+
+    def move(a: int, b: int) -> int:
+        """Choose ``b`` instead of ``a``; returns the change in the count."""
+        on[a] = lead[a] = False
+        ra = row(a)
+        gone = ra[on[ra]]
+        for z in gone[gone < a].tolist():
+            rz = row(z)
+            lead[z] = on[rz[rz > z]].any()
+        rb = row(b)
+        hits = rb[on[rb]]
+        on[b] = True
+        lead[hits[hits < b]] = True
+        lead[b] = hits.size > 0 and hits[-1] > b
+        return hits.size - gone.size
+
     trajectory: list[int] = []
     resamples = 0
     while True:
-        violated = (chosen[o1] == edges[:, 0]) & (chosen[o2] == edges[:, 1])
-        count = int(np.count_nonzero(violated))
         trajectory.append(count)
         if count == 0:
             return PartialColoring(chosen), resamples, trajectory
@@ -132,10 +171,14 @@ def finish_with_stats(c: DpCover, max_resamples: int, seed: int):
             raise ResampleBudgetError(
                 f"{count} conflicts remain after {resamples} resamples",
                 conflict_trajectory=trajectory)
-        first = int(np.argmax(violated))
-        u, v = int(o1[first]), int(o2[first])
-        for w in sorted((u, v)):
-            chosen[w] = draw(w)
+        x = int(np.argmax(lead))
+        rx = row(x)
+        y = int(rx[on[rx] & (rx > x)][0])
+        for w in sorted((int(c.owner[x]), int(c.owner[y]))):
+            a, b = int(chosen[w]), draw(w)
+            if a != b:
+                chosen[w] = b
+                count += move(a, b)
         resamples += 1
 
 

@@ -115,6 +115,39 @@ def contains_kst_oracle(g: Graph, s: int, t: int, left=None, right=None) -> bool
     return False
 
 
+def finish_by_rescan(c: DpCover, max_resamples: int, seed: int):
+    """Resampling completion that rescans every cover edge after each redraw.
+
+    The draws follow the library's stream: one uniform per vertex in vertex
+    order, then for each resample one uniform per endpoint vertex of the
+    first violated edge (lexicographic), lower vertex first.  Returns the
+    colors, the resample count, the conflict count before each resample and
+    whether the coloring is proper.
+    """
+    rng = np.random.default_rng(seed)
+    lists = [c.lists(v).tolist() for v in range(c.base.vertex_count)]
+    owner = {x: v for v, lst in enumerate(lists) for x in lst}
+    edges = sorted({(min(x, y), max(x, y))
+                    for x in range(c.num_colors)
+                    for y in c.cover.neighbors(x).tolist()})
+
+    def draw(v):
+        lst = lists[v]
+        return lst[min(int(rng.random() * len(lst)), len(lst) - 1)]
+
+    chosen = [draw(v) for v in range(len(lists))]
+    trajectory = []
+    for resamples in range(max_resamples + 1):
+        on = set(chosen)
+        violated = [(x, y) for x, y in edges if x in on and y in on]
+        trajectory.append(len(violated))
+        if not violated or resamples == max_resamples:
+            return chosen, resamples, trajectory, not violated
+        x, y = violated[0]
+        for w in sorted((owner[x], owner[y])):
+            chosen[w] = draw(w)
+
+
 def classify_oracle(cover: Graph, anchor: int, d: int, t: int):
     """Independent bad/sad recount by literal double loops."""
     thr = d ** (1 - 1.0 / (3 * t))

@@ -177,6 +177,20 @@ class TestColor:
         assert doc["ok"] and doc["rounds"] == []
         assert doc["config"]["schedule_input"]["epsilon"] == math.nextafter(100.0, 0.0)
 
+    @pytest.mark.parametrize("slack", ["nan", "inf"])
+    def test_non_finite_slack_refused(self, runner, tmp_path, slack):
+        # NaN and infinity pass every round and are not JSON numbers
+        from conftest import regular_cover
+        path = self.write_cover(tmp_path, regular_cover(10, 2, 16, seed=1))
+        out = tmp_path / "res.json"
+        r = runner.invoke(main, ["color", str(path), "--seed", "1",
+                                 "--slack", slack, "--out", str(out)])
+        assert r.exit_code == 2, (r.output, r.exception)
+        assert isinstance(r.exception, SystemExit)
+        assert "Traceback" not in r.output
+        assert f"error: slack must be finite, got {slack}" in r.output
+        assert not out.exists()
+
     def test_bad_cover_file_usage_error(self, runner, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"base": {"vertex_count": 2, "edges": []}, '

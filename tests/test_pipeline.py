@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -11,7 +12,7 @@ from dpnibble.errors import PipelineError, ResampleBudgetError
 from dpnibble.generators import incidence_graph, random_dp_cover, random_regular
 from dpnibble.pipeline import finish_with_stats, result_to_json
 
-from conftest import regular_cover
+from conftest import finish_by_rescan, regular_cover
 
 
 def k2_matched(ell: int):
@@ -69,6 +70,58 @@ class TestFinish:
         a = finish(cov, 1000, seed=9)
         b = finish(cov, 1000, seed=9)
         assert np.array_equal(a.assignment, b.assignment)
+
+
+# lists of 8x the base degree, so many runs need resamples
+RESCAN_COVERS = {
+    "k2_matched": lambda: k2_matched(8),
+    "regular": lambda: regular_cover(60, 3, 24, seed=5),
+    "thinned": lambda: random_dp_cover(random_regular(200, 4, 3), 32, 0.7, 4),
+}
+
+
+class TestFinishAgainstRescan:
+    @pytest.mark.parametrize("name", sorted(RESCAN_COVERS))
+    def test_same_run_as_full_rescan(self, name):
+        cov = RESCAN_COVERS[name]()
+        total = 0
+        for seed in range(60):
+            colors, resamples, trajectory, done = finish_by_rescan(cov, 1000, seed)
+            assert done
+            coloring, got_resamples, got_trajectory = finish_with_stats(cov, 1000, seed)
+            assert coloring.assignment.tolist() == colors, seed
+            assert (got_resamples, got_trajectory) == (resamples, trajectory), seed
+            total += resamples
+        assert total >= 5
+
+    @pytest.mark.parametrize("name", sorted(RESCAN_COVERS))
+    def test_same_budget_exhaustion_as_full_rescan(self, name):
+        cov = RESCAN_COVERS[name]()
+        for seed in range(20):
+            _, _, trajectory, done = finish_by_rescan(cov, 2, seed)
+            if done:
+                assert finish_with_stats(cov, 2, seed)[2] == trajectory
+                continue
+            with pytest.raises(ResampleBudgetError) as exc:
+                finish_with_stats(cov, 2, seed)
+            assert exc.value.conflict_trajectory == trajectory
+            assert str(exc.value) == f"{trajectory[-1]} conflicts remain after 2 resamples"
+
+    # recorded before the finisher updated its state incrementally
+    def test_pinned_trajectory(self):
+        cov = regular_cover(60, 3, 24, seed=5)
+        coloring, resamples, trajectory = finish_with_stats(cov, 1000, seed=17)
+        assert resamples == 8
+        assert trajectory == [5, 4, 3, 4, 3, 2, 2, 1, 0]
+        assert hashlib.sha256(coloring.assignment.astype("<i8").tobytes()).hexdigest() == \
+            "4ba4a4c269d2713dd3ad16069d941a2e58e9ce736bc5e6a406828f83bd2177a8"
+
+    def test_pinned_budget_error(self):
+        cov = regular_cover(60, 3, 24, seed=5)
+        with pytest.raises(ResampleBudgetError) as exc:
+            finish_with_stats(cov, 3, seed=17)
+        assert str(exc.value) == "4 conflicts remain after 3 resamples"
+        assert exc.value.conflict_trajectory == [5, 4, 3, 4]
 
 
 def quick_cfg(d, eps, seed, **kw):
