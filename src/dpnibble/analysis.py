@@ -18,7 +18,7 @@ import numpy as np
 from .cover import DpCover, PartialColoring
 from .errors import BudgetExceededError
 from .graph import Graph
-from .nibble import ResidualView, RoundParams, keep_fn, run_round, uncolor_fn
+from .nibble import ResidualView, RoundParams, d_next, keep_fn, run_round
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +90,6 @@ class StructureReport:
     sad: tuple[int, ...]
     happy: tuple[int, ...]
     sad_bound: float
-
-    @property
-    def sad_within_bound(self) -> bool:
-        return len(self.sad) <= self.sad_bound
 
 
 def classify_structure(cover: Graph, anchor: int, d: int, t: int) -> StructureReport:
@@ -186,7 +182,7 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
     keep = keep_fn(p.d, p.ell, p.eta)
     keep_ell = keep * p.ell
     ell_tail = p.ell ** (1.0 - p.beta)
-    res_thresh = keep * uncolor_fn(p.d, p.ell, p.eta) * p.d + p.d ** (1.0 - p.beta)
+    res_thresh = d_next(p.d, p.ell, p.eta, p.beta)
     view = ResidualView.of(c)
     n, num_colors = c.base.vertex_count, c.num_colors
     kept_sum, kept_sumsq, kept_tail = (np.zeros(n, np.int64) for _ in range(3))
@@ -219,10 +215,11 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
 # exact enumeration oracle
 # ---------------------------------------------------------------------------
 
+_ENUM_CHUNK = 1 << 15  # outcomes enumerated per block of arrays
+
 
 def exact_round_expectation(c: DpCover, p: RoundParams,
-                            budget: int = 10 ** 6,
-                            chunk: int = 1 << 15) -> tuple[np.ndarray, np.ndarray]:
+                            budget: int = 10 ** 6) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-vertex expected kept-list size and per-color expected
     residual degree, by full enumeration of the activation/color outcome
     space weighted by probability.
@@ -255,8 +252,8 @@ def exact_round_expectation(c: DpCover, p: RoundParams,
     exp_kept = np.zeros(n, dtype=np.float64)
     exp_res = np.zeros(num_colors, dtype=np.float64)
 
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, _ENUM_CHUNK):
+        stop = min(start + _ENUM_CHUNK, total)
         idx = np.arange(start, stop, dtype=np.int64)
         m = idx.size
         digits = np.empty((n, m), dtype=np.int64)

@@ -167,6 +167,8 @@ def cmd_generate(kind, n, d, ell, rho, m, s, t, girth5_base, seed, config_path, 
             _write_output(graph_to_text(g), out, "graph")
     except (ValueError, TypeError) as exc:
         _fail(EXIT_USAGE, str(exc))
+    except MemoryError as exc:
+        _fail(EXIT_USAGE, f"not enough memory: {exc}")
     except GenerationError as exc:
         _fail(EXIT_BUDGET, str(exc))
 
@@ -284,6 +286,8 @@ def cmd_stats(cover_file, seed, trials, eta, t, anchor, jobs, out, summary_path)
         stats = _run_stats(cov, params, trials, seed, anchor, jobs)
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
+    except MemoryError as exc:
+        _fail(EXIT_USAGE, f"not enough memory: {exc}")
     config = {"cover_file": cover_file, "seed": seed, "trials": trials,
               "eta": eta, "t": t, "anchor": anchor,
               "d": d, "ell": ell}

@@ -226,8 +226,7 @@ def subcover(c: DpCover, vertices: np.ndarray, colors: np.ndarray) -> DpCover:
 # ---------------------------------------------------------------------------
 
 
-def regularize(c: DpCover, d: int, s: int, t: int, seed: int,
-               gamma_budget: int = 64) -> DpCover:
+def regularize(c: DpCover, d: int, s: int, t: int, seed: int) -> DpCover:
     """Embed the cover into one whose cover graph is exactly ``d``-regular.
 
     Takes ``k`` disjoint copies of the input, where ``k`` is the order of an
@@ -240,54 +239,35 @@ def regularize(c: DpCover, d: int, s: int, t: int, seed: int,
     """
     from .generators import girth5_auxiliary
 
-    degs = c.cover.degrees() if c.num_colors else np.zeros(0, np.int64)
+    degs = c.cover.degrees()
     if degs.size and int(degs.max()) > d:
         raise ValueError(f"cover max degree {int(degs.max())} exceeds target {d}")
-    deficiency = (d - degs).astype(np.int64)
-    n_total = int(deficiency.sum())
-    if n_total == 0:
+    nb, nc = c.base.vertex_count, c.num_colors
+    # one stub per missing cover edge, smallest color id first
+    stubs = np.repeat(np.arange(nc, dtype=np.int64), d - degs)
+    if stubs.size == 0:
         return c
 
-    gamma = girth5_auxiliary(n_total, seed, budget=gamma_budget)
+    gamma = girth5_auxiliary(stubs.size, seed)
     k = gamma.vertex_count
-
-    nb = c.base.vertex_count
-    nc = c.num_colors
-    base_edges = [(u + i * nb, v + i * nb) for i in range(k)
-                  for u, v in map(tuple, c.base.edge_array())]
-    cover_edges = [(a + i * nc, b + i * nc) for i in range(k)
-                   for a, b in map(tuple, c.cover.edge_array())]
-
-    # per-copy queues of deficient colors, smallest id first, with remaining
-    # capacity; aux edges processed in lexicographic order
-    deficient = np.nonzero(deficiency > 0)[0]
-    remaining = [dict((int(col), int(deficiency[col])) for col in deficient)
-                 for _ in range(k)]
-    queues = [sorted(deficient.tolist()) for _ in range(k)]
-
-    def take(copy: int) -> int:
-        q = queues[copy]
-        col = q[0]
-        rem = remaining[copy]
-        rem[col] -= 1
-        if rem[col] == 0:
-            q.pop(0)
-        return col
-
-    for i, j in map(tuple, gamma.edge_array()):
-        ci = take(int(i))
-        cj = take(int(j))
-        cover_edges.append((ci + int(i) * nc, cj + int(j) * nc))
-        base_edges.append((int(c.owner[ci]) + int(i) * nb,
-                           int(c.owner[cj]) + int(j) * nb))
-
-    if any(q for q in queues):
-        raise GenerationError("regularization left unconsumed deficiencies")
-
-    new_base = Graph.from_edges(nb * k, base_edges)
-    new_cover = Graph.from_edges(nc * k, cover_edges)
-    new_lists = [c.lists(v % nb) + (v // nb) * nc for v in range(nb * k)]
-    out = DpCover(new_base, new_cover, new_lists)
+    if np.any(gamma.degrees() != stubs.size):
+        raise GenerationError(f"auxiliary graph is not {stubs.size}-regular")
+    # auxiliary edges in lexicographic order, end i before end j: the r-th
+    # time a copy appears it takes stubs[r]
+    copy = gamma.edge_array().ravel()
+    rank = np.empty_like(copy)
+    rank[np.argsort(copy, kind="stable")] = np.arange(copy.size) % stubs.size
+    col = stubs[rank]
+    shift = np.arange(k, dtype=np.int64)[:, None, None]
+    new_base = Graph.from_edges(nb * k, np.concatenate([
+        (c.base.edge_array() + shift * nb).reshape(-1, 2),
+        (c.owner[col] + copy * nb).reshape(-1, 2)]))
+    new_cover = Graph.from_edges(nc * k, np.concatenate([
+        (c.cover.edge_array() + shift * nc).reshape(-1, 2),
+        (col + copy * nc).reshape(-1, 2)]))
+    lcolors = (c.lcolors + shift[:, 0] * nc).ravel()
+    out = DpCover(new_base, new_cover,
+                  np.split(lcolors, np.cumsum(np.tile(c.list_sizes(), k))[:-1]))
     if max_degree(out.cover) != d or int(out.cover.degrees().min()) != d:
         raise GenerationError("regularization failed to reach exact regularity")
     return out

@@ -20,7 +20,13 @@ import numpy as np
 from ._rng import derive_seed, normalize_seed
 from .cover import DpCover
 from .errors import GenerationError
-from .graph import Graph, contains_kst, has_cycle_up_to_4
+from .graph import Graph, contains_kst, find_short_cycle, has_cycle_up_to_4
+
+
+_PAIRING_TRIES = 200  # pairing-model runs before random_regular gives up
+_REJECTION_TRIES = 40  # least number of plain samples in random_girth5_regular
+_REPAIR_TRIES = 8  # its samples with swap repair
+_AUXILIARY_DOUBLINGS = 64  # times girth5_auxiliary doubles its order
 
 
 def _rng(seed: int, tag: int = 0) -> np.random.Generator:
@@ -32,7 +38,7 @@ def _rng(seed: int, tag: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def random_regular(n: int, d: int, seed: int, max_tries: int = 200) -> Graph:
+def random_regular(n: int, d: int, seed: int) -> Graph:
     """Random simple ``d``-regular graph on ``n`` vertices (pairing model)."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
@@ -43,11 +49,12 @@ def random_regular(n: int, d: int, seed: int, max_tries: int = 200) -> Graph:
     if d == 0:
         return Graph.empty(n)
     rng = _rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_PAIRING_TRIES):
         edges = _pairing_attempt(n, d, rng)
         if edges is not None:
             return Graph.from_edges(n, edges)
-    raise GenerationError(f"pairing model failed for (n={n}, d={d}) after {max_tries} tries")
+    raise GenerationError(
+        f"pairing model failed for (n={n}, d={d}) after {_PAIRING_TRIES} tries")
 
 
 def _pairing_attempt(n: int, d: int, rng: np.random.Generator):
@@ -74,13 +81,8 @@ def _pairing_attempt(n: int, d: int, rng: np.random.Generator):
 
 
 def _has_suitable_pair(edges, leftovers) -> bool:
-    keys = list(leftovers)
-    for i, s1 in enumerate(keys):
-        for s2 in keys[i + 1:]:
-            a, b = (s1, s2) if s1 < s2 else (s2, s1)
-            if (a, b) not in edges:
-                return True
-    return False
+    """Can two distinct leftover stubs still be joined by a new edge?"""
+    return any((min(a, b), max(a, b)) not in edges for a, b in combinations(leftovers, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -94,30 +96,6 @@ def _ball3_size(d: int) -> int:
 
 def _expected_short_cycles(d: int) -> float:
     return (d - 1) ** 3 / 6 + (d - 1) ** 4 / 8
-
-
-def _find_short_cycle(adj: list[set[int]]):
-    """Edges of some triangle or 4-cycle, or None."""
-    n = len(adj)
-    for u in range(n):
-        nb = sorted(adj[u])
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                a, b = nb[i], nb[j]
-                if b in adj[a]:
-                    return [(u, a), (a, b), (b, u)]
-    # 4-cycles: two vertices with two common neighbors
-    seen: dict[tuple[int, int], int] = {}
-    for x in range(n):
-        nb = sorted(adj[x])
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                key = (nb[i], nb[j])
-                if key in seen:
-                    w = seen[key]
-                    return [(nb[i], w), (w, nb[j]), (nb[j], x), (x, nb[i])]
-                seen[key] = x
-    return None
 
 
 def _swap_repair(g: Graph, rng: np.random.Generator, max_swaps: int) -> Graph | None:
@@ -145,7 +123,7 @@ def _swap_repair(g: Graph, rng: np.random.Generator, max_swaps: int) -> Graph | 
         adj[b].add(a)
 
     for _ in range(max_swaps):
-        cyc = _find_short_cycle(adj)
+        cyc = find_short_cycle(adj)
         if cyc is None:
             return Graph.from_edges(g.vertex_count, edges)
         a, b = cyc[int(rng.integers(len(cyc)))]
@@ -165,9 +143,7 @@ def _swap_repair(g: Graph, rng: np.random.Generator, max_swaps: int) -> Graph | 
     return None
 
 
-def random_girth5_regular(n: int, d: int, seed: int,
-                          rejection_tries: int = 40,
-                          repair_tries: int = 8) -> Graph:
+def random_girth5_regular(n: int, d: int, seed: int) -> Graph:
     """``d``-regular graph on ``n`` vertices with girth at least 5.
 
     Strategy: plain rejection while the expected short-cycle count is small;
@@ -191,7 +167,7 @@ def random_girth5_regular(n: int, d: int, seed: int,
     lam = _expected_short_cycles(d)
     if lam <= 14:
         # success rate per sample is roughly exp(-lam); scale tries to match
-        tries = min(3000, max(rejection_tries, int(12 * math.exp(lam))))
+        tries = min(3000, max(_REJECTION_TRIES, int(12 * math.exp(lam))))
         for k in range(tries):
             g = random_regular(n, d, seed + k)
             if not has_cycle_up_to_4(g):
@@ -199,7 +175,7 @@ def random_girth5_regular(n: int, d: int, seed: int,
 
     if _ball3_size(d) <= 0.7 * n:
         budget = int(40 * (lam + 10))
-        for k in range(repair_tries):
+        for k in range(_REPAIR_TRIES):
             g = random_regular(n, d, seed + 1000 + k)
             repaired = _swap_repair(g, _rng(seed, 7000 + k), budget)
             if repaired is not None and not has_cycle_up_to_4(repaired):
@@ -269,12 +245,12 @@ def incidence_graph(q: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def girth5_auxiliary(regular_degree: int, seed: int, budget: int = 6) -> Graph:
+def girth5_auxiliary(regular_degree: int, seed: int) -> Graph:
     """Auxiliary regular girth-5 graph used by cover regularization.
 
     Explicit for degrees 1 and 2; sampled (with swap repair) for degree >= 3,
     starting at ``max(N^2+2, 50)`` vertices and doubling on failure up to
-    ``budget`` times.
+    ``_AUXILIARY_DOUBLINGS`` times.
     """
     n_reg = regular_degree
     if n_reg == 0:
@@ -285,7 +261,7 @@ def girth5_auxiliary(regular_degree: int, seed: int, budget: int = 6) -> Graph:
         return Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     n = max(n_reg * n_reg + 2, 50)
     attempts = []
-    for doubling in range(budget):
+    for doubling in range(_AUXILIARY_DOUBLINGS):
         if (n * n_reg) % 2 != 0:
             n += 1
         try:

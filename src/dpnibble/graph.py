@@ -266,8 +266,8 @@ def _search_subsets(g: Graph, cand_set: set[int], s: int, t: int,
 def has_cycle_up_to_4(g: Graph) -> bool:
     """True iff the graph contains a triangle or a 4-cycle.
 
-    Dense common-neighbor counting; used by generators to test girth >= 5
-    quickly without computing the exact girth.
+    Dense common-neighbor counting up to 4096 vertices, :func:`find_short_cycle`
+    beyond; used by generators to test girth >= 5 without the exact girth.
     """
     n = g.vertex_count
     if n == 0 or g.indices.size == 0:
@@ -282,21 +282,31 @@ def has_cycle_up_to_4(g: Graph) -> bool:
             return True
         np.fill_diagonal(common, 0.0)
         return bool(np.any(common >= 2.0))
-    # sparse path: count vertex pairs at distance 2 via each middle vertex
-    seen: dict[int, int] = {}
+    return find_short_cycle([set(g.neighbors(v).tolist()) for v in range(n)]) is not None
+
+
+def find_short_cycle(adj: list[set[int]]):
+    """Edges of some triangle or 4-cycle, or None."""
+    n = len(adj)
+    for u in range(n):
+        nb = sorted(adj[u])
+        for i in range(len(nb)):
+            for j in range(i + 1, len(nb)):
+                a, b = nb[i], nb[j]
+                if b in adj[a]:
+                    return [(u, a), (a, b), (b, u)]
+    # 4-cycles: two vertices with two common neighbors
+    seen: dict[tuple[int, int], int] = {}
     for x in range(n):
-        row = g.neighbors(x)
-        for i in range(row.size):
-            u = int(row[i])
-            for j in range(i + 1, row.size):
-                w = int(row[j])
-                if g.has_edge(u, w):
-                    return True
-                key = u * n + w
+        nb = sorted(adj[x])
+        for i in range(len(nb)):
+            for j in range(i + 1, len(nb)):
+                key = (nb[i], nb[j])
                 if key in seen:
-                    return True
+                    w = seen[key]
+                    return [(nb[i], w), (w, nb[j]), (nb[j], x), (x, nb[i])]
                 seen[key] = x
-    return False
+    return None
 
 
 # -- edge-list text format -------------------------------------------------

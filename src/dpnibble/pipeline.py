@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,15 +57,10 @@ class PipelineConfig:
             raise ValueError("budgets must be >= 1")
 
     def echo(self) -> dict:
-        si = self.schedule_input
-        return {
-            "schedule_input": {"d": si.d, "epsilon": si.epsilon, "s": si.s, "t": si.t},
-            "seed": self.seed, "slack": self.slack,
-            "max_round_retries": self.max_round_retries,
-            "max_finish_resamples": self.max_finish_resamples,
-            "max_rounds": self.max_rounds,
-            "regularize_first": self.regularize_first,
-        }
+        """Every field but the debugging switch ``verify_rounds``."""
+        doc = asdict(self)
+        del doc["verify_rounds"]
+        return doc
 
 
 @dataclass(frozen=True)
@@ -298,11 +293,5 @@ def result_to_json(result: ColoringResult | None, cfg: PipelineConfig,
         doc["finish_resamples"] = result.finish_resamples
         doc["verified"] = result.verified
     rounds = result.rounds if result is not None else (telemetry or [])
-    doc["rounds"] = [
-        {"iteration": r.iteration, "retries_used": r.retries_used,
-         "ell": r.ell, "d": r.d, "min_kept": r.min_kept,
-         "max_residual_degree": r.max_residual_degree,
-         "colored": r.colored, "remaining": r.remaining}
-        for r in rounds
-    ]
+    doc["rounds"] = [asdict(r) for r in rounds]
     return json.dumps(doc, sort_keys=True) + "\n"

@@ -31,6 +31,11 @@ import numpy as np
 
 LD = np.longdouble
 
+# bookkeeping proxies for the unquantified minimum-degree and t-range
+# constants; conditions (1) and (4) are recorded against them, never enforced
+D_TILDE = 2.0
+ALPHA_TILDE = 1.0
+
 
 class ScheduleError(ValueError):
     """Schedule inputs outside the meaningful domain (e.g. d too small)."""
@@ -82,9 +87,6 @@ class Schedule:
     states: tuple[ScheduleState, ...]
     i_star: int | None  # None means "not reached"
 
-    def __len__(self):
-        return len(self.states)
-
 
 def derive_constants(inp: ScheduleInput) -> tuple[float, float, float, int]:
     """(kappa, eta, beta, ell_1) for the iteration; natural logs throughout."""
@@ -103,15 +105,9 @@ def derive_constants(inp: ScheduleInput) -> tuple[float, float, float, int]:
     return float(kappa), float(eta), float(beta), ell_1
 
 
-def compute_schedule(inp: ScheduleInput, max_iters: int = 10000,
-                     d_tilde: float = 2.0, alpha_tilde: float = 1.0) -> Schedule:
+def compute_schedule(inp: ScheduleInput, max_iters: int = 10000) -> Schedule:
     """Run the integer recursion until the terminal condition, domain exit,
-    or ``max_iters``.
-
-    ``d_tilde`` and ``alpha_tilde`` are bookkeeping proxies for the
-    unquantified minimum-degree and t-range constants; conditions (1) and (4)
-    are recorded against them but never enforced.
-    """
+    or ``max_iters``."""
     kappa_f, eta_f, beta_f, ell_1 = derive_constants(inp)
     eps = LD(inp.epsilon)
     kappa = (1 + eps / 2) * np.log1p(eps / 100)
@@ -133,7 +129,7 @@ def compute_schedule(inp: ScheduleInput, max_iters: int = 10000,
             i=i, ell=int(ell), d=int(dd),
             keep=float(keep), uncolor=float(uncolor),
             ell_hat=float(ell_hat), d_hat=float(d_hat),
-            conditions=_conditions(inp, eta, float(dd), int(ell), d_tilde, alpha_tilde),
+            conditions=_conditions(inp, eta, float(dd), int(ell)),
         ))
         if ell >= 8 * dd:
             i_star = i
@@ -150,13 +146,12 @@ def compute_schedule(inp: ScheduleInput, max_iters: int = 10000,
                     ell_1=ell_1, states=tuple(states), i_star=i_star)
 
 
-def _conditions(inp: ScheduleInput, eta: LD, d_i: float, ell_i: int,
-                d_tilde: float, alpha_tilde: float):
+def _conditions(inp: ScheduleInput, eta: LD, d_i: float, ell_i: int):
     logdi = math.log(d_i) if d_i > 0 else float("-inf")
-    c1 = d_i >= d_tilde
+    c1 = d_i >= D_TILDE
     c2 = float(eta) * d_i < ell_i < 8 * d_i
     c3 = inp.s <= d_i ** 0.25
-    c4 = logdi > 1 and inp.t <= alpha_tilde * logdi / math.log(logdi)
+    c4 = logdi > 1 and inp.t <= ALPHA_TILDE * logdi / math.log(logdi)
     c5 = logdi > 0 and (1.0 / logdi ** 5) < float(eta) < (1.0 / logdi)
     return (bool(c1), bool(c2), bool(c3), bool(c4), bool(c5))
 

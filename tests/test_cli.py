@@ -94,6 +94,17 @@ class TestGenerate:
         assert r.exception is None or isinstance(r.exception, SystemExit)
         assert f"error: missing {missing}:" in r.output
 
+    # each size asks for more than 128 TiB at once, which no 47-bit address
+    # space maps, so numpy fails before touching any memory
+    @pytest.mark.parametrize("args", [
+        ["--kind", "regular", "--n", "100000000000000", "--d", "2"],
+        ["--kind", "dp_cover", "--n", "10", "--d", "2", "--ell", "100000000000000"],
+    ])
+    def test_unallocatable_size_refused(self, runner, args):
+        r = runner.invoke(main, ["generate", *args, "--seed", "1"])
+        assert r.exit_code == 2, (r.output, r.exception)
+        assert "error: not enough memory: " in r.output
+
     def test_unknown_kind_in_config_refused(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "petersen", "seed": 1}))
@@ -374,6 +385,14 @@ class TestStats:
         r = runner.invoke(main, ["stats", str(path), "--seed", "5", "--eta", "0.4"] + flags)
         assert r.exit_code == 2, (r.output, r.exception)
         assert message in r.output
+
+    def test_unallocatable_anchor_trials_refused(self, runner, tmp_path):
+        # the anchor arrays of 10**14 trials need 728 TiB up front
+        path = self.make_cover_file(tmp_path)
+        r = runner.invoke(main, ["stats", str(path), "--seed", "1", "--trials",
+                                 "100000000000000", "--eta", "0.1", "--anchor", "0"])
+        assert r.exit_code == 2, (r.output, r.exception)
+        assert "error: not enough memory: " in r.output
 
     def test_jobs_capped_at_cpu_count(self, runner, tmp_path, monkeypatch):
         from dpnibble import cli

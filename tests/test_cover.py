@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 from unittest import mock
 
@@ -10,12 +11,13 @@ from dpnibble import (DpCover, Graph, PartialColoring, contains_kst, cover_from_
                       cover_to_json, from_list_assignment, max_degree, regularize,
                       validate)
 from dpnibble import cover as cover_module
+from dpnibble import generators
 from dpnibble.cover import require_valid
-from dpnibble.errors import CoverValidationError
+from dpnibble.errors import CoverValidationError, GenerationError
 from dpnibble.generators import random_dp_cover, random_girth5_regular, random_regular
 from dpnibble.nibble import ResidualView, RoundParams, run_round
 
-from conftest import cycle_graph, random_graph, regular_cover
+from conftest import cycle_graph, path_graph, random_graph, regular_cover
 
 
 def drop_cover_edges(cov: DpCover, count: int, seed: int) -> DpCover:
@@ -26,6 +28,49 @@ def drop_cover_edges(cov: DpCover, count: int, seed: int) -> DpCover:
     keep[rng.choice(len(edges), size=count, replace=False)] = False
     smaller = Graph.from_edges(cov.num_colors, [tuple(e) for e in edges[keep]])
     return DpCover(cov.base, smaller, cov.all_lists())
+
+
+# sha256 of cover_to_json(regularize(...)) for c06-style covers, recorded
+# when regularize still consumed per-copy queues of deficient colors.
+# (base order, list size, cover edges dropped, seed): dropping 1, 2 or 3
+# edges leaves a total deficiency of 2, 4 or 6, so the auxiliary graph is the
+# pentagon or a sampled girth-5 graph on 100 or 400 vertices
+REGULARIZED = {
+    (30, 1, 1, 40): "dc7198f6e45ef53c0eeb153f7fa8302448e02abf785a12bde0f8908fc7ec7cf8",
+    (30, 1, 2, 41): "6ddc346fd1949203baa19f65a6687bb3a10bfe731310c8040b31d7b7cf4f44d3",
+    (30, 1, 3, 42): "317d2be5b721c02e108e34695b5dbd1133c4350bd38b7afd43ca90db47a37f33",
+    (30, 2, 1, 43): "d0fb80a01d72be0ea6223e3b3d6f6a04bad0d22f730880c7e07b25470d51b8ee",
+    (30, 2, 2, 44): "06f018c6cbd5808370af040c3cf95347f3587adf771f8d3af1e84fc4888b2f34",
+    (30, 2, 3, 45): "c2441c90e4ef4ca8da1689452fb6ca204f6f1d8fdb8212a92e251b36ac384b90",
+    (30, 3, 1, 46): "22288f35e6a35050ca042768292b38c2aebf5816d512878a20c59c5ace4e340d",
+    (30, 3, 2, 47): "865fa31a4d504aa371d365da488fcaf31ec69f2fe39a12eeb0d108ba83e3f838",
+    (30, 3, 3, 48): "b320fda4a059ec173f578639ae293d4fd8ede2b53b31a18ff08124710620385f",
+    (30, 4, 1, 49): "2020ca66dd5c67965342078212c355d7ea0b40147d9497e12de7f6fd0d276cf9",
+    (30, 4, 2, 50): "72fe21bc9eb7c74df2377b29dab25eedb680069b4d7adb094b3e060d67886845",
+    (30, 4, 3, 51): "ded307cc1fa79b3dc67a1b2baa5173c9837233001989d19dcdda35392fa4ee52",
+    (40, 1, 1, 52): "49b541e9ff0aab17eb25c1faeb15078d40667d46c0fbe52dcc34d89859eca5eb",
+    (40, 1, 2, 53): "64a04bc627e5ab12404a9d5c0b5396a97b9be55c5a1eb91900ce8b4c111e38ec",
+    (40, 1, 3, 54): "c68a497029212f76fd92b29e79bdab8030113f132c49a44d7e8b29997f98e4d9",
+    (40, 2, 1, 55): "b6c14f25a2f853124059d4383c9599cabaaf1c06deb373ad079c701ef5f4cb99",
+    (40, 2, 2, 56): "15139b2e664477155217c80c6bbdf42a8d978d04e06c661f7820462b0a1c8b15",
+    (40, 2, 3, 57): "84d9d66120abb56c5d0cfb7e41d2c57c60b416b77feddba39a0708a9cb62138d",
+    (40, 3, 1, 58): "49057d7bc1376c88c999e2eafbba44ba26b891783d469593dfd7661e35d761bc",
+    (40, 3, 2, 59): "aa3be8150aae55010dd899f512c9a6565fa8c848d9d4f511a0dc3fd483f13e94",
+    (40, 3, 3, 60): "e6a0d1f38a66ef77032cc00511959977887ff7b40bc4b9fcdecc52fd66887ab2",
+    (40, 4, 1, 61): "352c6caf1231a9762bf36a48b23afec1e94003a878ba7d8fb48971a1b515a54b",
+    (40, 4, 2, 62): "155473e69da03e6cf6572b6c03679d90cc2214931743bc8d6e3068d980b20014",
+    (40, 4, 3, 63): "cd94a48ef7a0d32f801fe2a878f841d51505ff0400b326d3859d360b13f629d0",
+    (100, 4, 2, 74): "b56e5219097ddd133a41aa8f8ebb7d5425a0bc03b08687afbacdb2baa737ef95",
+    (100, 4, 3, 75): "ccb111aa9a21bc843c2aa784a9d9d32bd972606423599c0081ee62228b758ca6",
+}
+# list covers on paths, regularized with seed 5, keyed by (path order, labels
+# per vertex, target degree): an end color misses two or more cover edges,
+# so a copy's stubs repeat it
+REGULARIZED_PATHS = {
+    (2, 1, 3): "08a1d53b3ccabf13ff05d276b631a4d36afedda7d9608b805f493bced600302f",
+    (3, 1, 3): "c5d9c59fd1b385e0862b197b01c8f1d457932ca54c027ed3cae6d218bf4e4fa4",
+    (3, 2, 2): "ab23379ff10147b89641ab825e336c3eb78ebaed090f79d428cf449b64d0ef6d",
+}
 
 
 class TestFromListAssignment:
@@ -279,6 +324,29 @@ class TestRegularize:
         cov = regular_cover(10, 4, 3, seed=11)
         with pytest.raises(ValueError, match="exceeds"):
             regularize(cov, 3, 2, 2, seed=1)
+
+    @pytest.mark.parametrize("n, ell, drop, seed", sorted(REGULARIZED))
+    def test_recorded_digests(self, n, ell, drop, seed):
+        base = random_girth5_regular(n, 3, seed=seed)
+        cov = drop_cover_edges(random_dp_cover(base, ell, 1.0, seed=seed + 10), drop, seed + 20)
+        out = regularize(cov, 3, 2, 2, seed=seed + 30)
+        digest = hashlib.sha256(cover_to_json(out).encode()).hexdigest()
+        assert digest == REGULARIZED[n, ell, drop, seed]
+
+    @pytest.mark.parametrize("n, labels, d", sorted(REGULARIZED_PATHS))
+    def test_recorded_digests_repeated_stubs(self, n, labels, d):
+        cov = from_list_assignment(path_graph(n), [range(labels)] * n)
+        out = regularize(cov, d, 2, 2, seed=5)
+        digest = hashlib.sha256(cover_to_json(out).encode()).hexdigest()
+        assert digest == REGULARIZED_PATHS[n, labels, d]
+
+    def test_auxiliary_of_wrong_degree_refused(self, monkeypatch):
+        # total deficiency 2, but vertex 0 of the pentagon gets a third edge
+        wrong = Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5)])
+        monkeypatch.setattr(generators, "girth5_auxiliary", lambda *args, **kwargs: wrong)
+        cov = from_list_assignment(path_graph(2), [[0], [0]])
+        with pytest.raises(GenerationError, match="not 2-regular"):
+            regularize(cov, 2, 2, 2, seed=1)
 
     def test_freeness_preserved_up_to_three_by_three(self):
         base = random_girth5_regular(30, 3, seed=21)

@@ -96,6 +96,12 @@ class TestGirth:
         assert has_cycle_up_to_4(cycle_graph(4))
         assert has_cycle_up_to_4(cycle_graph(3))
 
+    @pytest.mark.parametrize("chord, short", [(None, False), ((0, 2), True), ((0, 3), True)])
+    def test_short_cycle_probe_above_dense_size(self, chord, short):
+        # past 4096 vertices the probe scans adjacency sets instead of a matmul
+        edges = cycle_graph(4100).edge_array().tolist() + ([chord] if chord else [])
+        assert has_cycle_up_to_4(Graph.from_edges(4100, edges)) is short
+
 
 class TestContainsKst:
     def test_c8_natural_bipartition(self):
