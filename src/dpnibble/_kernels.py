@@ -1,8 +1,17 @@
-"""Hot numeric kernels: the nibble round and CSR row gathers.
+"""Hot numeric kernels: a block of nibble rounds and CSR row gathers.
 
 Per-vertex draws come from the counter hash in ``_rng``, so a round's outcome
-depends only on ``(seed, vertex)``, never on evaluation order.  Monte-Carlo
-statistics run the same round once per trial (``analysis.round_stats``).
+depends only on ``(seed, vertex)``, never on evaluation order, and rounds at
+different seeds are independent.  The kernel therefore runs a block of ``B``
+rounds at seeds ``seed .. seed+B-1`` (mod 2**64) with one array pass per
+step: per-vertex arrays are ``(B, n)``, the kept mask is ``(B, K)``, and an
+entry of the flattened mask is keyed ``trial * K + color``.
+
+``nibble.run_round`` is the ``B = 1`` case, and then no key carries a trial
+offset.  ``analysis.round_stats`` runs its trials in blocks of
+``B = max(1, min(trials, _BLOCK_ENTRIES // max(cover-row entries, colors)))``
+with ``_BLOCK_ENTRIES = 2**16``: the 408-color criterion-3 cover (6,528
+entries) gets ``B = 10``, a 4,800-color, 16-regular cover ``B = 1``.
 
 Array layout shared by the kernels:
 
@@ -17,26 +26,54 @@ import numpy as np
 from ._rng import vertex_uniforms
 
 
-def gather_rows(ptr, idx, rows):
-    """The CSR rows ``idx[ptr[r]:ptr[r + 1]]`` of ``rows``, concatenated."""
+def gather_rows(ptr, idx, rows, offsets=None):
+    """The CSR rows ``idx[ptr[r]:ptr[r + 1]]`` of ``rows``, concatenated.
+
+    With ``offsets`` (one per row), each entry is shifted by its row's offset.
+    """
     starts = ptr[rows]
     lens = ptr[rows + 1] - starts
     shift = (starts - lens.cumsum() + lens).repeat(lens)
-    return idx[shift + np.arange(shift.size)]
+    out = idx[shift + np.arange(shift.size)]
+    if offsets is not None:
+        out += offsets.repeat(lens)
+    return out
 
 
-def round_kernel(seed, eta, lptr, sizes, lcolors, cptr, cidx):
-    """One nibble round on lists of ``sizes`` >= 1; returns (activated, col, kept, phi).
+def masked_keys(values, mask, width):
+    """``values[mask]`` for a ``(B, m)`` mask and the key offset ``trial * width``
+    of each entry; the offsets are ``None`` when ``B = 1``.
 
-    The lists may hold a subset of the colors; ``kept`` covers them all.
+    ``values`` is ``(B, m)``, or ``(m,)`` shared by every row.
     """
-    u_act, u_col = vertex_uniforms(seed, sizes.size)
+    block = mask.shape[0]
+    if block == 1:
+        return (values if values.ndim == 1 else values[0])[mask[0]], None
+    picked = np.broadcast_to(values, mask.shape)[mask]
+    offsets = np.arange(0, block * width, width).repeat(np.count_nonzero(mask, axis=1))
+    return picked, offsets
+
+
+def round_kernel(seed, block, eta, lptr, sizes, lcolors, cptr, cidx):
+    """``block`` nibble rounds at seeds ``seed, seed+1, ...`` on lists of
+    ``sizes`` >= 1; returns (activated, col, kept, phi).
+
+    ``activated``, ``col`` and ``phi`` are ``(block, n)``; ``kept`` is
+    ``(block, K)``.  The lists may hold a subset of the colors; ``kept``
+    covers them all.
+    """
+    u_act, u_col = vertex_uniforms(seed, sizes.size, block)
     activated = u_act < eta
     pick = lcolors[lptr[:-1] + np.minimum((u_col * sizes).astype(np.int64), sizes - 1)]
     col = np.where(activated, pick, -1)
-    kept = np.ones(cptr.size - 1, dtype=bool)
-    kept[gather_rows(cptr, cidx, pick[activated])] = False
-    phi = np.where(activated & kept[pick], pick, -1)
+    width = cptr.size - 1
+    kept = np.ones((block, width), dtype=bool)
+    flat = kept.reshape(-1)
+    rows, offsets = masked_keys(pick, activated, width)
+    flat[gather_rows(cptr, cidx, rows, offsets)] = False
+    if block > 1:
+        pick = pick + np.arange(0, block * width, width)[:, None]
+    phi = np.where(activated & flat[pick], col, -1)
     return activated, col, kept, phi
 
 

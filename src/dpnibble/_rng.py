@@ -24,8 +24,12 @@ MIX2 = 0x94D049BB133111EB
 
 INV_2_53 = 2.0 ** -53
 
-# row ``draw`` of the counters vertex_uniforms hashes is offset by draw * DRAW
-_DRAW_OFFSETS = np.array([[0], [DRAW]], dtype=np.uint64)
+# numpy scalars of the constants, made once: the hash runs once per round
+_U_GOLDEN, _U_STREAM, _U_MIX1, _U_MIX2 = (U64(c) for c in (GOLDEN, STREAM, MIX1, MIX2))
+_U30, _U27, _U31, _U11 = (U64(s) for s in (30, 27, 31, 11))
+
+# the counters vertex_uniforms hashes: draw row ``k`` is offset by k * DRAW
+_DRAW_OFFSETS = np.array([[[0]], [[DRAW]]], dtype=np.uint64)
 
 
 def normalize_seed(seed: int) -> int:
@@ -41,19 +45,20 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def vertex_uniforms(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two float64 uniforms in [0, 1) per vertex, vectorized.
+def vertex_uniforms(seed: int, n: int, block: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Two float64 uniforms in [0, 1) per vertex for seeds ``seed .. seed+block-1``.
 
-    Returns ``(u_act, u_col)`` of shape ``(n,)``.  Must stay bit-identical to
+    Returns ``(u_act, u_col)`` of shape ``(block, n)``; row ``b`` is the
+    stream of seed ``seed + b`` (mod 2**64).  Must stay bit-identical to
     :func:`scalar_uniform` (the draw-stream tests enforce it).
     """
+    seeds = np.arange(block, dtype=np.uint64) + U64(normalize_seed(seed))
     v = np.arange(n, dtype=np.uint64)
-    base = U64((normalize_seed(seed) * GOLDEN) & MASK64) + v * U64(STREAM)
-    x = base + _DRAW_OFFSETS
-    x = (x ^ (x >> U64(30))) * U64(MIX1)
-    x = (x ^ (x >> U64(27))) * U64(MIX2)
-    x = x ^ (x >> U64(31))
-    u = (x >> U64(11)).astype(np.float64) * INV_2_53
+    x = (seeds * _U_GOLDEN)[:, None] + v * _U_STREAM + _DRAW_OFFSETS
+    x = (x ^ (x >> _U30)) * _U_MIX1
+    x = (x ^ (x >> _U27)) * _U_MIX2
+    x = x ^ (x >> _U31)
+    u = (x >> _U11).astype(np.float64) * INV_2_53
     return u[0], u[1]
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from .cover import DpCover, PartialColoring
 from .errors import BudgetExceededError
 from .graph import Graph
-from .nibble import ResidualView, RoundParams, d_next, keep_fn, run_round
+from .nibble import (ResidualView, RoundParams, d_next, keep_fn, kept_counts,
+                     on_lists, residual_degrees, run_block, staying)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,22 @@ def classify_structure(cover: Graph, anchor: int, d: int, t: int) -> StructureRe
 # ---------------------------------------------------------------------------
 
 
+# array entries one block of Monte-Carlo trials may touch (see block_size)
+_BLOCK_ENTRIES = 1 << 16
+
+
+def block_size(c: DpCover, trials: int) -> int:
+    """Trials per kernel call of :func:`round_stats` on ``c``.
+
+    A trial touches each cover-row entry at most a few times and holds one
+    kept flag per color, so ``_BLOCK_ENTRIES // max(row entries, colors)``
+    trials keep a block's ``(B, K)`` and per-entry arrays near
+    ``_BLOCK_ENTRIES`` entries; at least 1, at most ``trials``.
+    """
+    per_trial = max(c.cover.indices.size, c.num_colors, 1)
+    return max(1, min(trials, _BLOCK_ENTRIES // per_trial))
+
+
 @dataclass
 class RoundStats:
     """Integer sums over seeded independent rounds, and their statistics.
@@ -182,31 +199,41 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
     keep = keep_fn(p.d, p.ell, p.eta)
     keep_ell = keep * p.ell
     ell_tail = p.ell ** (1.0 - p.beta)
-    res_thresh = d_next(p.d, p.ell, p.eta, p.beta)
+    # an integer degree exceeds the real threshold iff it exceeds its floor;
+    # the integer comparison skips a float conversion of every degree
+    res_floor = math.floor(d_next(p.d, p.ell, p.eta, p.beta))
     view = ResidualView.of(c)
     n, num_colors = c.base.vertex_count, c.num_colors
-    kept_sum, kept_sumsq, kept_tail = (np.zeros(n, np.int64) for _ in range(3))
-    res_sum, res_sumsq, res_tail = (np.zeros(num_colors, np.int64) for _ in range(3))
+    block = block_size(c, trials)
+    # row b of each accumulator sums trials b, b + block, ...; the rows are
+    # added once at the end, so a block costs no extra pass
+    kept_sum, kept_sumsq, kept_tail = (np.zeros((block, n), np.int64) for _ in range(3))
+    res_sum, res_sumsq, res_tail = (np.zeros((block, num_colors), np.int64)
+                                    for _ in range(3))
     m = 0 if anchor is None else trials
     anchor_u, anchor_umk, anchor_res = (np.zeros(m, np.int64) for _ in range(3))
     if m:
         nbrs = c.cover.neighbors(int(anchor))
         nbr_owners = c.owner[nbrs]
-    for trial in range(trials):
-        outcome = run_round(view, p, seed + trial)
-        kcnt = outcome.kept_sizes()
-        resdeg = outcome.next_deg
-        kept_sum += kcnt
-        kept_sumsq += kcnt * kcnt
-        kept_tail += np.abs(kcnt - keep_ell) > ell_tail
-        res_sum += resdeg
-        res_sumsq += resdeg * resdeg
-        res_tail += resdeg > res_thresh
+    for lo in range(0, trials, block):
+        b = min(block, trials - lo)
+        _, _, kept, phi = run_block(view, p, seed + lo, b)
+        listed = on_lists(view, kept)
+        kcnt = kept_counts(view, listed)
+        resdeg = residual_degrees(view, staying(view, listed, phi))
+        kept_sum[:b] += kcnt
+        kept_sumsq[:b] += kcnt * kcnt
+        kept_tail[:b] += np.abs(kcnt - keep_ell) > ell_tail
+        res_sum[:b] += resdeg
+        res_sumsq[:b] += resdeg * resdeg
+        res_tail[:b] += resdeg > res_floor
         if m:
-            blank = outcome.phi[nbr_owners] < 0
-            anchor_u[trial] = np.count_nonzero(blank)
-            anchor_umk[trial] = np.count_nonzero(blank & ~outcome.kept_mask[nbrs])
-            anchor_res[trial] = resdeg[anchor]
+            blank = phi[:, nbr_owners] < 0
+            anchor_u[lo:lo + b] = np.count_nonzero(blank, axis=1)
+            anchor_umk[lo:lo + b] = np.count_nonzero(blank & ~kept[:, nbrs], axis=1)
+            anchor_res[lo:lo + b] = resdeg[:, anchor]
+    kept_sum, kept_sumsq, kept_tail, res_sum, res_sumsq, res_tail = (
+        a.sum(axis=0) for a in (kept_sum, kept_sumsq, kept_tail, res_sum, res_sumsq, res_tail))
     return RoundStats(trials, p, kept_sum, kept_sumsq, res_sum, res_sumsq,
                       kept_tail, res_tail, anchor, anchor_u, anchor_umk, anchor_res)
 

@@ -9,11 +9,11 @@ construction; every query here is pure.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Sequence
 
 import numpy as np
 
+from ._kernels import gather_rows
 from .errors import BudgetExceededError
 
 INFINITE = math.inf
@@ -127,37 +127,102 @@ def max_degree(g: Graph) -> int:
     return int(g.degrees().max(initial=0))
 
 
+_GIRTH_BLOCK = 1 << 22   # array entries one block of BFS roots may hold
+_GIRTH_DENSE_MAX = 4096  # most vertices for which girth builds the dense adjacency
+# float32 multiply-adds of a dense product that cost about as much as one
+# entry of a CSR gather (measured with numpy and its BLAS on 2 cores)
+_FLOPS_PER_GATHERED = 800
+
+
 def girth(g: Graph) -> float:
     """Length of the shortest cycle, or ``math.inf`` for forests.
 
-    BFS from every vertex with early exit once the current best cannot be
-    improved.  Exact for all simple graphs; intended for graphs up to around
-    10^4 vertices.
+    Level-synchronous BFS from blocks of roots (Itai & Rodeh, "Finding a
+    minimum circuit in a graph", SIAM J. Comput. 1978).  With the frontier at
+    distance k from a root, an edge inside the frontier closes a cycle of
+    length at most 2k+1, and an unvisited vertex with two frontier
+    neighbours closes one of length at most 2k+2.  No root detects less than
+    the girth, and a root on a shortest cycle detects exactly its length, so
+    the least detection over all roots is exact.  A block stops at its first
+    detection or once 2k+1 reaches the best length found so far.
+
+    A level gathers the frontier's CSR rows, or, on graphs of at most
+    ``_GIRTH_DENSE_MAX`` vertices once that gather would cost more, takes a
+    float32 product with the dense adjacency; from then on the block stays
+    dense.  Long cycles keep small frontiers and stay sparse; dense graphs
+    switch within a few levels.
     """
-    n, indptr, indices = g.vertex_count, g.indptr, g.indices
-    best = -1  # -1 encodes "no cycle yet"
-    dist = np.empty(n, dtype=np.int64)
-    parent = np.empty(n, dtype=np.int64)
-    for root in range(n):
-        dist.fill(-1)
-        dist[root] = 0
-        parent[root] = -1
-        dq = deque([root])
-        while dq:
-            u = dq.popleft()
-            du = dist[u]
-            if best >= 0 and 2 * du >= best - 1:
-                continue
-            for w in indices[indptr[u]:indptr[u + 1]]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    dq.append(w)
-                elif w != parent[u]:
-                    c = du + dist[w] + 1
-                    if best < 0 or c < best:
-                        best = c
-    return INFINITE if best < 0 else float(best)
+    n = g.vertex_count
+    if g.indices.size == 0:
+        return INFINITE
+    deg = g.degrees()
+    adjacency = None
+    best = INFINITE
+    rows = max(1, _GIRTH_BLOCK // max(n, g.indices.size))
+    for lo in range(0, n, rows):
+        r = min(rows, n - lo)
+        # frontier entries are keys root * n + vertex, one per (root, vertex)
+        front = np.arange(r, dtype=np.int64) * (n + 1) + lo
+        seen = np.zeros(r * n, dtype=bool)
+        seen[front] = True
+        in_front = seen.copy()
+        k = 0
+        while 2 * k + 1 < best and front.size:
+            vertex = front % n
+            if (n <= _GIRTH_DENSE_MAX
+                    and int(deg[vertex].sum()) * _FLOPS_PER_GATHERED > r * n * n):
+                if adjacency is None:
+                    adjacency = _dense_adjacency(g)
+                best = _dense_levels(adjacency, front, seen.reshape(r, n), k, best)
+                break
+            reach = gather_rows(g.indptr, g.indices, vertex, front - vertex)
+            if np.any(in_front[reach]):
+                best = 2 * k + 1
+                break
+            reach = np.sort(reach[~seen[reach]])
+            if np.any(reach[1:] == reach[:-1]):
+                best = 2 * k + 2
+                break
+            in_front[front] = False
+            in_front[reach] = True
+            seen[reach] = True
+            front = reach
+            k += 1
+    return float(best)
+
+
+def _dense_adjacency(g: Graph) -> np.ndarray:
+    """The 0/1 adjacency matrix in float32.
+
+    Products of it hit BLAS; their counts are below 2^24 up to 4096
+    vertices, so they stay exact.
+    """
+    n = g.vertex_count
+    a = np.zeros((n, n), dtype=np.float32)
+    a[np.repeat(np.arange(n, dtype=np.int64), g.degrees()), g.indices] = 1.0
+    return a
+
+
+def _dense_levels(adjacency, front, seen, k, best):
+    """:func:`girth`'s levels k, k+1, ... of one block by dense products.
+
+    ``front`` holds the level-k keys, ``seen`` is the block's ``(r, n)``
+    visited mask; returns the block's detection, or ``best`` without one.
+    """
+    reached = np.zeros(seen.size, dtype=np.float32)
+    reached[front] = 1.0
+    frontier = reached.reshape(seen.shape)
+    while 2 * k + 1 < best and frontier.any():
+        cnt = frontier @ adjacency
+        if np.any((cnt > 0) & (frontier > 0)):
+            return 2 * k + 1
+        if np.any((cnt > 1) & ~seen):
+            return 2 * k + 2
+        fresh = (cnt > 0) & ~seen
+        seen |= fresh
+        frontier = fresh.astype(np.float32)
+        k += 1
+    return best
 
 
 def kst_edge_bound(m: int, n: int, s: int, t: int) -> float:
@@ -273,10 +338,7 @@ def has_cycle_up_to_4(g: Graph) -> bool:
     if n == 0 or g.indices.size == 0:
         return False
     if n <= 4096:
-        # float32 matmul hits BLAS; counts are < 2^24 so they stay exact
-        a = np.zeros((n, n), dtype=np.float32)
-        src = np.repeat(np.arange(n, dtype=np.int64), g.degrees())
-        a[src, g.indices] = 1.0
+        a = _dense_adjacency(g)
         common = a @ a
         if np.any((common >= 1.0) & (a == 1.0)):
             return True

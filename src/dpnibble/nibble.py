@@ -25,7 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from ._rng import normalize_seed
 from .cover import DpCover, PartialColoring, subcover
 from .errors import RetriesExhaustedError
 
@@ -139,12 +138,44 @@ def _as_view(cover: DpCover | ResidualView) -> ResidualView:
     return cover if isinstance(cover, ResidualView) else ResidualView.of(cover)
 
 
+def on_lists(view: ResidualView, kept: np.ndarray) -> np.ndarray:
+    """``(B, L)`` mask: ``kept`` at the colors of ``view.lcolors``, in list order."""
+    return np.take(kept, view.lcolors, axis=1)
+
+
+def kept_counts(view: ResidualView, listed: np.ndarray) -> np.ndarray:
+    """Kept colors per residual vertex in each round: ``(B, n)`` from ``on_lists``."""
+    # rounds run only on nonempty lists, so no segment is empty
+    return np.add.reduceat(listed, view.lptr[:-1], axis=1, dtype=np.int64)
+
+
+def staying(view: ResidualView, listed: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``(B, L)`` mask over ``view.lcolors``: the kept colors of vertices left blank."""
+    return listed & (phi < 0).repeat(view.list_sizes(), axis=1)
+
+
+def residual_degrees(view: ResidualView, stays: np.ndarray) -> np.ndarray:
+    """Alive neighbours of every root color after each round: ``(B, K)``.
+
+    ``view.deg`` minus one ``bincount`` over the ``trial * K + color`` keys of
+    the dying colors' cover rows, so the work follows those rows, not the
+    whole cover.  On a whole cover this is each color's residual degree: its
+    neighbours that were kept and whose vertex stayed blank.
+    """
+    g = view.root.cover
+    width = g.vertex_count
+    dying, offsets = _kernels.masked_keys(view.lcolors, ~stays, width)
+    hits = _kernels.gather_rows(g.indptr, g.indices, dying, offsets)
+    return view.deg - np.bincount(hits, minlength=stays.shape[0] * width).reshape(-1, width)
+
+
 class RoundOutcome:
     """Result of one round on a residual view, backed by the kernel arrays.
 
     Vertices are residual ranks and colors root ids.  ``activated_mask``/
-    ``col``/``kept_mask``/``phi`` are the raw arrays; the residual degrees
-    (``next_deg``), the next residual and its cover are built on demand.
+    ``col``/``kept_mask``/``phi`` are the raw arrays (one row of a kernel
+    block); the residual degrees (``next_deg``), the next residual and its
+    cover are built on demand.
     """
 
     def __init__(self, view: ResidualView, seed: int, activated_mask: np.ndarray,
@@ -161,33 +192,25 @@ class RoundOutcome:
         return lst[self.kept_mask[lst]]
 
     def kept_sizes(self) -> np.ndarray:
-        # run_round only runs on nonempty lists, so no segment is empty
-        return np.add.reduceat(self.kept_mask[self.view.lcolors],
-                               self.view.lptr[:-1], dtype=np.int64)
+        return kept_counts(self.view, self._listed)[0]
 
     @property
     def coloring(self) -> PartialColoring:
         return PartialColoring(self.phi.copy())
 
     @cached_property
+    def _listed(self) -> np.ndarray:
+        return on_lists(self.view, self.kept_mask[None])
+
+    @cached_property
     def stays(self) -> np.ndarray:
         """Mask over ``view.lcolors``: the kept colors of vertices left blank."""
-        v = self.view
-        return self.kept_mask[v.lcolors] & (self.phi < 0).repeat(v.list_sizes())
+        return staying(self.view, self._listed, self.phi[None])[0]
 
     @cached_property
     def next_deg(self) -> np.ndarray:
-        """Alive neighbours of every root color after this round.
-
-        ``view.deg`` minus a ``bincount`` over the dying colors' cover rows,
-        so the work follows those rows, not the whole cover.  On a whole
-        cover this is each color's residual degree: its neighbours that were
-        kept and whose vertex stayed blank.
-        """
-        v = self.view
-        g = v.root.cover
-        dying = _kernels.gather_rows(g.indptr, g.indices, v.lcolors[~self.stays])
-        return v.deg - np.bincount(dying, minlength=g.vertex_count)
+        """Alive neighbours of every root color after this round."""
+        return residual_degrees(self.view, self.stays[None])[0]
 
     @cached_property
     def next_view(self) -> ResidualView:
@@ -207,18 +230,28 @@ class RoundOutcome:
         return self.next_view.to_cover()
 
 
-def run_round(cover: DpCover | ResidualView, params: RoundParams,
-              seed: int) -> RoundOutcome:
-    """Execute one round; a pure function of (cover, params, seed)."""
+def run_block(cover: DpCover | ResidualView, params: RoundParams, seed: int,
+              block: int) -> tuple[np.ndarray, ...]:
+    """Kernel arrays of ``block`` rounds at seeds ``seed .. seed+block-1``.
+
+    Returns ``(activated, col, kept, phi)``: ``(block, n)`` arrays over the
+    residual vertices and a ``(block, K)`` mask over the root colors.
+    """
     view = _as_view(cover)
     sizes = view.list_sizes()
     if np.any(sizes < 1):
         raise ValueError("every vertex needs a nonempty list")
     g = view.root.cover
-    activated, col, kept, phi = _kernels.round_kernel(
-        normalize_seed(seed), params.eta, view.lptr, sizes, view.lcolors,
-        g.indptr, g.indices)
-    return RoundOutcome(view, seed, activated, col, kept, phi)
+    return _kernels.round_kernel(seed, block, params.eta, view.lptr, sizes,
+                                 view.lcolors, g.indptr, g.indices)
+
+
+def run_round(cover: DpCover | ResidualView, params: RoundParams,
+              seed: int) -> RoundOutcome:
+    """Execute one round; a pure function of (cover, params, seed)."""
+    view = _as_view(cover)
+    activated, col, kept, phi = run_block(view, params, seed, 1)
+    return RoundOutcome(view, seed, activated[0], col[0], kept[0], phi[0])
 
 
 def round_is_good(outcome: RoundOutcome, ell_target: float, d_target: float) -> bool:

@@ -41,6 +41,19 @@ class ScheduleError(ValueError):
     """Schedule inputs outside the meaningful domain (e.g. d too small)."""
 
 
+def tail_exponent(t: int) -> float:
+    """The deviation exponent ``beta = 1/(25 t)``.
+
+    Divides integers, so a ``t`` too large for a float gives a tiny ``beta``
+    instead of an ``OverflowError``; raises :class:`ScheduleError` once
+    ``beta`` rounds to 0.
+    """
+    beta = 1 / (25 * t)
+    if not beta > 0.0:
+        raise ScheduleError(f"t of {t.bit_length()} bits is too large: beta = 1/(25t) rounds to 0")
+    return beta
+
+
 @dataclass(frozen=True)
 class ScheduleInput:
     """Initial degree bound, margin, and forbidden-subgraph parameters."""
@@ -57,6 +70,7 @@ class ScheduleInput:
             raise ScheduleError(f"epsilon must be in (0, 100), got {self.epsilon}")
         if self.s < 1 or self.t < 1:
             raise ScheduleError("s and t must be >= 1")
+        tail_exponent(self.t)
 
 
 @dataclass(frozen=True)
@@ -98,7 +112,7 @@ def derive_constants(inp: ScheduleInput) -> tuple[float, float, float, int]:
     eta = kappa / logd
     if not eta < 1.0:
         raise ScheduleError(f"d={inp.d} too small: activation probability {float(eta)} >= 1")
-    beta = 1.0 / (25.0 * inp.t)
+    beta = tail_exponent(inp.t)
     ell_1 = int(np.rint((1 + eps) * LD(inp.d) / logd))
     if ell_1 < 1:
         raise ScheduleError("derived initial list size is below 1")

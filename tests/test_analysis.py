@@ -6,11 +6,12 @@ import pytest
 from dpnibble import (Graph, PartialColoring, from_list_assignment, keep_fn,
                       uncolor_fn)
 from dpnibble._rng import scalar_uniform
-from dpnibble.analysis import (classify_structure, exact_round_expectation,
+from dpnibble import analysis
+from dpnibble.analysis import (block_size, classify_structure, exact_round_expectation,
                                round_stats, stats_summary_json, stats_to_csv,
                                verify_proper)
 from dpnibble.errors import BudgetExceededError
-from dpnibble.nibble import RoundParams
+from dpnibble.nibble import RoundParams, run_round
 
 from conftest import classify_oracle, cycle_graph, path_graph, regular_cover, star_graph
 
@@ -158,6 +159,71 @@ class TestOneTrialAgainstRecount:
         assert st.res_tail.tolist() == [int(r > res_thresh) for r in resdeg]
         got = (st.anchor_u.tolist(), st.anchor_u_minus_k.tolist(), st.anchor_res.tolist())
         assert got == tuple([x] for x in anchor_row)
+
+
+def per_round_sums(cov, p, trials, seed, anchor):
+    """round_stats' integer sums and anchor rows from one run_round per trial."""
+    keep = keep_fn(p.d, p.ell, p.eta)
+    keep_ell = keep * p.ell
+    res_thresh = keep * uncolor_fn(p.d, p.ell, p.eta) * p.d + p.d ** (1 - p.beta)
+    sums = {k: 0 for k in ("kept_sum", "kept_sumsq", "kept_tail",
+                           "res_sum", "res_sumsq", "res_tail")}
+    rows = []
+    nbrs = cov.cover.neighbors(anchor)
+    for t in range(trials):
+        o = run_round(cov, p, seed + t)
+        k, r = o.kept_sizes(), o.next_deg
+        sums["kept_sum"] = sums["kept_sum"] + k
+        sums["kept_sumsq"] = sums["kept_sumsq"] + k * k
+        sums["kept_tail"] = sums["kept_tail"] + (np.abs(k - keep_ell) > p.ell ** (1 - p.beta))
+        sums["res_sum"] = sums["res_sum"] + r
+        sums["res_sumsq"] = sums["res_sumsq"] + r * r
+        sums["res_tail"] = sums["res_tail"] + (r > res_thresh)
+        blank = o.phi[cov.owner[nbrs]] < 0
+        rows.append((int(blank.sum()), int((blank & ~o.kept_mask[nbrs]).sum()), int(r[anchor])))
+    return sums, rows
+
+
+class TestBlockAgainstSingleRounds:
+    """A block of trials equals the same trials run one ``run_round`` each."""
+
+    COVERS = {
+        "regular": (regular_cover(12, 4, 5, seed=4), RoundParams(eta=0.6, d=4, ell=5, beta=0.05), 7),
+        # rho = 0.6 leaves colors of cover degree 0
+        "sparse": (regular_cover(10, 3, 4, seed=5, rho=0.6),
+                   RoundParams(eta=0.8, d=3, ell=4, beta=0.1), 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COVERS))
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("trials", [1, 5, 7, 16])
+    @pytest.mark.parametrize("seed", [3, 2 ** 64 - 4])
+    def test_sums_and_anchor_rows(self, monkeypatch, name, block, trials, seed):
+        cov, p, anchor = self.COVERS[name]
+        per_trial = max(cov.cover.indices.size, cov.num_colors)
+        monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", block * per_trial)
+        assert block_size(cov, trials) == min(block, trials)
+        if name == "sparse":
+            assert np.any(cov.cover.degrees() == 0)
+        st = round_stats(cov, p, trials=trials, seed=seed, anchor=anchor)
+        sums, rows = per_round_sums(cov, p, trials, seed, anchor)
+        for field_name, want in sums.items():
+            assert getattr(st, field_name).tolist() == want.tolist(), field_name
+        got = list(zip(st.anchor_u.tolist(), st.anchor_u_minus_k.tolist(),
+                       st.anchor_res.tolist()))
+        assert got == rows
+
+    def test_block_size_on_the_benchmark_shapes(self):
+        # 34 vertices, 16-regular, 12 labels: 6528 cover-row entries
+        small = regular_cover(34, 16, 12, seed=77)
+        assert block_size(small, 5000) == 10
+        assert block_size(small, 4) == 4
+        # 400 vertices: 76,800 entries, one trial per block
+        assert block_size(regular_cover(400, 16, 12, seed=78), 1000) == 1
+
+    def test_edgeless_cover_bounds_the_block_by_colors(self):
+        cov = from_list_assignment(Graph.empty(1000), [range(8)] * 1000)
+        assert block_size(cov, 10 ** 6) == analysis._BLOCK_ENTRIES // 8000
 
 
 class TestExactRoundExpectation:

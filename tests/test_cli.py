@@ -124,6 +124,13 @@ class TestSchedule:
         r = invoke(runner, ["schedule", "--d", "100", "--epsilon", "0"])
         assert r.exit_code == 2
 
+    def test_huge_t_refused(self, runner):
+        # 1/(25t) once overflowed converting t to a float
+        r = runner.invoke(main, ["schedule", "--d", "100", "--epsilon", "0.5",
+                                 "--t", str(10 ** 400)])
+        assert r.exit_code == 2, (r.output, r.exception)
+        assert "is too large: beta = 1/(25t) rounds to 0" in r.output
+
     def test_repeat_identical(self, runner, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["schedule", "--d", "100000", "--epsilon", "0.05"]
@@ -201,6 +208,13 @@ class TestColor:
         assert "Traceback" not in r.output
         assert f"error: slack must be finite, got {slack}" in r.output
         assert not out.exists()
+
+    def test_huge_t_refused(self, runner, tmp_path):
+        from conftest import regular_cover
+        path = self.write_cover(tmp_path, regular_cover(10, 2, 16, seed=1))
+        r = runner.invoke(main, ["color", str(path), "--seed", "1", "--t", str(10 ** 400)])
+        assert r.exit_code == 2, (r.output, r.exception)
+        assert "is too large: beta = 1/(25t) rounds to 0" in r.output
 
     def test_bad_cover_file_usage_error(self, runner, tmp_path):
         p = tmp_path / "bad.json"
@@ -379,6 +393,7 @@ class TestStats:
         (["--trials", "0"], "error: trials must be >= 1"),
         (["--trials", "2", "--anchor", "-5"], "error: anchor -5 is not a color id"),
         (["--trials", "2", "--t", "0"], "error: t must be >= 1"),
+        (["--trials", "2", "--t", str(10 ** 400)], "is too large: beta = 1/(25t) rounds to 0"),
     ])
     def test_bad_run_arguments_refused(self, runner, tmp_path, flags, message):
         path = self.make_cover_file(tmp_path)

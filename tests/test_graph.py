@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from dpnibble import Graph, contains_kst, girth, graph_from_text, graph_to_text, kst_edge_bound, max_degree
 from dpnibble.errors import BudgetExceededError
+from dpnibble import graph as graph_module
+from dpnibble.generators import incidence_graph
 from dpnibble.graph import has_cycle_up_to_4
 
 from conftest import (contains_kst_oracle, cycle_graph, girth_by_cycle_enumeration,
@@ -90,6 +92,35 @@ class TestGirth:
     def test_girth_property(self, seed, p):
         g = random_graph(7, p, seed=seed)
         assert girth(g) == girth_by_cycle_enumeration(g)
+
+    # each mode forces one way through girth's levels: CSR gathers only,
+    # dense products from the first level on, and blocks of one or two roots
+    MODES = {
+        "sparse": {"_GIRTH_DENSE_MAX": 0},
+        "dense": {"_FLOPS_PER_GATHERED": 10 ** 9},
+        "one_root_blocks": {"_GIRTH_BLOCK": 1},
+        "two_root_dense_blocks": {"_GIRTH_BLOCK": 20, "_FLOPS_PER_GATHERED": 10 ** 9},
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_every_level_mode_matches_enumeration(self, monkeypatch, mode):
+        for name, value in self.MODES[mode].items():
+            monkeypatch.setattr(graph_module, name, value)
+        for seed in range(60):
+            g = random_graph(9, 0.12 + 0.5 * (seed % 6) / 6, seed=seed)
+            assert girth(g) == girth_by_cycle_enumeration(g), seed
+        assert girth(path_graph(6)) == math.inf
+        assert girth(cycle_graph(9)) == 9
+
+    def test_projective_plane_incidence_graph(self):
+        # 1986 vertices, 32-regular, girth 6: the dense products' regime
+        assert girth(incidence_graph(31, seed=0)) == 6
+
+    @pytest.mark.parametrize("chord, length", [(None, 4100), ((0, 2), 3), ((0, 3), 4),
+                                               ((0, 2050), 2051)])
+    def test_long_cycle_above_dense_size(self, chord, length):
+        edges = cycle_graph(4100).edge_array().tolist() + ([chord] if chord else [])
+        assert girth(Graph.from_edges(4100, edges)) == length
 
     def test_short_cycle_probe(self):
         assert not has_cycle_up_to_4(cycle_graph(5))

@@ -4,7 +4,7 @@ import pytest
 
 from dpnibble import (ScheduleError, ScheduleInput, compute_schedule, derive_constants,
                       hat_deviation_report, schedule_to_csv)
-from dpnibble.schedule import hat_law_gate, keep_bounds, ratio_law_gate
+from dpnibble.schedule import hat_law_gate, keep_bounds, ratio_law_gate, tail_exponent
 
 
 def mpmath_schedule(d, eps, t, max_iters=10000):
@@ -50,6 +50,18 @@ class TestDeriveConstants:
     def test_beta(self):
         _, _, beta, _ = derive_constants(ScheduleInput(d=1000, epsilon=0.05, s=1, t=2))
         assert beta == pytest.approx(0.02, rel=1e-15)
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 10 ** 6])
+    def test_beta_of_ordinary_t_unchanged(self, t):
+        assert tail_exponent(t) == 1.0 / (25.0 * t)
+
+    def test_beta_past_float_range(self):
+        # t itself has no float, yet beta = 4e-322 is a positive subnormal
+        assert tail_exponent(10 ** 320) == 4e-322
+        _, _, beta, _ = derive_constants(ScheduleInput(d=100, epsilon=0.5, s=1, t=10 ** 320))
+        assert beta == 4e-322
+        with pytest.raises(ScheduleError, match="too large"):
+            ScheduleInput(d=100, epsilon=0.5, s=1, t=10 ** 400)
 
     def test_eta_formula(self):
         kappa, eta, _, _ = derive_constants(ScheduleInput(d=10**4, epsilon=0.1, s=1, t=1))
