@@ -22,8 +22,7 @@ from .graph import (Graph, contains_kst, girth, graph_from_text, graph_to_text,
 from .nibble import (RoundOutcome, RoundParams, d_next, ell_next,
                      good_round_targets, keep_fn, round_is_good, run_round,
                      run_round_until_good, uncolor_fn)
-from .pipeline import (ColoringResult, PipelineConfig, color_graph, finish,
-                       result_to_json)
+from .pipeline import ColoringResult, PipelineConfig, color_graph, result_to_json
 from .schedule import (Schedule, ScheduleError, ScheduleInput, ScheduleState,
                        compute_schedule, derive_constants, hat_deviation_report,
                        schedule_to_csv)

@@ -97,7 +97,8 @@ def classify_structure(cover: Graph, anchor: int, d: int, t: int) -> StructureRe
     """Exact bad/good/sad/happy partition around ``anchor`` in ``cover``."""
     if cover.degree(anchor) > d:
         raise ValueError(f"anchor degree {cover.degree(anchor)} exceeds d={d}")
-    delta = 1.0 / (3.0 * t)
+    # integer division: a t too large for a float gives tiny exponents, no OverflowError
+    delta = 1 / (3 * t)
     threshold = d ** (1.0 - delta)
     nbrs = cover.neighbors(anchor)
     nbr_set = set(nbrs.tolist())
@@ -115,11 +116,11 @@ def classify_structure(cover: Graph, anchor: int, d: int, t: int) -> StructureRe
     for cp in sorted(nbr_set):
         bad_deg = sum(1 for y in cover.neighbors(cp) if int(y) in bad_set)
         (sad if bad_deg >= threshold else happy).append(cp)
-    beta2 = 1.0 / (15.0 * t)
+    beta2 = 1 / (15 * t)
     return StructureReport(
         anchor=anchor, d=d, t=t, delta=delta,
-        beta1=1.0 / (20.0 * t), beta2=beta2, delta2=1.0 / (10.0 * t),
-        tau=4.0 / (9.0 * t),
+        beta1=1 / (20 * t), beta2=beta2, delta2=1 / (10 * t),
+        tau=4 / (9 * t),
         bad=bad, good=good, sad=tuple(sad), happy=tuple(happy),
         sad_bound=d ** (1.0 - beta2),
     )

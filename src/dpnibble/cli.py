@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import analysis, generators, pipeline
-from .cover import DpCover, cover_from_json, cover_to_json, from_list_assignment
+from .cover import DpCover, cover_from_json, cover_to_json, uniform_list_cover
 from .errors import (CoverValidationError, GenerationError, PipelineError,
                      ResampleBudgetError, RetriesExhaustedError)
 from .graph import graph_to_text, max_degree
@@ -161,7 +161,7 @@ def cmd_generate(kind, n, d, ell, rho, m, s, t, girth5_base, seed, config_path, 
             if kind == "dp_cover":
                 cov = generators.random_dp_cover(base, ell, rho, seed)
             else:
-                cov = from_list_assignment(base, [range(ell)] * base.vertex_count)
+                cov = uniform_list_cover(base, ell)
             _write_output(cover_to_json(cov), out, "cover")
         elif kind == "kst_free_bipartite":
             g = generators.kst_free_bipartite(m, n, s, t, seed)

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CoverValidationError, GenerationError
-from .graph import Graph, induced_subgraph, max_degree
+from .graph import Graph, max_degree
 
 
 @dataclass(frozen=True)
@@ -207,26 +207,12 @@ def uniform_list_cover(g: Graph, ell: int) -> DpCover:
     return from_list_assignment(g, [range(ell)] * g.vertex_count)
 
 
-def subcover(c: DpCover, vertices: np.ndarray, colors: np.ndarray) -> DpCover:
-    """Induced cover on the vertices and colors marked in two boolean masks.
-
-    Every marked color must belong to a marked vertex.  Vertices and colors
-    are renumbered densely in increasing order of their ids in ``c``.
-    """
-    vmap = np.where(vertices, np.cumsum(vertices) - 1, -1)
-    cmap = np.where(colors, np.cumsum(colors) - 1, -1)
-    lists = [cmap[lst[colors[lst]]] for lst in map(c.lists, np.flatnonzero(vertices))]
-    return DpCover(induced_subgraph(c.base, vmap, int(np.count_nonzero(vertices))),
-                   induced_subgraph(c.cover, cmap, int(np.count_nonzero(colors))),
-                   lists)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
 
-def regularize(c: DpCover, d: int, s: int, t: int, seed: int) -> DpCover:
+def regularize(c: DpCover, d: int, seed: int) -> DpCover:
     """Embed the cover into one whose cover graph is exactly ``d``-regular.
 
     Takes ``k`` disjoint copies of the input, where ``k`` is the order of an

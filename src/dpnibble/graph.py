@@ -102,24 +102,6 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={self.num_edges})"
 
 
-def induced_subgraph(g: Graph, vmap: np.ndarray, new_n: int) -> Graph:
-    """Induced subgraph under a monotone renumbering.
-
-    ``vmap`` sends each old vertex to its new id or -1 to drop it; kept ids
-    must be assigned in increasing order, which lets the CSR rows be filtered
-    without re-sorting.
-    """
-    if g.indices.size == 0:
-        return Graph.empty(new_n)
-    edge_src = np.repeat(np.arange(g.vertex_count, dtype=np.int64), g.degrees())
-    keep = (vmap[edge_src] >= 0) & (vmap[g.indices] >= 0)
-    new_src = vmap[edge_src[keep]]
-    new_dst = vmap[g.indices[keep]]
-    indptr = np.zeros(new_n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(new_src, minlength=new_n))
-    return Graph(new_n, indptr, new_dst)
-
-
 def max_degree(g: Graph) -> int:
     """Maximum vertex degree; 0 for the empty graph."""
     if g.vertex_count == 0:

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .cover import DpCover, PartialColoring, subcover
+from .cover import DpCover, PartialColoring
 from .errors import RetriesExhaustedError
 
 
@@ -129,10 +129,6 @@ class ResidualView:
         """Largest residual cover degree; 0 without alive colors."""
         return int(self.deg[self.lcolors].max(initial=0))
 
-    def to_cover(self) -> DpCover:
-        """The residual as a cover of its own, colors renumbered in root order."""
-        return subcover(self.root, self.blank, self.alive)
-
 
 def _as_view(cover: DpCover | ResidualView) -> ResidualView:
     return cover if isinstance(cover, ResidualView) else ResidualView.of(cover)
@@ -174,8 +170,8 @@ class RoundOutcome:
 
     Vertices are residual ranks and colors root ids.  ``activated_mask``/
     ``col``/``kept_mask``/``phi`` are the raw arrays (one row of a kernel
-    block); the residual degrees (``next_deg``), the next residual and its
-    cover are built on demand.
+    block); the residual degrees (``next_deg``) and the next residual, a
+    :class:`ResidualView` over the same root, are built on demand.
     """
 
     def __init__(self, view: ResidualView, seed: int, activated_mask: np.ndarray,
@@ -213,7 +209,7 @@ class RoundOutcome:
         return residual_degrees(self.view, self.stays[None])[0]
 
     @cached_property
-    def next_view(self) -> ResidualView:
+    def residual(self) -> ResidualView:
         """The residual after this round, as masks over the same root."""
         v = self.view
         dying = v.lcolors[~self.stays]
@@ -223,11 +219,6 @@ class RoundOutcome:
         alive[dying] = False
         sizes = v.sizes - np.bincount(v.root.owner[dying], minlength=v.blank.size)
         return ResidualView(v.root, blank, alive, sizes, self.next_deg)
-
-    @cached_property
-    def residual(self) -> DpCover:
-        """Induced cover on blank vertices with their kept lists."""
-        return self.next_view.to_cover()
 
 
 def run_block(cover: DpCover | ResidualView, params: RoundParams, seed: int,

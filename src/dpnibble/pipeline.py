@@ -6,7 +6,8 @@ the uniform list bound for the next round is the smallest surviving kept
 list, and the degree bound is the largest residual cover degree (never worse
 than the closed-form prediction after a good round).  Nibbling stops as soon
 as every list is at least eight times the residual cover degree, at which
-point repeated resampling of conflicting edges completes the coloring.  The
+point repeated resampling of conflicting edges completes the coloring; the
+resampler reads the same masks and builds no renumbered cover.  The
 returned coloring is verified against the original cover before it leaves
 this module.
 
@@ -83,13 +84,24 @@ class ColoringResult:
     verified: bool = True
 
 
-def finish(c: DpCover, max_resamples: int, seed: int) -> PartialColoring:
-    """Total proper coloring by iterated resampling of conflicted edges.
+def finish_with_stats(c: DpCover, max_resamples: int, seed: int):
+    """:func:`resample_residual` on a whole cover, its coloring as a PartialColoring."""
+    chosen, resamples, trajectory = resample_residual(ResidualView.of(c), max_resamples, seed)
+    return PartialColoring(chosen), resamples, trajectory
 
-    Requires every list to be at least eight times the cover's max degree.
-    Assigns every vertex a uniform color, then repeatedly picks the first
-    violated cover edge (lexicographic order) and redraws both endpoint
-    vertices, until no violation remains or the budget runs out.
+
+def resample_residual(view: ResidualView, max_resamples: int, seed: int):
+    """Proper colors for the residual vertices by iterated resampling.
+
+    Requires every alive list to be at least eight times the residual cover
+    degree.  Assigns every residual vertex a uniform alive color, then
+    repeatedly picks the first violated cover edge (lexicographic order) and
+    redraws both endpoint vertices, until no violation remains or the budget
+    runs out.  Returns the root color ids chosen, by residual rank, the
+    resample count and the conflict trajectory (empty without cover edges).
+    The rows walked are the root cover's: dead colors are never chosen, and
+    ranks and root ids are ordered alike, so the draws are those of a
+    renumbered residual cover.
 
     This is the resampling algorithm of Moser and Tardos, and like it the
     finisher re-checks only the events a redraw can change: a vertex moving
@@ -100,45 +112,40 @@ def finish(c: DpCover, max_resamples: int, seed: int) -> PartialColoring:
     above it; the first violated edge starts at the first lead.  A resample
     costs O(d) array work plus one scan of ``lead``.
     """
-    coloring, resamples, _ = finish_with_stats(c, max_resamples, seed)
-    return coloring
-
-
-def finish_with_stats(c: DpCover, max_resamples: int, seed: int):
-    d = max_degree(c.cover)
-    sizes = c.list_sizes()
-    n = c.base.vertex_count
-    if n == 0:
-        return PartialColoring.blank(0), 0, []
-    if sizes.min() < max(8 * d, 1):
+    d = view.max_degree()
+    sizes = view.list_sizes()
+    n = sizes.size
+    if n and sizes.min() < max(8 * d, 1):
         raise ValueError(
             f"resampling completion needs lists >= 8*max cover degree "
             f"({8 * d}); smallest list has {int(sizes.min())}")
     rng = np.random.default_rng(normalize_seed(seed))
 
     def draw(v: int) -> int:
-        lst = c.lists(v)
+        lst = view.lists(v)
         j = min(int(rng.random() * lst.size), lst.size - 1)
         return int(lst[j])
 
     # one uniform per vertex, in vertex order: the same doubles as n scalar draws
     pick = np.minimum((rng.random(n) * sizes).astype(np.int64), sizes - 1)
-    chosen = c.lcolors[c.lptr[:-1] + pick]
-    if c.cover.num_edges == 0:
-        return PartialColoring(chosen), 0, []
-    ptr, idx = c.cover.indptr, c.cover.indices
+    chosen = view.lcolors[view.lptr[:-1] + pick]
+    if d == 0:
+        return chosen, 0, []
+    root = view.root
+    ptr, idx = root.cover.indptr, root.cover.indices
+    rank = np.cumsum(view.blank) - 1
 
     def row(x: int) -> np.ndarray:
         return idx[ptr[x]:ptr[x + 1]]
 
-    on = np.zeros(c.num_colors, dtype=bool)
+    on = np.zeros(root.num_colors, dtype=bool)
     on[chosen] = True
     # every violated edge, seen from both of its ends
     src = np.repeat(chosen, ptr[chosen + 1] - ptr[chosen])
     dst = gather_rows(ptr, idx, chosen)
     hit = on[dst]
     count = int(np.count_nonzero(hit)) // 2
-    lead = np.zeros(c.num_colors, dtype=bool)
+    lead = np.zeros(root.num_colors, dtype=bool)
     lead[src[hit & (src < dst)]] = True
 
     def move(a: int, b: int) -> int:
@@ -161,7 +168,7 @@ def finish_with_stats(c: DpCover, max_resamples: int, seed: int):
     while True:
         trajectory.append(count)
         if count == 0:
-            return PartialColoring(chosen), resamples, trajectory
+            return chosen, resamples, trajectory
         if resamples >= max_resamples:
             raise ResampleBudgetError(
                 f"{count} conflicts remain after {resamples} resamples",
@@ -169,7 +176,7 @@ def finish_with_stats(c: DpCover, max_resamples: int, seed: int):
         x = int(np.argmax(lead))
         rx = row(x)
         y = int(rx[on[rx] & (rx > x)][0])
-        for w in sorted((int(c.owner[x]), int(c.owner[y]))):
+        for w in sorted((int(rank[root.owner[x]]), int(rank[root.owner[y]]))):
             a, b = int(chosen[w]), draw(w)
             if a != b:
                 chosen[w] = b
@@ -183,9 +190,8 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
     original = c
     base_seed = normalize_seed(cfg.seed)
     if cfg.regularize_first:
-        si = cfg.schedule_input
         # tag far outside the per-round range so streams never coincide
-        c = regularize(c, max(max_degree(c.cover), 1), si.s, si.t,
+        c = regularize(c, max(max_degree(c.cover), 1),
                        derive_seed(base_seed, 10 ** 9))
 
     n_orig = original.base.vertex_count
@@ -229,7 +235,7 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
 
         colored = outcome.phi >= 0
         phi_total[view.vertices[colored]] = outcome.phi[colored]
-        view = outcome.next_view
+        view = outcome.residual
         if cfg.verify_rounds:
             _assert_composition_sound(c, phi_total, view)
         res_sizes = view.list_sizes()
@@ -247,17 +253,12 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
             f"round budget ({cfg.max_rounds}) exhausted before lists cleared "
             f"8x the residual degree", telemetry=telemetry)
 
-    finish_resamples = 0
-    if view.vertices.size > 0:
-        try:
-            fin, finish_resamples, _ = finish_with_stats(
-                view.to_cover() if telemetry else c,
-                cfg.max_finish_resamples, derive_seed(base_seed, 0))
-        except (ValueError, ResampleBudgetError) as exc:
-            raise PipelineError(f"completion failed: {exc}",
-                                telemetry=telemetry) from exc
-        # the finisher's cover numbers the alive colors in increasing root id
-        phi_total[view.vertices] = np.flatnonzero(view.alive)[fin.assignment]
+    try:
+        phi_total[view.vertices], finish_resamples, _ = resample_residual(
+            view, cfg.max_finish_resamples, derive_seed(base_seed, 0))
+    except (ValueError, ResampleBudgetError) as exc:
+        raise PipelineError(f"completion failed: {exc}",
+                            telemetry=telemetry) from exc
 
     result = PartialColoring(phi_total[:n_orig] if cfg.regularize_first else phi_total)
     ok, witness = verify_proper(original, result)

@@ -168,3 +168,24 @@ def classify_oracle(cover: Graph, anchor: int, d: int, t: int):
         if cnt >= thr:
             sad.add(int(cp))
     return bad, sad
+
+
+def residual_cover(view) -> tuple[DpCover, np.ndarray]:
+    """The residual of a ``ResidualView`` as a cover of its own.
+
+    Blank vertices and alive colors are renumbered densely in increasing
+    order of their root ids, edges kept when both ends are.  Also returns
+    the root id of every new color.
+    """
+    root = view.root
+    vertices = np.flatnonzero(view.blank).tolist()
+    colors = np.flatnonzero(view.alive)
+    vnew = {v: i for i, v in enumerate(vertices)}
+    cnew = {x: i for i, x in enumerate(colors.tolist())}
+    lists = [[cnew[x] for x in root.lists(v).tolist() if x in cnew] for v in vertices]
+    base_edges = [(vnew[u], vnew[v]) for u, v in root.base.edge_array().tolist()
+                  if u in vnew and v in vnew]
+    cover_edges = [(cnew[x], cnew[y]) for x, y in root.cover.edge_array().tolist()
+                   if x in cnew and y in cnew]
+    return DpCover(Graph.from_edges(len(vertices), base_edges),
+                   Graph.from_edges(len(cnew), cover_edges), lists), colors

@@ -273,7 +273,7 @@ def test_c06_regularization(acceptance_reporter):
                              dp.Graph.from_edges(cov.num_colors, edges[keep]),
                              cov.all_lists())
         assert cov.num_colors <= 300
-        out = dp.regularize(cov, d, 2, 2, seed=2000 + case)
+        out = dp.regularize(cov, d, seed=2000 + case)
         ds = out.cover.degrees()
         assert ds.min() == ds.max() == d, "not exactly regular"
         assert dp.validate(out) == [], "invalid output"

@@ -78,6 +78,14 @@ class TestClassifyStructure:
         assert rep.tau == pytest.approx(4 / 18)
         assert rep.sad_bound == pytest.approx(3 ** (1 - 1 / 30))
 
+    def test_t_beyond_float_range(self):
+        # the exponents are integer quotients: tiny, not an OverflowError
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2), (4, 3), (5, 1)])
+        rep = classify_structure(g, anchor=0, d=3, t=10 ** 400)
+        assert (rep.delta, rep.beta1, rep.beta2, rep.delta2, rep.tau) == (0.0,) * 5
+        assert rep.sad_bound == 3.0
+        assert (rep.bad, rep.good, rep.sad, rep.happy) == ((4,), (5,), (), (1, 2, 3))
+
     def test_anchor_degree_checked(self):
         with pytest.raises(ValueError, match="exceeds"):
             classify_structure(star_graph(5), anchor=0, d=3, t=1)

@@ -226,25 +226,27 @@ class TestValidate:
 class TestResidual:
     def test_identity_when_nothing_colored(self):
         cov = regular_cover(10, 3, 4, seed=6)
-        out = ResidualView.of(cov).to_cover()
-        assert out.base == cov.base
-        assert out.cover == cov.cover
-        assert np.array_equal(out.lcolors, cov.lcolors)
+        view = ResidualView.of(cov)
+        assert view.blank.all() and view.alive.all()
+        assert np.array_equal(view.vertices, np.arange(10))
+        assert np.array_equal(view.lptr, cov.lptr)
+        assert np.array_equal(view.lcolors, cov.lcolors)
+        assert np.array_equal(view.deg, cov.cover.degrees())
+        assert view.max_degree() == max_degree(cov.cover)
 
     def test_empty_when_all_colored(self):
         cov = from_list_assignment(Graph.empty(3), [[0]] * 3)
         outcome = run_round(cov, RoundParams(eta=1.0, d=1, ell=1, beta=0.1), seed=0)
         assert list(outcome.phi) == [0, 1, 2]
-        view = outcome.next_view
+        view = outcome.residual
         assert view.vertices.size == 0 and not view.alive.any()
-        out = outcome.residual
-        assert out.base.vertex_count == 0
-        assert out.num_colors == 0
+        assert view.lcolors.size == 0 and view.list_sizes().size == 0
+        assert view.max_degree() == 0
 
     def test_round_outcome_residual_avoids_image(self):
         cov = regular_cover(12, 4, 6, seed=7)
         outcome = run_round(cov, RoundParams(eta=0.5, d=4, ell=6, beta=0.02), seed=3)
-        view = outcome.next_view
+        view = outcome.residual
         image = set(outcome.phi[outcome.phi >= 0].tolist())
         for col in np.flatnonzero(view.alive):
             for nb in cov.cover.neighbors(int(col)):
@@ -253,12 +255,12 @@ class TestResidual:
         assert view.vertices.size <= cov.base.vertex_count
         for i, v in enumerate(view.vertices):
             assert set(view.lists(i).tolist()) <= set(cov.lists(int(v)).tolist())
-        # the renumbered residual cover holds the same lists in the same order
-        res = outcome.residual
-        alive = np.flatnonzero(view.alive)
-        assert res.base.vertex_count == view.vertices.size
-        for i in range(view.vertices.size):
-            assert np.array_equal(alive[res.lists(i)], view.lists(i))
+        # residual vertex i is the i-th blank vertex, with its alive colors in
+        # increasing order
+        assert np.array_equal(view.vertices, np.flatnonzero(outcome.phi < 0))
+        for i, v in enumerate(view.vertices):
+            lst = cov.lists(int(v))
+            assert np.array_equal(view.lists(i), lst[view.alive[lst]])
 
     def test_kept_must_be_subset(self):
         # alive colors belong to blank vertices only, and the kept counts
@@ -267,7 +269,7 @@ class TestResidual:
         view = ResidualView.of(cov)
         p = RoundParams(eta=0.5, d=4, ell=8, beta=0.02)
         for seed in range(5):
-            view = run_round(view, p, seed).next_view
+            view = run_round(view, p, seed).residual
             assert np.all(view.blank[cov.owner[view.alive]])
             assert np.array_equal(
                 view.sizes, np.bincount(cov.owner[view.alive], minlength=16))
@@ -281,11 +283,11 @@ class TestResidual:
 class TestRegularize:
     def test_already_regular_is_identity(self):
         cov = regular_cover(10, 3, 4, seed=9)
-        assert regularize(cov, 3, 2, 2, seed=1) is cov
+        assert regularize(cov, 3, seed=1) is cov
 
     def test_single_vertex_single_color(self):
         cov = from_list_assignment(Graph.empty(1), [[0]])
-        out = regularize(cov, 1, 2, 2, seed=1)
+        out = regularize(cov, 1, seed=1)
         assert out.base.vertex_count == 2
         assert out.num_colors == 2
         assert out.cover.num_edges == 1
@@ -296,7 +298,7 @@ class TestRegularize:
         # every color deficient by one: K2 base, single-color lists, d = 2
         cov = from_list_assignment(Graph.from_edges(2, [(0, 1)]), [[0], [0]])
         assert max_degree(cov.cover) == 1
-        out = regularize(cov, 2, 2, 2, seed=3)
+        out = regularize(cov, 2, seed=3)
         degs = out.cover.degrees()
         assert degs.min() == degs.max() == 2
         assert validate(out) == []
@@ -307,7 +309,7 @@ class TestRegularize:
         base = random_girth5_regular(30, 3, seed=seed)
         cov = random_dp_cover(base, 4, 1.0, seed=seed + 10)
         cov = drop_cover_edges(cov, drop, seed=seed + 20)
-        out = regularize(cov, 3, 2, 2, seed=seed + 30)
+        out = regularize(cov, 3, seed=seed + 30)
         degs = out.cover.degrees()
         assert degs.min() == degs.max() == 3
         assert validate(out) == []
@@ -323,20 +325,20 @@ class TestRegularize:
     def test_rejects_degree_above_target(self):
         cov = regular_cover(10, 4, 3, seed=11)
         with pytest.raises(ValueError, match="exceeds"):
-            regularize(cov, 3, 2, 2, seed=1)
+            regularize(cov, 3, seed=1)
 
     @pytest.mark.parametrize("n, ell, drop, seed", sorted(REGULARIZED))
     def test_recorded_digests(self, n, ell, drop, seed):
         base = random_girth5_regular(n, 3, seed=seed)
         cov = drop_cover_edges(random_dp_cover(base, ell, 1.0, seed=seed + 10), drop, seed + 20)
-        out = regularize(cov, 3, 2, 2, seed=seed + 30)
+        out = regularize(cov, 3, seed=seed + 30)
         digest = hashlib.sha256(cover_to_json(out).encode()).hexdigest()
         assert digest == REGULARIZED[n, ell, drop, seed]
 
     @pytest.mark.parametrize("n, labels, d", sorted(REGULARIZED_PATHS))
     def test_recorded_digests_repeated_stubs(self, n, labels, d):
         cov = from_list_assignment(path_graph(n), [range(labels)] * n)
-        out = regularize(cov, d, 2, 2, seed=5)
+        out = regularize(cov, d, seed=5)
         digest = hashlib.sha256(cover_to_json(out).encode()).hexdigest()
         assert digest == REGULARIZED_PATHS[n, labels, d]
 
@@ -346,12 +348,12 @@ class TestRegularize:
         monkeypatch.setattr(generators, "girth5_auxiliary", lambda *args, **kwargs: wrong)
         cov = from_list_assignment(path_graph(2), [[0], [0]])
         with pytest.raises(GenerationError, match="not 2-regular"):
-            regularize(cov, 2, 2, 2, seed=1)
+            regularize(cov, 2, seed=1)
 
     def test_freeness_preserved_up_to_three_by_three(self):
         base = random_girth5_regular(30, 3, seed=21)
         cov = drop_cover_edges(random_dp_cover(base, 3, 1.0, seed=22), 2, seed=23)
-        out = regularize(cov, 3, 3, 3, seed=24)
+        out = regularize(cov, 3, seed=24)
         for s, t in [(2, 2), (2, 3), (3, 2), (3, 3)]:
             assert contains_kst(cov.cover, s, t) == contains_kst(out.cover, s, t)
 

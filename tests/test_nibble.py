@@ -212,7 +212,7 @@ class TestGoodRounds:
         p = RoundParams(eta=0.7, d=4, ell=5, beta=0.05)
         o = run_round(cov, p, seed=3)
         sizes = o.kept_sizes()
-        resdeg = o.next_view.deg
+        resdeg = o.residual.deg
         in_res = o.kept_mask & (o.phi[cov.owner] < 0)
         bv, bc = count_violations(o, 2.0, 3.0)
         assert bv == int(np.sum(sizes <= 2.0))

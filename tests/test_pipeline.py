@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from dpnibble import (Graph, PipelineConfig, ScheduleInput, color_graph, finish,
+from dpnibble import (Graph, PipelineConfig, ScheduleInput, color_graph,
                       from_list_assignment, uniform_list_cover)
 from dpnibble.analysis import verify_proper
 from dpnibble.errors import PipelineError, ResampleBudgetError
 from dpnibble.generators import incidence_graph, random_dp_cover, random_regular
-from dpnibble.pipeline import finish_with_stats, result_to_json
+from dpnibble.nibble import ResidualView, RoundParams, run_round
+from dpnibble.pipeline import finish_with_stats, resample_residual, result_to_json
 
-from conftest import finish_by_rescan, regular_cover
+from conftest import finish_by_rescan, path_graph, regular_cover, residual_cover
 
 
 def k2_matched(ell: int):
@@ -48,14 +49,14 @@ class TestFinish:
 
     def test_large_random_cover_terminates_and_verifies(self):
         cov = regular_cover(200, 4, 32, seed=2)
-        coloring = finish(cov, 10_000, seed=3)
+        coloring = finish_with_stats(cov, 10_000, seed=3)[0]
         ok, _ = verify_proper(cov, coloring)
         assert ok and coloring.is_total()
 
     def test_precondition_enforced(self):
         cov = regular_cover(10, 3, 4, seed=4)  # 4 < 8*3
         with pytest.raises(ValueError, match="8"):
-            finish(cov, 100, seed=1)
+            finish_with_stats(cov, 100, seed=1)
 
     def test_budget_error_carries_trajectory(self):
         cov = k2_matched(8)  # eight matched pairs: conflict odds 1/8 per draw
@@ -67,8 +68,8 @@ class TestFinish:
 
     def test_deterministic(self):
         cov = regular_cover(60, 3, 24, seed=5)
-        a = finish(cov, 1000, seed=9)
-        b = finish(cov, 1000, seed=9)
+        a = finish_with_stats(cov, 1000, seed=9)[0]
+        b = finish_with_stats(cov, 1000, seed=9)[0]
         assert np.array_equal(a.assignment, b.assignment)
 
 
@@ -77,6 +78,29 @@ RESCAN_COVERS = {
     "k2_matched": lambda: k2_matched(8),
     "regular": lambda: regular_cover(60, 3, 24, seed=5),
     "thinned": lambda: random_dp_cover(random_regular(200, 4, 3), 32, 0.7, 4),
+}
+
+
+
+def residual_after(cov, p: RoundParams, rounds: int) -> ResidualView:
+    view = ResidualView.of(cov)
+    for seed in range(100, 100 + rounds):
+        view = run_round(view, p, seed).residual
+    return view
+
+
+# residuals of nibble rounds whose lists stay at least 8x the residual degree
+RESCAN_RESIDUALS = {
+    **{f"regular_{k}": (lambda k=k: residual_after(
+        regular_cover(60, 3, 32, seed=5), RoundParams(eta=0.5, d=3, ell=32, beta=0.05), k))
+       for k in (1, 2, 3)},
+    **{f"list_{k}": (lambda k=k: residual_after(
+        uniform_list_cover(random_regular(80, 4, seed=9), 40),
+        RoundParams(eta=0.5, d=4, ell=40, beta=0.05), k))
+       for k in (1, 2, 3)},
+    # round seed 59 colors vertices 1 and 3 of the path and leaves no cover edge
+    "edgeless": lambda: run_round(uniform_list_cover(path_graph(5), 8),
+                                  RoundParams(eta=0.5, d=2, ell=8, beta=0.05), 59).residual,
 }
 
 
@@ -106,6 +130,33 @@ class TestFinishAgainstRescan:
                 finish_with_stats(cov, 2, seed)
             assert exc.value.conflict_trajectory == trajectory
             assert str(exc.value) == f"{trajectory[-1]} conflicts remain after 2 resamples"
+
+    @pytest.mark.parametrize("name", sorted(RESCAN_RESIDUALS))
+    def test_residual_same_run_as_rescan_of_renumbered_cover(self, name):
+        view = RESCAN_RESIDUALS[name]()
+        cov, root_ids = residual_cover(view)
+        assert view.vertices.size == cov.base.vertex_count > 0
+        assert (view.max_degree() == 0) == (name == "edgeless")
+        for seed in range(60):
+            colors, resamples, trajectory, done = finish_by_rescan(cov, 1000, seed)
+            assert done
+            got, got_resamples, got_trajectory = resample_residual(view, 1000, seed)
+            assert got.tolist() == root_ids[colors].tolist(), seed
+            # without cover edges the finisher records no trajectory
+            expect = trajectory if cov.cover.num_edges else []
+            assert (got_resamples, got_trajectory) == (resamples, expect), seed
+
+    @pytest.mark.parametrize("name", sorted(RESCAN_RESIDUALS))
+    def test_residual_same_budget_exhaustion_as_rescan(self, name):
+        view = RESCAN_RESIDUALS[name]()
+        cov, _ = residual_cover(view)
+        for seed in range(20):
+            _, _, trajectory, done = finish_by_rescan(cov, 0, seed)
+            if done:
+                continue
+            with pytest.raises(ResampleBudgetError) as exc:
+                resample_residual(view, 0, seed)
+            assert exc.value.conflict_trajectory == trajectory
 
     # recorded before the finisher updated its state incrementally
     def test_pinned_trajectory(self):
