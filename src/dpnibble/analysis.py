@@ -1,6 +1,6 @@
 """Verification and empirical measurement utilities.
 
-Four jobs: certify proper colorings, classify the two-step neighborhood of
+Four tasks: certify proper colorings, classify the two-step neighborhood of
 an anchor color into concentration-friendly and problematic parts, estimate
 per-round statistics by seeded Monte Carlo, and compute the same quantities
 exactly by brute-force enumeration on micro instances (the oracle grounding

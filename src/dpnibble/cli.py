@@ -11,15 +11,11 @@ validation error, 3 budget exhaustion.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
-import numpy as np
 
 from . import analysis, generators, pipeline
 from .cover import DpCover, cover_from_json, cover_to_json, uniform_list_cover
@@ -56,20 +52,35 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+# the JSON type each config key must have: that of its flag on `generate`
+_CONFIG_TYPES = {"kind": str, "n": int, "d": int, "ell": int, "rho": float,
+                 "m": int, "s": int, "t": int, "seed": int, "girth5": bool}
+
+
 def _load_config(path: str | None) -> dict:
+    """Read the config object; a bad file or a mistyped value exits 2."""
     if not path:
         return {}
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    # decoding and parse errors are ValueErrors; deep nesting is a RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
+        _fail(EXIT_USAGE, f"cannot load config: {exc}")
+    if not isinstance(cfg, dict):
+        _fail(EXIT_USAGE, f"cannot load config: expected an object, got {type(cfg).__name__}")
+    for key, want in _CONFIG_TYPES.items():
+        value = cfg.get(key)
+        # bool is an int to Python but not to JSON; an int is a valid float
+        if key in cfg and ((want is bool) != isinstance(value, bool) or not isinstance(
+                value, (int, float) if want is float else want)):
+            _fail(EXIT_USAGE, f"config key {key!r} must be {want.__name__}, got {value!r}")
+    return cfg
 
 
 def _resolve(flag_value, config: dict, key: str, default=None):
     """Flags take precedence over the config file, which beats the default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
+    return flag_value if flag_value is not None else config.get(key, default)
 
 
 def _load_cover(path: str) -> DpCover:
@@ -269,14 +280,9 @@ def cmd_color(cover_file, seed, epsilon, s, t, slack, max_retries,
               help="Sets the tail exponent beta = 1/(25t).")
 @click.option("--anchor", type=int, default=None,
               help="Track one color's uncolored/kept overlap per trial.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker threads over chunks of trials; the output is the "
-                   "same for any value. The threads share the interpreter "
-                   "lock: on 2 vCPUs --jobs 2 took 1.2-1.5 times as long as "
-                   "--jobs 1 (10,000 trials on 408 colors, 2,000 on 4,800).")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--summary", "summary_path", type=click.Path(), default=None)
-def cmd_stats(cover_file, seed, trials, eta, t, anchor, jobs, out, summary_path):
+def cmd_stats(cover_file, seed, trials, eta, t, anchor, out, summary_path):
     """Seeded Monte-Carlo statistics for one round on a cover."""
     cov = _load_cover(cover_file)
     d = max(max_degree(cov.cover), 1)
@@ -285,7 +291,7 @@ def cmd_stats(cover_file, seed, trials, eta, t, anchor, jobs, out, summary_path)
         _fail(EXIT_USAGE, "t must be >= 1")
     try:
         params = RoundParams(eta=eta, d=d, ell=ell, beta=tail_exponent(t))
-        stats = _run_stats(cov, params, trials, seed, anchor, jobs)
+        stats = analysis.round_stats(cov, params, trials, seed, anchor=anchor)
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
     except MemoryError as exc:
@@ -298,28 +304,6 @@ def cmd_stats(cover_file, seed, trials, eta, t, anchor, jobs, out, summary_path)
         with open(summary_path, "w") as fh:
             fh.write(analysis.stats_summary_json(stats, config))
         click.echo(f"summary {summary_path}")
-
-
-def _run_stats(cov: DpCover, params: RoundParams, trials: int, seed: int,
-               anchor: int | None, jobs: int) -> analysis.RoundStats:
-    """Split trials into contiguous chunks; merge deterministically by index."""
-    if jobs <= 1 or trials < 2 * jobs:
-        return analysis.round_stats(cov, params, trials, seed, anchor=anchor)
-    bounds = np.linspace(0, trials, jobs + 1).astype(int)
-    chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-        parts = list(pool.map(
-            lambda c: analysis.round_stats(cov, params, c[1] - c[0],
-                                           seed + c[0], anchor=anchor),
-            chunks))
-    # the chunks' integer sums add exactly; the statistics divide once
-    summed = ("trials", "kept_sum", "kept_sumsq", "res_sum", "res_sumsq",
-              "kept_tail", "res_tail")
-    joined = ("anchor_u", "anchor_u_minus_k", "anchor_res")
-    return dataclasses.replace(
-        parts[0],
-        **{f: sum(getattr(p, f) for p in parts) for f in summed},
-        **{f: np.concatenate([getattr(p, f) for p in parts]) for f in joined})
 
 
 if __name__ == "__main__":

@@ -48,13 +48,12 @@ def uncolor_fn(d: float, ell: float, eta: float) -> float:
 
 def ell_next(d: float, ell: float, eta: float, beta: float) -> float:
     """Guaranteed list size after a good round (real-valued)."""
-    return keep_fn(d, ell, eta) * ell - ell ** (1.0 - beta)
+    return good_round_targets(d, ell, eta, beta)[0]
 
 
 def d_next(d: float, ell: float, eta: float, beta: float) -> float:
     """Guaranteed residual degree bound after a good round (real-valued)."""
-    k = keep_fn(d, ell, eta)
-    return k * uncolor_fn(d, ell, eta) * d + d ** (1.0 - beta)
+    return good_round_targets(d, ell, eta, beta)[1]
 
 
 def good_round_targets(d: float, ell: float, eta: float, beta: float,

@@ -102,8 +102,8 @@ class Schedule:
     i_star: int | None  # None means "not reached"
 
 
-def derive_constants(inp: ScheduleInput) -> tuple[float, float, float, int]:
-    """(kappa, eta, beta, ell_1) for the iteration; natural logs throughout."""
+def _derive(inp: ScheduleInput) -> tuple[LD, LD, float, int]:
+    """(kappa, eta, beta, ell_1), kappa and eta in extended precision."""
     if inp.d < 3:
         raise ScheduleError(f"d={inp.d} is too small for a meaningful schedule")
     eps = LD(inp.epsilon)
@@ -112,21 +112,22 @@ def derive_constants(inp: ScheduleInput) -> tuple[float, float, float, int]:
     eta = kappa / logd
     if not eta < 1.0:
         raise ScheduleError(f"d={inp.d} too small: activation probability {float(eta)} >= 1")
-    beta = tail_exponent(inp.t)
     ell_1 = int(np.rint((1 + eps) * LD(inp.d) / logd))
     if ell_1 < 1:
         raise ScheduleError("derived initial list size is below 1")
-    return float(kappa), float(eta), float(beta), ell_1
+    return kappa, eta, tail_exponent(inp.t), ell_1
+
+
+def derive_constants(inp: ScheduleInput) -> tuple[float, float, float, int]:
+    """(kappa, eta, beta, ell_1) for the iteration, as floats."""
+    kappa, eta, beta, ell_1 = _derive(inp)
+    return float(kappa), float(eta), beta, ell_1
 
 
 def compute_schedule(inp: ScheduleInput, max_iters: int = 10000) -> Schedule:
     """Run the integer recursion until the terminal condition, domain exit,
     or ``max_iters``."""
-    kappa_f, eta_f, beta_f, ell_1 = derive_constants(inp)
-    eps = LD(inp.epsilon)
-    kappa = (1 + eps / 2) * np.log1p(eps / 100)
-    logd = np.log(LD(inp.d))
-    eta = kappa / logd
+    kappa, eta, beta_f, ell_1 = _derive(inp)
     beta = LD(beta_f)
 
     states: list[ScheduleState] = []
@@ -156,7 +157,7 @@ def compute_schedule(inp: ScheduleInput, max_iters: int = 10000) -> Schedule:
         d_hat = keep * uncolor * d_hat
         ell, dd = next_ell, next_d
 
-    return Schedule(input=inp, kappa=kappa_f, eta=eta_f, beta=beta_f,
+    return Schedule(input=inp, kappa=float(kappa), eta=float(eta), beta=beta_f,
                     ell_1=ell_1, states=tuple(states), i_star=i_star)
 
 
@@ -181,27 +182,18 @@ def hat_deviation_report(s: Schedule) -> list[tuple[float, float]]:
     return out
 
 
-# -- hypothesis gates for the monotonicity / deviation laws -----------------
+# -- hypotheses of the monotonicity / deviation laws --------------------------
 
 
-def ratio_law_gate(s: Schedule, i: int) -> bool:
-    """Hypotheses under which d/ell monotonicity is guaranteed at step i -> i+1:
-    for all j <= i, ell_j^beta and d_j^beta >= 30 log^2 d and ell_j <= 8 d_j."""
-    thresh = 30.0 * math.log(s.input.d) ** 2
-    for st in s.states[:i]:
+def law_prefix(s: Schedule, power: int) -> int:
+    """Number of leading states with ell^beta, d^beta >= 30 log^power d and
+    ell <= 8 d.  With power 2, d/ell is nonincreasing on them; with power 4,
+    the hat-deviation bound holds at index i when every j < i is among them."""
+    thresh = 30.0 * math.log(s.input.d) ** power
+    for k, st in enumerate(s.states):
         if st.ell ** s.beta < thresh or st.d ** s.beta < thresh or st.ell > 8 * st.d:
-            return False
-    return True
-
-
-def hat_law_gate(s: Schedule, i: int) -> bool:
-    """Hypotheses for the hat-deviation bound at index i: for all j < i,
-    ell_j^beta and d_j^beta >= 30 log^4 d and ell_j <= 8 d_j."""
-    thresh = 30.0 * math.log(s.input.d) ** 4
-    for st in s.states[:i - 1]:
-        if st.ell ** s.beta < thresh or st.d ** s.beta < thresh or st.ell > 8 * st.d:
-            return False
-    return True
+            return k
+    return len(s.states)
 
 
 def keep_bounds(s: Schedule, i: int) -> tuple[float, float]:

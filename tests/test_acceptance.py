@@ -27,7 +27,7 @@ from dpnibble.generators import (incidence_graph, kst_free_bipartite,
                                  random_dp_cover, random_girth5_regular,
                                  random_regular)
 from dpnibble.nibble import RoundParams, keep_fn, uncolor_fn
-from dpnibble.schedule import ScheduleInput, compute_schedule
+from dpnibble.schedule import ScheduleInput, compute_schedule, law_prefix
 
 from conftest import cycle_graph, regular_cover
 
@@ -179,14 +179,7 @@ def test_c05_schedule_laws(acceptance_reporter):
         logd = math.log(d)
 
         # (a) d/ell nonincreasing while the ratio-law hypotheses hold
-        thresh = 30 * logd ** 2
-        prefix = 0
-        for st in sched.states:
-            if (st.ell ** sched.beta >= thresh and st.d ** sched.beta >= thresh
-                    and st.ell <= 8 * st.d):
-                prefix += 1
-            else:
-                break
+        prefix = law_prefix(sched, 2)
         ratios = [st.ratio for st in sched.states]
         if any(ratios[i] > ratios[i - 1] for i in range(1, prefix)):
             fail_a.append((d, eps, t))
@@ -202,14 +195,7 @@ def test_c05_schedule_laws(acceptance_reporter):
             fail_c.append((d, eps, t))
 
         # (d) hat deviations within their cap while their hypotheses hold
-        thresh_hat = 30 * logd ** 4
-        prefix_hat = 1  # index 1 is vacuous (no j < 1)
-        for st in sched.states:
-            if (st.ell ** sched.beta >= thresh_hat
-                    and st.d ** sched.beta >= thresh_hat and st.ell <= 8 * st.d):
-                prefix_hat += 1
-            else:
-                break
+        prefix_hat = 1 + law_prefix(sched, 4)  # index 1 is vacuous (no j < 1)
         reportvals = dp.hat_deviation_report(sched)
         if any(max(reportvals[i - 1]) > 1.0
                for i in range(1, min(prefix_hat, len(sched.states)) + 1)):

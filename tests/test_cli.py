@@ -105,6 +105,28 @@ class TestGenerate:
         assert r.exit_code == 2, (r.output, r.exception)
         assert "error: not enough memory: " in r.output
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"{bad", "error: cannot load config: "),
+        (b"[1, 2]", "error: cannot load config: expected an object, got list"),
+        (b"\xff\xfe", "error: cannot load config: "),
+        (b'{"kind": "regular", "n": 10, "d": 2, "seed": 1.5}',
+         "error: config key 'seed' must be int, got 1.5"),
+        (b'{"kind": "regular", "n": "10", "d": 2, "seed": 1}',
+         "error: config key 'n' must be int, got '10'"),
+        (b'{"kind": "regular", "n": 10, "d": true, "seed": 1}',
+         "error: config key 'd' must be int, got True"),
+        (b'{"kind": "dp_cover", "n": 10, "d": 2, "ell": 3, "rho": "1", "seed": 1}',
+         "error: config key 'rho' must be float, got '1'"),
+        (b'{"kind": "regular", "n": 10, "d": 2, "seed": 1, "girth5": 1}',
+         "error: config key 'girth5' must be bool, got 1"),
+    ])
+    def test_bad_config_refused(self, runner, tmp_path, raw, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        r = runner.invoke(main, ["generate", "--config", str(cfg)])
+        assert r.exit_code == 2, (r.output, r.exception)
+        assert message in r.output
+
     def test_unknown_kind_in_config_refused(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "petersen", "seed": 1}))
@@ -373,22 +395,6 @@ class TestStats:
                 _, _, u, umk, res = line.split(",")
                 assert int(res) == int(u) - int(umk)
 
-    def test_jobs_do_not_change_output(self, runner, tmp_path):
-        # chunked sums must add up to the serial bytes; float merging of
-        # per-chunk means once changed the last digits at 200 trials
-        path = tmp_path / "cover.json"
-        invoke(runner, ["generate", "--kind", "dp_cover", "--n", "34", "--d", "16",
-                        "--ell", "12", "--rho", "1", "--seed", "1", "--out", str(path)])
-        for trials in ("60", "200", "1000"):
-            base = ["stats", str(path), "--seed", "3", "--trials", trials,
-                    "--eta", "0.1", "--anchor", "0"]
-            serial = tmp_path / "serial.csv"
-            invoke(runner, base + ["--jobs", "1", "--out", str(serial)])
-            for jobs in ("2", "3"):
-                out = tmp_path / f"jobs{jobs}.csv"
-                invoke(runner, base + ["--jobs", jobs, "--out", str(out)])
-                assert out.read_bytes() == serial.read_bytes(), (trials, jobs)
-
     @pytest.mark.parametrize("flags, message", [
         (["--trials", "0"], "error: trials must be >= 1"),
         (["--trials", "2", "--anchor", "-5"], "error: anchor -5 is not a color id"),
@@ -409,36 +415,12 @@ class TestStats:
         assert r.exit_code == 2, (r.output, r.exception)
         assert "error: not enough memory: " in r.output
 
-    def test_jobs_capped_at_cpu_count(self, runner, tmp_path, monkeypatch):
-        from dpnibble import cli
-
-        class SerialPool:
-            """Records ``max_workers`` and maps in the calling thread."""
-            workers = []
-
-            def __init__(self, max_workers):
-                self.workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+    def test_jobs_option_removed(self, runner, tmp_path):
         path = self.make_cover_file(tmp_path)
-        base = ["stats", str(path), "--seed", "5", "--trials", "40", "--eta", "0.4"]
-        serial = tmp_path / "serial.csv"
-        invoke(runner, base + ["--out", str(serial)])
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        out = tmp_path / "jobs.csv"
-        r = invoke(runner, base + ["--jobs", "16", "--out", str(out)])
-        assert r.exit_code == 0, r.output
-        assert SerialPool.workers == [2]
-        assert out.read_bytes() == serial.read_bytes()
+        r = runner.invoke(main, ["stats", str(path), "--seed", "5", "--trials", "4",
+                                 "--eta", "0.4", "--jobs", "2"])
+        assert r.exit_code == 2, r.output
+        assert "No such option '--jobs'" in r.output
 
     def test_summary_json(self, runner, tmp_path):
         path = self.make_cover_file(tmp_path)

@@ -4,7 +4,7 @@ import pytest
 
 from dpnibble import (ScheduleError, ScheduleInput, compute_schedule, derive_constants,
                       hat_deviation_report, schedule_to_csv)
-from dpnibble.schedule import hat_law_gate, keep_bounds, ratio_law_gate, tail_exponent
+from dpnibble.schedule import keep_bounds, law_prefix, tail_exponent
 
 
 def mpmath_schedule(d, eps, t, max_iters=10000):
@@ -151,14 +151,7 @@ class TestLawsInTheirRegime:
         assert sched.i_star <= (10 / sched.kappa) * logd * math.log(logd)
 
         # monotone d/ell on the gated prefix (non-vacuous: 307 states)
-        thresh = 30 * logd ** 2
-        prefix = 0
-        for st in sched.states:
-            if (st.ell ** sched.beta >= thresh and st.d ** sched.beta >= thresh
-                    and st.ell <= 8 * st.d):
-                prefix += 1
-            else:
-                break
+        prefix = law_prefix(sched, 2)
         assert prefix == 307
         ratios = [st.ratio for st in sched.states]
         assert all(ratios[i] <= ratios[i - 1] for i in range(1, prefix))
@@ -176,12 +169,11 @@ class TestLawsInTheirRegime:
             lo, hi = keep_bounds(sched, i)
             assert lo <= sched.states[i - 1].keep <= hi
 
-    def test_gate_helpers_agree_with_manual_prefix(self):
+    def test_law_prefixes_empty_at_desk_scale(self):
         sched = compute_schedule(ScheduleInput(d=10**6, epsilon=0.1, s=2, t=2))
-        # desk scale: the gates fail already at the first iteration
-        assert not ratio_law_gate(sched, 1)
-        assert hat_law_gate(sched, 1)      # vacuous: no j < 1
-        assert not hat_law_gate(sched, 2)
+        # desk scale: the hypotheses fail already at the first iteration
+        assert law_prefix(sched, 2) == 0
+        assert law_prefix(sched, 4) == 0
 
 
 class TestCsvExport:
