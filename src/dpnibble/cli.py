@@ -19,8 +19,8 @@ import click
 
 from . import analysis, generators, pipeline
 from .cover import DpCover, cover_from_json, cover_to_json, uniform_list_cover
-from .errors import (CoverValidationError, GenerationError, PipelineError,
-                     ResampleBudgetError, RetriesExhaustedError)
+from .errors import (BudgetExceededError, CoverValidationError, GenerationError,
+                     PipelineError, ResampleBudgetError, RetriesExhaustedError)
 from .graph import graph_to_text, max_degree
 from .nibble import RoundParams
 from .schedule import (ScheduleError, ScheduleInput, compute_schedule, schedule_to_csv,
@@ -58,7 +58,7 @@ _CONFIG_TYPES = {"kind": str, "n": int, "d": int, "ell": int, "rho": float,
 
 
 def _load_config(path: str | None) -> dict:
-    """Read the config object; a bad file or a mistyped value exits 2."""
+    """Read the config object; a bad file, an unknown key or a mistyped value exits 2."""
     if not path:
         return {}
     try:
@@ -69,6 +69,9 @@ def _load_config(path: str | None) -> dict:
         _fail(EXIT_USAGE, f"cannot load config: {exc}")
     if not isinstance(cfg, dict):
         _fail(EXIT_USAGE, f"cannot load config: expected an object, got {type(cfg).__name__}")
+    unknown = sorted(set(cfg) - set(_CONFIG_TYPES))
+    if unknown:
+        _fail(EXIT_USAGE, f"unknown config key {unknown[0]!r}")
     for key, want in _CONFIG_TYPES.items():
         value = cfg.get(key)
         # bool is an int to Python but not to JSON; an int is a valid float
@@ -255,9 +258,8 @@ def cmd_color(cover_file, seed, epsilon, s, t, slack, max_retries,
     except PipelineError as exc:
         error = str(exc)
         telemetry = exc.telemetry
-        cause = exc.__cause__
-        budget = isinstance(cause, (RetriesExhaustedError, ResampleBudgetError))
-        code = EXIT_BUDGET if budget else EXIT_FEASIBILITY
+        budget = (RetriesExhaustedError, ResampleBudgetError, BudgetExceededError)
+        code = EXIT_BUDGET if isinstance(exc.__cause__, budget) else EXIT_FEASIBILITY
     except CoverValidationError as exc:
         error, code = str(exc), EXIT_USAGE
     doc = pipeline.result_to_json(result, cfg, error=error, telemetry=telemetry)

@@ -8,7 +8,8 @@ class DpnibbleError(Exception):
 
 
 class BudgetExceededError(DpnibbleError):
-    """An exact enumeration or search would exceed its configured work budget.
+    """An exact enumeration, a search or the nibble rounds would exceed their
+    configured work budget.
 
     Raised instead of silently approximating; the caller should use a smaller
     instance or raise the budget.

@@ -6,7 +6,9 @@ model with rejection of loops and parallel edges; girth-5 regular graphs are
 obtained by rejection, then local edge-swap repair of 3- and 4-cycles, and,
 at densities where local search cannot work (roughly ``n`` close to ``d^2``,
 where only near-extremal structures exist), from the incidence graph of a
-projective plane with a seeded random relabeling.
+projective plane with a seeded random relabeling.  Every girth-5 graph is
+certified before it is returned by ``girth(g, 5)``, the girth search bounded
+by 5, which stops after the triangle and 4-cycle levels of its BFS.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from ._rng import derive_seed, normalize_seed
 from .cover import DpCover
 from .errors import GenerationError
-from .graph import Graph, contains_kst, find_short_cycle, has_cycle_up_to_4
+from .graph import Graph, contains_kst, find_short_cycle, girth
 
 
 _PAIRING_TRIES = 200  # pairing-model runs before random_regular gives up
@@ -170,7 +172,7 @@ def random_girth5_regular(n: int, d: int, seed: int) -> Graph:
         tries = min(3000, max(_REJECTION_TRIES, int(12 * math.exp(lam))))
         for k in range(tries):
             g = random_regular(n, d, seed + k)
-            if not has_cycle_up_to_4(g):
+            if girth(g, 5) >= 5:
                 return g
 
     if _ball3_size(d) <= 0.7 * n:
@@ -178,7 +180,7 @@ def random_girth5_regular(n: int, d: int, seed: int) -> Graph:
         for k in range(_REPAIR_TRIES):
             g = random_regular(n, d, seed + 1000 + k)
             repaired = _swap_repair(g, _rng(seed, 7000 + k), budget)
-            if repaired is not None and not has_cycle_up_to_4(repaired):
+            if repaired is not None and girth(repaired, 5) >= 5:
                 _check_degrees(repaired, d)
                 return repaired
 
@@ -210,7 +212,7 @@ def _check_degrees(g: Graph, d: int):
 
 
 def _check_girth5(g: Graph):
-    if has_cycle_up_to_4(g):
+    if girth(g, 5) < 5:
         raise GenerationError("construction produced a short cycle")
 
 

@@ -116,8 +116,9 @@ _GIRTH_DENSE_MAX = 4096  # most vertices for which girth builds the dense adjace
 _FLOPS_PER_GATHERED = 800
 
 
-def girth(g: Graph) -> float:
-    """Length of the shortest cycle, or ``math.inf`` for forests.
+def girth(g: Graph, below: float = INFINITE) -> float:
+    """``min(girth, below)``: the shortest cycle's length, ``math.inf`` for
+    forests by default.
 
     Level-synchronous BFS from blocks of roots (Itai & Rodeh, "Finding a
     minimum circuit in a graph", SIAM J. Comput. 1978).  With the frontier at
@@ -126,7 +127,9 @@ def girth(g: Graph) -> float:
     neighbours closes one of length at most 2k+2.  No root detects less than
     the girth, and a root on a shortest cycle detects exactly its length, so
     the least detection over all roots is exact.  A block stops at its first
-    detection or once 2k+1 reaches the best length found so far.
+    detection or once 2k+1 reaches the best length found so far, which
+    starts at ``below``.  So ``girth(g, 5) < 5`` tests for a triangle or a
+    4-cycle with levels 0 and 1 alone.
 
     A level gathers the frontier's CSR rows, or, on graphs of at most
     ``_GIRTH_DENSE_MAX`` vertices once that gather would cost more, takes a
@@ -136,10 +139,10 @@ def girth(g: Graph) -> float:
     """
     n = g.vertex_count
     if g.indices.size == 0:
-        return INFINITE
+        return float(below)
     deg = g.degrees()
     adjacency = None
-    best = INFINITE
+    best = below
     rows = max(1, _GIRTH_BLOCK // max(n, g.indices.size))
     for lo in range(0, n, rows):
         r = min(rows, n - lo)
@@ -308,25 +311,6 @@ def _search_subsets(g: Graph, cand_set: set[int], s: int, t: int,
         if len(first) >= t and (s == 1 or rec(v, 1, first)):
             return True
     return False
-
-
-def has_cycle_up_to_4(g: Graph) -> bool:
-    """True iff the graph contains a triangle or a 4-cycle.
-
-    Dense common-neighbor counting up to 4096 vertices, :func:`find_short_cycle`
-    beyond; used by generators to test girth >= 5 without the exact girth.
-    """
-    n = g.vertex_count
-    if n == 0 or g.indices.size == 0:
-        return False
-    if n <= 4096:
-        a = _dense_adjacency(g)
-        common = a @ a
-        if np.any((common >= 1.0) & (a == 1.0)):
-            return True
-        np.fill_diagonal(common, 0.0)
-        return bool(np.any(common >= 2.0))
-    return find_short_cycle([set(g.neighbors(v).tolist()) for v in range(n)]) is not None
 
 
 def find_short_cycle(adj: list[set[int]]):

@@ -29,7 +29,8 @@ from ._kernels import gather_rows
 from ._rng import derive_seed, normalize_seed
 from .analysis import verify_proper
 from .cover import DpCover, PartialColoring, regularize, require_valid
-from .errors import PipelineError, ResampleBudgetError, RetriesExhaustedError
+from .errors import (BudgetExceededError, PipelineError, ResampleBudgetError,
+                     RetriesExhaustedError)
 from .graph import max_degree
 from .nibble import (ResidualView, RoundParams, good_round_targets,
                      run_round_until_good)
@@ -45,7 +46,6 @@ class PipelineConfig:
     max_finish_resamples: int = 100000
     max_rounds: int = 5000
     regularize_first: bool = False
-    verify_rounds: bool = False
 
     def __post_init__(self):
         # NaN fails every comparison, and a NaN or infinite slack passes
@@ -56,12 +56,6 @@ class PipelineConfig:
             raise ValueError("slack must be >= 1")
         if min(self.max_round_retries, self.max_finish_resamples, self.max_rounds) < 1:
             raise ValueError("budgets must be >= 1")
-
-    def echo(self) -> dict:
-        """Every field but the debugging switch ``verify_rounds``."""
-        doc = asdict(self)
-        del doc["verify_rounds"]
-        return doc
 
 
 @dataclass(frozen=True)
@@ -236,8 +230,6 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
         colored = outcome.phi >= 0
         phi_total[view.vertices[colored]] = outcome.phi[colored]
         view = outcome.residual
-        if cfg.verify_rounds:
-            _assert_composition_sound(c, phi_total, view)
         res_sizes = view.list_sizes()
         telemetry.append(RoundTelemetry(
             iteration=i,
@@ -249,9 +241,10 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
             remaining=view.vertices.size,
         ))
     else:
-        raise PipelineError(
+        exhausted = BudgetExceededError(
             f"round budget ({cfg.max_rounds}) exhausted before lists cleared "
-            f"8x the residual degree", telemetry=telemetry)
+            f"8x the residual degree")
+        raise PipelineError(str(exhausted), telemetry=telemetry) from exhausted
 
     try:
         phi_total[view.vertices], finish_resamples, _ = resample_residual(
@@ -270,21 +263,11 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
                           finish_resamples=finish_resamples)
 
 
-def _assert_composition_sound(root: DpCover, phi_total: np.ndarray,
-                              view: ResidualView) -> None:
-    """No alive color may neighbour a color assigned so far."""
-    g = root.cover
-    touched = gather_rows(g.indptr, g.indices, phi_total[phi_total >= 0])
-    bad = touched[view.alive[touched]]
-    if bad.size:
-        raise AssertionError(f"surviving color {int(bad[0])} conflicts with an assigned one")
-
-
 def result_to_json(result: ColoringResult | None, cfg: PipelineConfig,
                    error: str | None = None,
                    telemetry: list[RoundTelemetry] | None = None) -> str:
     doc = {
-        "config": cfg.echo(),
+        "config": asdict(cfg),
         "ok": error is None,
     }
     if error is not None:

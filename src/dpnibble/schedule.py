@@ -127,6 +127,8 @@ def derive_constants(inp: ScheduleInput) -> tuple[float, float, float, int]:
 def compute_schedule(inp: ScheduleInput, max_iters: int = 10000) -> Schedule:
     """Run the integer recursion until the terminal condition, domain exit,
     or ``max_iters``."""
+    if max_iters < 1:
+        raise ScheduleError("max_iters must be >= 1")
     kappa, eta, beta_f, ell_1 = _derive(inp)
     beta = LD(beta_f)
 

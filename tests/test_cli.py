@@ -119,6 +119,8 @@ class TestGenerate:
          "error: config key 'rho' must be float, got '1'"),
         (b'{"kind": "regular", "n": 10, "d": 2, "seed": 1, "girth5": 1}',
          "error: config key 'girth5' must be bool, got 1"),
+        (b'{"kind": "regular", "n": 10, "d": 3, "seed": 1, "girth_5": true}',
+         "error: unknown config key 'girth_5'"),
     ])
     def test_bad_config_refused(self, runner, tmp_path, raw, message):
         cfg = tmp_path / "cfg.json"
@@ -152,6 +154,15 @@ class TestSchedule:
                                  "--t", str(10 ** 400)])
         assert r.exit_code == 2, (r.output, r.exception)
         assert "is too large: beta = 1/(25t) rounds to 0" in r.output
+
+    @pytest.mark.parametrize("max_iters", ["0", "-1"])
+    def test_max_iters_below_one_refused(self, runner, tmp_path, max_iters):
+        out = tmp_path / "s.csv"
+        r = runner.invoke(main, ["schedule", "--d", "100", "--epsilon", "0.5",
+                                 "--max-iters", max_iters, "--out", str(out)])
+        assert r.exit_code == 2, (r.output, r.exception)
+        assert "error: max_iters must be >= 1" in r.output
+        assert not out.exists()
 
     def test_repeat_identical(self, runner, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -190,6 +201,20 @@ class TestColor:
         assert result.exit_code != 0
         doc = json.loads(out.read_text())
         assert doc["ok"] is False
+
+    def test_round_budget_exhausted_exits_3(self, runner, tmp_path):
+        # like --max-retries and --max-resamples, --max-rounds is a budget
+        from dpnibble import uniform_list_cover
+        from dpnibble.generators import incidence_graph
+        cov = uniform_list_cover(incidence_graph(5, seed=0), 14)
+        path = self.write_cover(tmp_path, cov)
+        out = tmp_path / "res.json"
+        r = runner.invoke(main, ["color", str(path), "--seed", "1",
+                                 "--max-rounds", "1", "--out", str(out)])
+        assert r.exit_code == 3, (r.output, r.exception)
+        assert "error: round budget (1) exhausted" in r.output
+        doc = json.loads(out.read_text())
+        assert doc["ok"] is False and len(doc["rounds"]) == 1
 
     def test_small_real_instance(self, runner, tmp_path):
         from dpnibble import uniform_list_cover

@@ -9,7 +9,6 @@ from dpnibble import Graph, contains_kst, girth, graph_from_text, graph_to_text,
 from dpnibble.errors import BudgetExceededError
 from dpnibble import graph as graph_module
 from dpnibble.generators import incidence_graph
-from dpnibble.graph import has_cycle_up_to_4
 
 from conftest import (contains_kst_oracle, cycle_graph, girth_by_cycle_enumeration,
                       path_graph, random_graph, star_graph)
@@ -106,11 +105,14 @@ class TestGirth:
     def test_every_level_mode_matches_enumeration(self, monkeypatch, mode):
         for name, value in self.MODES[mode].items():
             monkeypatch.setattr(graph_module, name, value)
-        for seed in range(60):
-            g = random_graph(9, 0.12 + 0.5 * (seed % 6) / 6, seed=seed)
-            assert girth(g) == girth_by_cycle_enumeration(g), seed
-        assert girth(path_graph(6)) == math.inf
-        assert girth(cycle_graph(9)) == 9
+        graphs = [random_graph(9, 0.12 + 0.5 * (seed % 6) / 6, seed=seed)
+                  for seed in range(60)]
+        graphs += [Graph.empty(3), path_graph(6)] + [cycle_graph(k) for k in (3, 4, 5, 6, 9)]
+        for i, g in enumerate(graphs):
+            exact = girth_by_cycle_enumeration(g)
+            # a bound caps the search: the answer is min(girth, bound)
+            for below in (3, 4, 5, 6, math.inf):
+                assert girth(g, below) == min(exact, below), (i, below)
 
     def test_projective_plane_incidence_graph(self):
         # 1986 vertices, 32-regular, girth 6: the dense products' regime
@@ -123,15 +125,16 @@ class TestGirth:
         assert girth(Graph.from_edges(4100, edges)) == length
 
     def test_short_cycle_probe(self):
-        assert not has_cycle_up_to_4(cycle_graph(5))
-        assert has_cycle_up_to_4(cycle_graph(4))
-        assert has_cycle_up_to_4(cycle_graph(3))
+        # the generators' girth-5 certificate
+        assert girth(cycle_graph(5), 5) == 5
+        assert girth(cycle_graph(4), 5) < 5
+        assert girth(cycle_graph(3), 5) < 5
 
     @pytest.mark.parametrize("chord, short", [(None, False), ((0, 2), True), ((0, 3), True)])
     def test_short_cycle_probe_above_dense_size(self, chord, short):
-        # past 4096 vertices the probe scans adjacency sets instead of a matmul
+        # past _GIRTH_DENSE_MAX vertices the bounded search runs on CSR gathers only
         edges = cycle_graph(4100).edge_array().tolist() + ([chord] if chord else [])
-        assert has_cycle_up_to_4(Graph.from_edges(4100, edges)) is short
+        assert (girth(Graph.from_edges(4100, edges), 5) < 5) is short
 
 
 class TestContainsKst:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from dpnibble import (Graph, PipelineConfig, ScheduleInput, color_graph,
-                      from_list_assignment, uniform_list_cover)
+                      from_list_assignment, pipeline, uniform_list_cover)
 from dpnibble.analysis import verify_proper
 from dpnibble.errors import PipelineError, ResampleBudgetError
 from dpnibble.generators import incidence_graph, random_dp_cover, random_regular
-from dpnibble.nibble import ResidualView, RoundParams, run_round
+from dpnibble.nibble import ResidualView, RoundParams, run_round, run_round_until_good
 from dpnibble.pipeline import finish_with_stats, resample_residual, result_to_json
 
 from conftest import finish_by_rescan, path_graph, regular_cover, residual_cover
@@ -195,13 +195,23 @@ class TestColorGraph:
         ok, _ = verify_proper(cov, res.coloring)
         assert ok
 
-    def test_nibble_rounds_then_finish(self):
+    def test_nibble_rounds_then_finish(self, monkeypatch):
         base = incidence_graph(5, seed=0)  # 62 vertices, 6-regular, girth 6
         ell = math.ceil(4 * 6 / math.log(6))
         cov = uniform_list_cover(base, ell)
         eps = ell * math.log(6) / 6 - 1
-        cfg = quick_cfg(6, eps, seed=7, verify_rounds=True)
-        res = color_graph(cov, cfg)
+        assigned = []
+
+        def checked_round(*args, **kwargs):
+            # no alive color may neighbour a color assigned so far
+            outcome = run_round_until_good(*args, **kwargs)
+            assigned.extend(outcome.phi[outcome.phi >= 0].tolist())
+            for x in assigned:
+                assert not outcome.residual.alive[cov.cover.neighbors(x)].any(), x
+            return outcome
+
+        monkeypatch.setattr(pipeline, "run_round_until_good", checked_round)
+        res = color_graph(cov, quick_cfg(6, eps, seed=7))
         assert len(res.rounds) > 0
         ok, _ = verify_proper(cov, res.coloring)
         assert ok and res.coloring.is_total()
