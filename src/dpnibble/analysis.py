@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import gather_rows
 from .cover import DpCover, PartialColoring
 from .errors import BudgetExceededError
 from .graph import Graph
@@ -50,15 +51,19 @@ def verify_proper(c: DpCover, phi: PartialColoring) -> tuple[bool, ConflictWitne
         if not np.all(owners_ok):
             v = int(np.nonzero(assigned)[0][np.argmin(owners_ok)])
             raise ValueError(f"vertex {v} is assigned color {int(a[v])} outside its list")
-    if c.cover.indices.size == 0:
-        return True, None
+    # the rows of the chosen colors, in increasing order: the first entry that
+    # is chosen too is the lexicographically first conflict, as its partner's
+    # row, holding it as well, does not come earlier
+    colors = np.sort(a[assigned])
     chosen = np.zeros(c.num_colors, dtype=bool)
-    chosen[a[assigned]] = True
-    e = c.cover.edge_array()
-    bad = chosen[e[:, 0]] & chosen[e[:, 1]]
+    chosen[colors] = True
+    partners = gather_rows(c.cover.indptr, c.cover.indices, colors)
+    bad = chosen[partners]
     if not np.any(bad):
         return True, None
-    c1, c2 = map(int, e[int(np.argmax(bad))])
+    i = int(np.argmax(bad))
+    c1 = int(np.repeat(colors, c.cover.degrees()[colors])[i])
+    c2 = int(partners[i])
     return False, ConflictWitness(int(c.owner[c1]), int(c.owner[c2]), c1, c2)
 
 

@@ -87,13 +87,17 @@ def _resolve(flag_value, config: dict, key: str, default=None):
 
 
 def _load_cover(path: str) -> DpCover:
-    """Read and validate a cover file; any malformed document exits 2."""
+    """Read and validate a cover file; any malformed document, or one too
+    large for memory, exits 2."""
     try:
-        with open(path) as fh:
+        # the loader frees the bytes once parsed, since no name here keeps them
+        with open(path, "rb") as fh:
             return cover_from_json(fh.read())
     # json.loads raises RecursionError on deeply nested arrays
     except (CoverValidationError, ValueError, OverflowError, RecursionError) as exc:
         _fail(EXIT_USAGE, f"cannot load cover: {exc}")
+    except MemoryError:
+        _fail(EXIT_USAGE, "cannot load cover: not enough memory")
 
 
 def _smallest_list(cov: DpCover) -> int:

@@ -31,21 +31,32 @@ class Violation:
         return f"{self.kind}{self.ids}"
 
 
+def _flat_lists(lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The sizes of ``lists`` and their entries, concatenated."""
+    sizes = np.fromiter(map(len, lists), np.int64, count=len(lists))
+    return sizes, np.fromiter(chain.from_iterable(lists), np.int64, count=int(sizes.sum()))
+
+
 class DpCover:
     """Immutable cover: base graph, cover graph, and the list partition."""
 
     __slots__ = ("base", "cover", "owner", "lptr", "lcolors", "_valid")
 
-    def __init__(self, base: Graph, cover: Graph, lists: Sequence[Sequence[int]]):
+    def __init__(self, base: Graph, cover: Graph, sizes, lcolors):
+        """Vertex ``v``'s list is the next ``sizes[v]`` entries of ``lcolors``;
+        each list is sorted here."""
         n = base.vertex_count
-        if len(lists) != n:
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if sizes.shape != (n,):
             raise ValueError("need one list per base vertex")
         self.base = base
         self.cover = cover
         lptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, lists), np.int64, count=n), out=lptr[1:])
-        lcolors = np.fromiter(chain.from_iterable(lists), np.int64, count=int(lptr[-1]))
-        vertex = np.repeat(np.arange(n, dtype=np.int64), np.diff(lptr))
+        np.cumsum(sizes, out=lptr[1:])
+        lcolors = np.array(lcolors, dtype=np.int64)  # a copy: it is made read-only
+        if lcolors.shape != (int(lptr[-1]),) or np.any(sizes < 0):
+            raise ValueError("list sizes must be >= 0 and add up to the list entries")
+        vertex = np.repeat(np.arange(n, dtype=np.int64), sizes)
         if np.any((lcolors[1:] < lcolors[:-1]) & (vertex[1:] == vertex[:-1])):
             lcolors = lcolors[np.lexsort((lcolors, vertex))]
         if lcolors.size and (lcolors.min() < 0 or lcolors.max() >= cover.vertex_count):
@@ -58,6 +69,12 @@ class DpCover:
         for a in (self.owner, self.lptr, self.lcolors):
             a.flags.writeable = False
         self._valid = False  # set by require_valid once validate finds nothing
+
+    @classmethod
+    def from_lists(cls, base: Graph, cover: Graph,
+                   lists: Sequence[Sequence[int]]) -> "DpCover":
+        """Cover whose vertex ``v`` has the color list ``lists[v]``."""
+        return cls(base, cover, *_flat_lists(lists))
 
     # -- accessors ---------------------------------------------------------
 
@@ -99,54 +116,72 @@ class PartialColoring:
 # ---------------------------------------------------------------------------
 
 
+# cover CSR entries validate reads at a time
+_VALIDATE_BLOCK = 1 << 16
+
+
 def validate(c: DpCover, max_violations: int = 1000) -> list[Violation]:
-    """All structural defects of a cover; empty list iff the cover is valid."""
+    """All structural defects of a cover; empty list iff the cover is valid.
+
+    The partition defects come first, then the cover edges inside a list, then
+    those across a non-edge of the base (both in lexicographic edge order),
+    then each color with two partners in one list, ordered by color and list.
+    The cover CSR is read in row blocks of about ``_VALIDATE_BLOCK`` entries.
+    """
     out: list[Violation] = []
 
-    def add(kind, *ids):
-        if len(out) < max_violations:
-            out.append(Violation(kind, tuple(int(i) for i in ids)))
+    def add(found, kind, *ids):
+        if len(found) < max_violations:
+            found.append(Violation(kind, tuple(int(i) for i in ids)))
 
     # partition: every color in exactly one list, owners consistent
     seen = np.bincount(c.lcolors, minlength=c.num_colors)
     for col in np.nonzero(seen == 0)[0]:
-        add("color-in-no-list", col)
+        add(out, "color-in-no-list", col)
     for col in np.nonzero(seen > 1)[0]:
-        add("color-in-multiple-lists", col)
+        add(out, "color-in-multiple-lists", col)
 
-    edges = c.cover.edge_array()
-    if edges.size == 0:
-        return out
-    u = c.owner[edges[:, 0]]
-    v = c.owner[edges[:, 1]]
-    placed = (u >= 0) & (v >= 0)  # partition defects already reported
-
-    same = placed & (u == v)
-    for i in np.nonzero(same)[0]:
-        add("list-not-independent", u[i], edges[i, 0], edges[i, 1])
-
-    cross = placed & ~same
+    inside, unbacked, unmatched = [], [], []
     n = c.base.vertex_count
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    base_edges = c.base.edge_array()  # lexicographic, so its keys are sorted
-    base_keys = base_edges[:, 0] * n + base_edges[:, 1]
-    pos = np.searchsorted(base_keys, lo * n + hi)
-    backed = np.zeros(edges.shape[0], dtype=bool)
-    inr = pos < base_keys.size
-    backed[inr] = base_keys[pos[inr]] == (lo * n + hi)[inr]
-    for i in np.nonzero(cross & ~backed)[0]:
-        add("cover-edge-without-base-edge", u[i], v[i], edges[i, 0], edges[i, 1])
-
-    # matching: each color has at most one partner inside any one list
-    good = cross & backed
-    keys = np.concatenate([edges[good, 0] * n + v[good],
-                           edges[good, 1] * n + u[good]])
-    keys.sort()
-    dup = keys[1:] == keys[:-1]
-    # each repeated key once, where its run of equal neighbours starts
-    for key in keys[1:][dup & ~np.r_[False, dup[:-1]]]:
-        add("not-a-matching", int(key) % n, int(key) // n)
+    # directed base edges u * n + v, sorted since the CSR rows are
+    base_keys = np.repeat(np.arange(n, dtype=np.int64) * n, c.base.degrees())
+    base_keys += c.base.indices
+    indptr, indices, owner = c.cover.indptr, c.cover.indices, c.owner
+    lo = 0
+    while lo < c.num_colors:
+        hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + _VALIDATE_BLOCK,
+                                             side="right")) - 1)
+        # entry (x, y) of row x; each edge shows up in both of its rows
+        x = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo:hi + 1]))
+        y = indices[indptr[lo]:indptr[hi]]
+        lo = hi
+        u, v = owner[x], owner[y]
+        placed = (u >= 0) & (v >= 0)  # partition defects already reported
+        same = placed & (u == v)
+        upper = y > x
+        for i in np.flatnonzero(same & upper):
+            add(inside, "list-not-independent", u[i], x[i], y[i])
+        cross = placed & ~same
+        key = u * n + v
+        backed = np.zeros(key.size, dtype=bool)
+        if base_keys.size:
+            backed = base_keys[np.minimum(np.searchsorted(base_keys, key),
+                                          base_keys.size - 1)] == key
+        for i in np.flatnonzero(cross & ~backed & upper):
+            add(unbacked, "cover-edge-without-base-edge", u[i], v[i], x[i], y[i])
+        # matching: each color has at most one partner inside any one list,
+        # so the keys x * n + owner(y) of a row never repeat
+        good = cross & backed
+        keys = x[good] * n + v[good]
+        if np.all(keys[1:] > keys[:-1]):
+            continue
+        keys.sort()
+        dup = keys[1:] == keys[:-1]
+        # each repeated key once, where its run of equal neighbours starts
+        for k in keys[1:][dup & ~np.r_[False, dup[:-1]]]:
+            add(unmatched, "not-a-matching", k % n, k // n)
+    for found in (inside, unbacked, unmatched):
+        out.extend(found[:max_violations - len(out)])
     return out
 
 
@@ -199,7 +234,7 @@ def from_list_assignment(g: Graph, lists: Mapping[int, Iterable] | Sequence[Iter
     hit = sorted_keys[pos] == wanted
     cover_graph = Graph.from_edges(
         int(lptr[-1]), np.stack([colors_u[hit], by_key[pos[hit]]], axis=1))
-    return DpCover(g, cover_graph, [range(a, b) for a, b in zip(lptr[:-1], lptr[1:])])
+    return DpCover(g, cover_graph, sizes, np.arange(int(lptr[-1])))
 
 
 def uniform_list_cover(g: Graph, ell: int) -> DpCover:
@@ -251,9 +286,8 @@ def regularize(c: DpCover, d: int, seed: int) -> DpCover:
     new_cover = Graph.from_edges(nc * k, np.concatenate([
         (c.cover.edge_array() + shift * nc).reshape(-1, 2),
         (col + copy * nc).reshape(-1, 2)]))
-    lcolors = (c.lcolors + shift[:, 0] * nc).ravel()
-    out = DpCover(new_base, new_cover,
-                  np.split(lcolors, np.cumsum(np.tile(c.list_sizes(), k))[:-1]))
+    out = DpCover(new_base, new_cover, np.tile(c.list_sizes(), k),
+                  (c.lcolors + shift[:, 0] * nc).ravel())
     if max_degree(out.cover) != d or int(out.cover.degrees().min()) != d:
         raise GenerationError("regularization failed to reach exact regularity")
     return out
@@ -265,7 +299,6 @@ def regularize(c: DpCover, d: int, seed: int) -> DpCover:
 
 
 _CANONICAL = {"sort_keys": True, "separators": (",", ":")}
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def cover_to_json(c: DpCover) -> str:
@@ -285,39 +318,102 @@ def _pairs_text(e: np.ndarray) -> str:
     return "[" + ("[%d,%d]," * len(e) % tuple(e.ravel().tolist()))[:-1] + "]"
 
 
-def _canonical_parts(text: str) -> tuple[dict, np.ndarray] | None:
-    """The document with ``[]`` for its cover edges and the (m, 2) array of those
-    edges, if ``text`` is byte for byte what :func:`cover_to_json` writes for a
-    cover with cover edges; else None.  ``np.fromstring`` reads ``01`` as 1 and
-    saturates past 2**63, so the ids' digits must add up to the text's digits.
+# the skeleton of a canonical document, each run of digits cut to one 0:
+# _HEAD, the base edges' pairs, _MID, the cover edges' pairs, _LISTS, the
+# lists, _TAIL
+_HEAD = b'{"base":{"edges":['
+_MID = b'],"vertex_count":0},"cover_edges":['
+_LISTS = b'],"lists":['
+_TAIL = b']}\n'
+# tables for bytes.translate: digits stay and every other byte becomes a
+# space; every digit becomes 0 and every other byte stays
+_DIGITS_ONLY = bytes(c if c in b"0123456789" else 32 for c in range(256))
+_ZERO_DIGITS = bytes(48 if c in b"0123456789" else c for c in range(256))
+# np.fromstring saturates past 2**63, so a canonical id has at most 18 digits
+_MAX_ID = 10 ** 18
+
+
+def _canonical_parts(text: str | bytes):
+    """``(vertex_count, base edges, cover edges, list sizes, list entries)`` of
+    ``text`` if it is byte for byte what :func:`cover_to_json` writes; else
+    None.  The edges are (m, 2) arrays; they and the entries are views of one
+    array of all the document's numbers.
+
+    The layout is checked on the skeleton, the text with each run of digits
+    cut to one ``0``, and no run of two or more digits may start with ``0``.
+    The numbers are then read in one ``np.fromstring`` pass over a copy with
+    every other byte turned into a space.
     """
-    start = text.find('"cover_edges":[[')
-    if start < 0:
-        return None
-    a = start + len('"cover_edges":')
-    b = text.find("]]", a) + 2
-    seg = text[a:b].encode()
-    skeleton = seg.translate(None, b"0123456789")
-    m = (len(skeleton) - 1) // 4
-    if m < 1 or skeleton != b"[" + b"[,]," * (m - 1) + b"[,]]":
-        return None
-    try:
-        ids = np.fromstring(seg.translate(None, b"[]"), dtype=np.int64, sep=",")
-    except ValueError:  # an empty id
-        return None
-    if (ids.size != 2 * m or ids.max() >= 10 ** 18 or len(seg) - len(skeleton)
-            != ids.size + np.searchsorted(_POWERS_OF_TEN, ids, side="right").sum()):
-        return None
-    # the rest must be canonical too, with these edges as its top-level key
-    rest = text[:a] + "[]" + text[b:]
-    try:
-        doc = json.loads(rest)
-        if (not isinstance(doc, dict) or json.dumps(doc, **_CANONICAL) + "\n" != rest
-                or text[:start] != '{"base":' + json.dumps(doc.get("base"), **_CANONICAL) + ","):
+    if isinstance(text, str):
+        if not text.isascii():
             return None
-    except (ValueError, RecursionError):
+        text = text.encode()
+    buf = np.frombuffer(text, np.uint8)
+    digit = (buf - ord("0")) < 10  # uint8 subtraction wraps the lower bytes past 9
+    # the skeleton keeps every byte but the second and later digits of a run
+    keep = np.empty_like(digit)
+    keep[:1] = True
+    np.logical_and(digit[1:], digit[:-1], out=keep[1:])
+    del digit
+    np.logical_not(keep[1:], out=keep[1:])
+    # a kept 0 followed by a dropped byte starts a run of two or more digits
+    leading = buf[:-1] == ord("0")
+    leading &= keep[:-1]
+    if np.any(np.greater(leading, keep[1:], out=leading)):
         return None
-    return doc, ids.reshape(m, 2)
+    del leading
+    skeleton = buf[keep].tobytes().translate(_ZERO_DIGITS)
+    del keep, buf
+    if not (skeleton.startswith(_HEAD) and skeleton.endswith(_TAIL)):
+        return None
+    mid = skeleton.find(_MID, len(_HEAD))
+    lists = skeleton.find(_LISTS, mid + len(_MID))
+    if mid < 0 or lists < 0:
+        return None
+    mb = _pair_count(skeleton, len(_HEAD), mid)
+    mc = _pair_count(skeleton, mid + len(_MID), lists)
+    sizes = _list_sizes(skeleton, lists + len(_LISTS), len(skeleton) - len(_TAIL))
+    if mb is None or mc is None or sizes is None:
+        return None
+    del skeleton
+    at = 2 * mb  # where vertex_count is
+    end = at + 1 + 2 * mc  # where the list entries start
+    # the skeleton holds one 0 per number, so this count is exact (and with
+    # it np.fromstring allocates the array once instead of growing it)
+    ids = np.fromstring(text.translate(_DIGITS_ONLY), dtype=np.int64,
+                        count=end + int(sizes.sum()), sep=" ")
+    if ids.max() >= _MAX_ID:
+        return None
+    return (int(ids[at]), ids[:at].reshape(mb, 2), ids[at + 1:end].reshape(mc, 2),
+            sizes, ids[end:])
+
+
+def _pair_count(skeleton: bytes, a: int, b: int) -> int | None:
+    """m if ``skeleton[a:b]`` is m pairs ``[0,0]`` with commas between."""
+    m = (b - a + 1) // 6
+    pairs = (b"[0,0]," * m)[:-1]
+    return m if len(pairs) == b - a and skeleton.startswith(pairs, a) else None
+
+
+def _list_sizes(skeleton: bytes, a: int, b: int) -> np.ndarray | None:
+    """The sizes of the lists if ``skeleton[a:b]`` is their skeleton, a
+    ``[0,...,0]`` or ``[]`` per list with commas between; else None."""
+    region = np.frombuffer(skeleton, np.uint8, b - a, a)
+    # a list of k >= 1 entries takes 2k + 1 bytes, an empty one 2, then a comma
+    opens = np.flatnonzero(region == ord("["))
+    sizes = np.diff(opens, append=region.size + 1) // 2 - 1
+    if np.any(sizes < 0):
+        return None
+    length = 2 * sizes + 1 + (sizes == 0)
+    starts = np.cumsum(length + 1) - length - 1
+    if region.size != (starts[-1] + length[-1] if sizes.size else 0):
+        return None
+    expected = np.full(region.size, ord(","), np.uint8)
+    expected[starts] = ord("[")
+    expected[starts + length - 1] = ord("]")
+    first = np.repeat(starts + 1 - 2 * (np.cumsum(sizes) - sizes), sizes)
+    expected[first + 2 * np.arange(first.size)] = ord("0")
+    return sizes if np.array_equal(expected, region) else None
 
 
 def _edge_array(value, what: str, exact: bool) -> np.ndarray:
@@ -335,32 +431,51 @@ def _edge_array(value, what: str, exact: bool) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def cover_from_json(text: str) -> DpCover:
-    """Parse and validate a cover document; refuses invalid covers.
-
-    Text in the layout :func:`cover_to_json` writes takes a fast path; any
-    other text is read by ``json.loads`` and refused with the same messages.
-    """
-    doc, parsed_edges = _canonical_parts(text) or (json.loads(text), None)
-    try:
-        n, lists = doc["base"]["vertex_count"], doc["lists"]
-        base_edges, cover_edges = doc["base"]["edges"], doc["cover_edges"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError("a cover document is an object with keys base (with "
-                         "vertex_count and edges), lists and cover_edges") from exc
-    if not (isinstance(lists, list) and set(map(type, lists)) <= {list}
-            and set(map(type, chain.from_iterable(lists))) <= {int}):
-        raise ValueError("lists must be a list of lists of integer ids")
-    if type(n) is not int or n != len(lists):
+def _check_vertex_count(n, lists: int) -> None:
+    if type(n) is not int or n != lists:
         raise ValueError(f"base.vertex_count must equal the number of lists "
-                         f"({len(lists)}), got {n!r}")
-    # a JSON boolean needs a true/false token in the text
-    exact = "true" in text or "false" in text
-    base = Graph.from_edges(n, _edge_array(base_edges, "base.edges", exact))
-    lists = [np.asarray(lst, dtype=np.int64) for lst in lists]
-    num_colors = int(sum(len(lst) for lst in lists))
-    cover_edges = (_edge_array(cover_edges, "cover_edges", exact)
-                   if parsed_edges is None else parsed_edges)
-    cover_graph = Graph.from_edges(num_colors, cover_edges)
-    cov = DpCover(base, cover_graph, lists)
+                         f"({lists}), got {n!r}")
+
+
+def cover_from_json(text: str | bytes) -> DpCover:
+    """Parse and validate a cover document, given as text or UTF-8 bytes;
+    refuses invalid covers.
+
+    Text in the layout :func:`cover_to_json` writes takes the array fast path
+    of :func:`_canonical_parts`; any other text is read by ``json.loads`` and
+    refused with the same messages.  The text is dropped once parsed, so a
+    caller that passes it without keeping a reference frees it before the
+    graphs are built.
+    """
+    parts = _canonical_parts(text)
+    if parts is not None:
+        del text
+        n, base_edges, cover_edges, sizes, lcolors = parts
+        del parts
+        _check_vertex_count(n, sizes.size)
+        base = Graph.from_edges(n, base_edges)
+    else:
+        if isinstance(text, bytes):
+            text = text.decode()
+        doc = json.loads(text)
+        # a JSON boolean needs a true/false token in the text
+        exact = "true" in text or "false" in text
+        del text
+        try:
+            n, lists = doc["base"]["vertex_count"], doc["lists"]
+            base_edges, cover_edges = doc["base"]["edges"], doc["cover_edges"]
+        except (TypeError, KeyError) as exc:
+            raise ValueError("a cover document is an object with keys base (with "
+                             "vertex_count and edges), lists and cover_edges") from exc
+        if not (isinstance(lists, list) and set(map(type, lists)) <= {list}
+                and set(map(type, chain.from_iterable(lists))) <= {int}):
+            raise ValueError("lists must be a list of lists of integer ids")
+        _check_vertex_count(n, len(lists))
+        base = Graph.from_edges(n, _edge_array(base_edges, "base.edges", exact))
+        sizes, lcolors = _flat_lists(lists)
+        cover_edges = _edge_array(cover_edges, "cover_edges", exact)
+    cover_graph = Graph.from_edges(int(sizes.sum()), cover_edges)
+    cov = DpCover(base, cover_graph, sizes, lcolors)
+    # the edges and entries may be views of the parsed numbers: free them
+    del base_edges, cover_edges, lcolors
     return require_valid(cov)

@@ -305,8 +305,7 @@ def random_dp_cover(g: Graph, ell: int, rho: float, seed: int) -> DpCover:
     src = e[:, :1] * ell + np.arange(ell)
     dst = e[:, 1:] * ell + perm
     cover_graph = Graph.from_edges(n * ell, np.stack([src[mask], dst[mask]], axis=1))
-    lists = [np.arange(v * ell, (v + 1) * ell, dtype=np.int64) for v in range(n)]
-    return DpCover(g, cover_graph, lists)
+    return DpCover(g, cover_graph, np.full(n, ell), np.arange(n * ell))
 
 
 def kst_free_bipartite(m: int, n: int, s: int, t: int, seed: int) -> Graph:

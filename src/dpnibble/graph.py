@@ -55,14 +55,22 @@ class Graph:
                 bad = e[e[:, 0] == e[:, 1]][0]
                 raise ValueError(f"self-loop at vertex {bad[0]}")
         # one sort of the directed keys orders every row and puts the copies
-        # of a repeated edge side by side
-        keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+        # of a repeated edge side by side; the sorted keys become the indices
+        m = e.shape[0]
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(e[:, 0], n, out=keys[:m])
+        keys[:m] += e[:, 1]
+        np.multiply(e[:, 1], n, out=keys[m:])
+        keys[m:] += e[:, 0]
+        keys.sort()
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edge in edge list")
-        src, dst = np.divmod(keys, max(n, 1))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(n, indptr, dst)
+        degrees = np.bincount(e[:, 0], minlength=n)
+        degrees += np.bincount(e[:, 1], minlength=n)
+        np.cumsum(degrees, out=indptr[1:])
+        np.remainder(keys, max(n, 1), out=keys)
+        return cls(n, indptr, keys)
 
     # -- basic queries -----------------------------------------------------
 

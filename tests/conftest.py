@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from dpnibble import DpCover, Graph
+from dpnibble.cover import Violation
 from dpnibble.generators import random_dp_cover, random_regular
 
 @pytest.fixture
@@ -187,5 +188,83 @@ def residual_cover(view) -> tuple[DpCover, np.ndarray]:
                   if u in vnew and v in vnew]
     cover_edges = [(cnew[x], cnew[y]) for x, y in root.cover.edge_array().tolist()
                    if x in cnew and y in cnew]
-    return DpCover(Graph.from_edges(len(vertices), base_edges),
-                   Graph.from_edges(len(cnew), cover_edges), lists), colors
+    return DpCover.from_lists(Graph.from_edges(len(vertices), base_edges),
+                              Graph.from_edges(len(cnew), cover_edges), lists), colors
+
+
+def validate_reference(c: DpCover, max_violations: int = 1000) -> list[Violation]:
+    """``validate`` as it was before it read the cover in row blocks: one pass
+    over the whole ``edge_array`` and one sort of every matching key."""
+    out: list[Violation] = []
+
+    def add(kind, *ids):
+        if len(out) < max_violations:
+            out.append(Violation(kind, tuple(int(i) for i in ids)))
+
+    # partition: every color in exactly one list, owners consistent
+    seen = np.bincount(c.lcolors, minlength=c.num_colors)
+    for col in np.nonzero(seen == 0)[0]:
+        add("color-in-no-list", col)
+    for col in np.nonzero(seen > 1)[0]:
+        add("color-in-multiple-lists", col)
+
+    edges = c.cover.edge_array()
+    if edges.size == 0:
+        return out
+    u = c.owner[edges[:, 0]]
+    v = c.owner[edges[:, 1]]
+    placed = (u >= 0) & (v >= 0)  # partition defects already reported
+
+    same = placed & (u == v)
+    for i in np.nonzero(same)[0]:
+        add("list-not-independent", u[i], edges[i, 0], edges[i, 1])
+
+    cross = placed & ~same
+    n = c.base.vertex_count
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    base_edges = c.base.edge_array()  # lexicographic, so its keys are sorted
+    base_keys = base_edges[:, 0] * n + base_edges[:, 1]
+    pos = np.searchsorted(base_keys, lo * n + hi)
+    backed = np.zeros(edges.shape[0], dtype=bool)
+    inr = pos < base_keys.size
+    backed[inr] = base_keys[pos[inr]] == (lo * n + hi)[inr]
+    for i in np.nonzero(cross & ~backed)[0]:
+        add("cover-edge-without-base-edge", u[i], v[i], edges[i, 0], edges[i, 1])
+
+    # matching: each color has at most one partner inside any one list
+    good = cross & backed
+    keys = np.concatenate([edges[good, 0] * n + v[good],
+                           edges[good, 1] * n + u[good]])
+    keys.sort()
+    dup = keys[1:] == keys[:-1]
+    # each repeated key once, where its run of equal neighbours starts
+    for key in keys[1:][dup & ~np.r_[False, dup[:-1]]]:
+        add("not-a-matching", int(key) % n, int(key) // n)
+    return out
+
+
+def defective_cover(seed: int, n: int = 40, colors: int = 400, edges: int = 1500) -> DpCover:
+    """A cover with defects of every kind: lists that miss or repeat colors
+    (and need not be ranges of ids), cover edges inside a list, across a
+    non-edge of the base, and colors matched twice into one list."""
+    rng = np.random.default_rng(seed)
+    base = random_graph(n, 0.15, seed)
+    owner = rng.integers(0, n, colors)
+    # a few colors in no list, a few in two
+    lists = [[] for _ in range(n)]
+    for x in range(colors):
+        if rng.random() < 0.98:
+            lists[owner[x]].append(x)
+        if rng.random() < 0.02:
+            lists[rng.integers(0, n)].append(x)
+    # a matching along each base edge, then random extra edges
+    pairs = set()
+    for u, v in base.edge_array().tolist():
+        for x, y in zip(rng.permutation(lists[u]), rng.permutation(lists[v])):
+            if x != y:
+                pairs.add((min(x, y), max(x, y)))
+    for x, y in rng.integers(0, colors, (edges, 2)).tolist():
+        if x != y:
+            pairs.add((min(x, y), max(x, y)))
+    return DpCover.from_lists(base, Graph.from_edges(colors, sorted(pairs)), lists)

@@ -257,7 +257,7 @@ def test_c06_regularization(acceptance_reporter):
             keep[rng.choice(len(edges), size=drop, replace=False)] = False
             cov = dp.DpCover(cov.base,
                              dp.Graph.from_edges(cov.num_colors, edges[keep]),
-                             cov.all_lists())
+                             cov.list_sizes(), cov.lcolors)
         assert cov.num_colors <= 300
         out = dp.regularize(cov, d, seed=2000 + case)
         ds = out.cover.degrees()

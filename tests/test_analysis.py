@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpnibble import (Graph, PartialColoring, from_list_assignment, keep_fn,
+from dpnibble import (DpCover, Graph, PartialColoring, from_list_assignment, keep_fn,
                       uncolor_fn)
 from dpnibble._rng import scalar_uniform
 from dpnibble import analysis
@@ -36,6 +36,36 @@ class TestVerifyProper:
         phi.assignment[0] = cov.lists(1)[0]
         with pytest.raises(ValueError, match="outside its list"):
             verify_proper(cov, phi)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_full_edge_scan(self, seed):
+        # random partial colorings, with conflicts planted on random cover edges
+        rng = np.random.default_rng(seed)
+        cov = regular_cover(int(rng.integers(3, 9)) * 2, int(rng.integers(1, 5)),
+                            int(rng.integers(1, 6)), seed=seed,
+                            rho=float(rng.choice([0.5, 1.0])))
+        if seed % 2:  # renumber the colors, so a list is no range of ids
+            new = rng.permutation(cov.num_colors)
+            cov = DpCover(cov.base, Graph.from_edges(cov.num_colors,
+                                                     new[cov.cover.edge_array()]),
+                          cov.list_sizes(), new[cov.lcolors])
+        n = cov.base.vertex_count
+        a = np.array([rng.choice(cov.lists(v)) for v in range(n)])
+        a[rng.random(n) < 0.2] = -1
+        edges = cov.cover.edge_array()
+        for x, y in edges[rng.integers(0, len(edges), int(rng.integers(0, 3)))]:
+            a[cov.owner[x]], a[cov.owner[y]] = x, y
+        chosen = np.zeros(cov.num_colors, dtype=bool)
+        chosen[a[a >= 0]] = True
+        bad = np.flatnonzero(chosen[edges[:, 0]] & chosen[edges[:, 1]])
+        ok, witness = verify_proper(cov, PartialColoring(a))
+        assert ok == (bad.size == 0)
+        if bad.size:
+            c1, c2 = edges[bad[0]].tolist()
+            assert (witness.vertex_u, witness.vertex_v, witness.color_u, witness.color_v) \
+                == (cov.owner[c1], cov.owner[c2], c1, c2)
+        else:
+            assert witness is None
 
 
 class TestClassifyStructure:

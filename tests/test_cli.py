@@ -339,6 +339,26 @@ class TestLoaderRefusals:
     def test_deeply_nested_document(self, runner, tmp_path):
         self.refused(runner, tmp_path, "[" * 100000 + "]" * 100000)
 
+    def test_not_utf8(self, runner, tmp_path):
+        p = tmp_path / "cover.json"
+        p.write_bytes(b"\xff\xfe{}")
+        for r in run_both(runner, p):
+            assert r.exit_code == 2, (r.output, r.exception)
+            assert "error: cannot load cover: 'utf-8' codec can't decode" in r.output
+
+    def test_out_of_memory(self, runner, tmp_path, monkeypatch):
+        from dpnibble import cli
+
+        def loader(text):
+            raise MemoryError
+        monkeypatch.setattr(cli, "cover_from_json", loader)
+        p = tmp_path / "cover.json"
+        p.write_text("{}")
+        for r in run_both(runner, p):
+            assert r.exit_code == 2, (r.output, r.exception)
+            assert isinstance(r.exception, SystemExit)
+            assert "error: cannot load cover: not enough memory" in r.output
+
     def test_directory(self, runner, tmp_path):
         for r in run_both(runner, tmp_path):
             assert r.exit_code == 2, (r.output, r.exception)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from itertools import product
 from unittest import mock
 
@@ -17,7 +18,8 @@ from dpnibble.errors import CoverValidationError, GenerationError
 from dpnibble.generators import random_dp_cover, random_girth5_regular, random_regular
 from dpnibble.nibble import ResidualView, RoundParams, run_round
 
-from conftest import cycle_graph, path_graph, random_graph, regular_cover
+from conftest import (cycle_graph, defective_cover, path_graph, random_graph,
+                      regular_cover, validate_reference)
 
 
 def drop_cover_edges(cov: DpCover, count: int, seed: int) -> DpCover:
@@ -27,7 +29,7 @@ def drop_cover_edges(cov: DpCover, count: int, seed: int) -> DpCover:
     keep = np.ones(len(edges), dtype=bool)
     keep[rng.choice(len(edges), size=count, replace=False)] = False
     smaller = Graph.from_edges(cov.num_colors, [tuple(e) for e in edges[keep]])
-    return DpCover(cov.base, smaller, cov.all_lists())
+    return DpCover(cov.base, smaller, cov.list_sizes(), cov.lcolors)
 
 
 # sha256 of cover_to_json(regularize(...)) for c06-style covers, recorded
@@ -143,15 +145,20 @@ class TestFromListAssignment:
 class TestDpCoverInit:
     def test_unsorted_lists_are_sorted(self):
         g = Graph.from_edges(3, [(0, 1)])
-        cov = DpCover(g, Graph.empty(6), [[4, 0, 2], np.array([5]), [3, 1]])
+        cov = DpCover.from_lists(g, Graph.empty(6), [[4, 0, 2], np.array([5]), [3, 1]])
         assert [cov.lists(v).tolist() for v in range(3)] == [[0, 2, 4], [5], [1, 3]]
         assert cov.owner.tolist() == [0, 2, 0, 2, 0, 1]
 
     def test_empty_lists_and_range_check(self):
-        cov = DpCover(Graph.empty(3), Graph.empty(2), [[], [1, 0], []])
+        cov = DpCover.from_lists(Graph.empty(3), Graph.empty(2), [[], [1, 0], []])
         assert cov.lptr.tolist() == [0, 0, 2, 2]
         with pytest.raises(ValueError, match="color ids"):
-            DpCover(Graph.empty(2), Graph.empty(2), [[0], [2]])
+            DpCover.from_lists(Graph.empty(2), Graph.empty(2), [[0], [2]])
+        with pytest.raises(ValueError, match="one list per base vertex"):
+            DpCover(Graph.empty(2), Graph.empty(2), [2], [0, 1])
+        for sizes in ([1, 0], [3, -1]):
+            with pytest.raises(ValueError, match="add up to the list entries"):
+                DpCover(Graph.empty(2), Graph.empty(2), sizes, [0, 1])
 
 
 class TestValidate:
@@ -162,21 +169,21 @@ class TestValidate:
     def test_edge_inside_list(self):
         g = Graph.from_edges(2, [(0, 1)])
         cover_graph = Graph.from_edges(4, [(0, 1)])  # both colors belong to vertex 0
-        cov = DpCover(g, cover_graph, [[0, 1], [2, 3]])
+        cov = DpCover.from_lists(g, cover_graph, [[0, 1], [2, 3]])
         kinds = [v.kind for v in validate(cov)]
         assert kinds == ["list-not-independent"]
 
     def test_not_a_matching(self):
         g = Graph.from_edges(2, [(0, 1)])
         cover_graph = Graph.from_edges(4, [(0, 2), (0, 3)])  # color 0 matched twice
-        cov = DpCover(g, cover_graph, [[0, 1], [2, 3]])
+        cov = DpCover.from_lists(g, cover_graph, [[0, 1], [2, 3]])
         kinds = [v.kind for v in validate(cov)]
         assert "not-a-matching" in kinds
 
     def test_cover_edge_without_base_edge(self):
         g = Graph.empty(2)
         cover_graph = Graph.from_edges(2, [(0, 1)])
-        cov = DpCover(g, cover_graph, [[0], [1]])
+        cov = DpCover.from_lists(g, cover_graph, [[0], [1]])
         kinds = [v.kind for v in validate(cov)]
         assert kinds == ["cover-edge-without-base-edge"]
 
@@ -188,7 +195,7 @@ class TestValidate:
         base = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         cover_graph = Graph.from_edges(10, [(0, 2), (0, 3), (0, 6), (1, 2), (2, 4),
                                             (3, 5), (6, 7), (3, 9), (4, 8), (5, 8)])
-        cov = DpCover(base, cover_graph, [[0, 1], [2, 3], [4, 5, 1], [6, 7, 8]])
+        cov = DpCover.from_lists(base, cover_graph, [[0, 1], [2, 3], [4, 5, 1], [6, 7, 8]])
         assert [str(v) for v in validate(cov)] == [
             "color-in-no-list(9,)",
             "color-in-multiple-lists(1,)",
@@ -205,12 +212,28 @@ class TestValidate:
     def test_thrice_matched_color_reported_once(self):
         g = Graph.from_edges(2, [(0, 1)])
         cover_graph = Graph.from_edges(6, [(0, 3), (0, 4), (0, 5)])
-        cov = DpCover(g, cover_graph, [[0, 1, 2], [3, 4, 5]])
+        cov = DpCover.from_lists(g, cover_graph, [[0, 1, 2], [3, 4, 5]])
         assert [str(v) for v in validate(cov)] == ["not-a-matching(1, 0)"]
+
+    @pytest.mark.parametrize("block", [1, 64, 1 << 16])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_in_row_blocks(self, monkeypatch, block, seed):
+        # over 4,600 cover CSR entries: a block of 64 entries splits them
+        # into about 75 blocks, a block of 1 gives each row its own
+        monkeypatch.setattr(cover_module, "_VALIDATE_BLOCK", block)
+        cov = defective_cover(seed)
+        full = [str(v) for v in validate_reference(cov, 10 ** 9)]
+        assert {s[:s.index("(")] for s in full} == {
+            "color-in-no-list", "color-in-multiple-lists", "list-not-independent",
+            "cover-edge-without-base-edge", "not-a-matching"}
+        for cap in (1000, 1300, 50, 3, 10 ** 9):
+            assert [str(v) for v in validate(cov, cap)] == full[:cap]
+        ok = regular_cover(30, 4, 6, seed=seed)
+        assert validate(ok) == validate_reference(ok) == []
 
     def test_require_valid_raises(self):
         g = Graph.empty(2)
-        cov = DpCover(g, Graph.from_edges(2, [(0, 1)]), [[0], [1]])
+        cov = DpCover.from_lists(g, Graph.from_edges(2, [(0, 1)]), [[0], [1]])
         with pytest.raises(CoverValidationError):
             require_valid(cov)
         with pytest.raises(CoverValidationError):  # a refusal is not kept
@@ -369,7 +392,7 @@ class TestCoverJson:
 
     def test_loader_refuses_invalid(self):
         g = Graph.empty(2)
-        bad = DpCover(g, Graph.from_edges(2, [(0, 1)]), [[0], [1]])
+        bad = DpCover.from_lists(g, Graph.from_edges(2, [(0, 1)]), [[0], [1]])
         text = cover_to_json(bad)
         with pytest.raises(CoverValidationError):
             cover_from_json(text)
@@ -408,14 +431,22 @@ MUTATION_BYTES = '0123456789[],:-." {}etx\n'
 
 
 class TestCanonicalFastPath:
-    """Canonical cover files skip ``json.loads`` for the cover edges; every
-    other text must load, or be refused, exactly as ``json.loads`` reads it."""
+    """Canonical cover files skip ``json.loads``; every other text must load,
+    or be refused, exactly as ``json.loads`` reads it."""
 
     @settings(max_examples=60, deadline=None)
     @given(canonical_covers())
     def test_valid_covers_agree(self, text):
-        if '"cover_edges":[]' not in text:
-            assert cover_module._canonical_parts(text) is not None
+        assert cover_module._canonical_parts(text) is not None
+        assert load_outcome(text) == load_outcome(text, fast=False)
+        assert load_outcome(text.encode()) == load_outcome(text)
+
+    @pytest.mark.parametrize("lists", [[], [[]], [[0], [], [1, 2]], [[0, 1], [2]]])
+    def test_empty_parts_take_the_fast_path(self, lists):
+        # no vertices, no edges, empty lists: the document is still canonical
+        cov = DpCover.from_lists(Graph.empty(len(lists)), Graph.empty(3), lists)
+        text = cover_to_json(cov)
+        assert cover_module._canonical_parts(text) is not None
         assert load_outcome(text) == load_outcome(text, fast=False)
 
     @settings(max_examples=300, deadline=None)
@@ -425,8 +456,16 @@ class TestCanonicalFastPath:
         text = text[:at] + data.draw(st.sampled_from(MUTATION_BYTES)) + text[at + 1:]
         assert load_outcome(text) == load_outcome(text, fast=False)
 
+    @settings(max_examples=300, deadline=None)
+    @given(canonical_covers(), st.data())
+    def test_adjacent_transpositions_agree(self, text, data):
+        at = data.draw(st.integers(0, len(text) - 2))
+        text = text[:at] + text[at + 1] + text[at] + text[at + 2:]
+        assert load_outcome(text) == load_outcome(text, fast=False)
+
     @pytest.mark.parametrize("old, new", [
         ('"cover_edges":[[', '"cover_edges":[[0'),        # leading zero
+        (",[0,17],", ",0[,17],"),                         # an id moved out of its pair
         ('"cover_edges":[[', '"cover_edges":[[ '),        # whitespace
         ('"cover_edges":[[', '"cover_edges":[[-'),        # negative id
         ('"cover_edges":[[', f'"cover_edges":[[{2 ** 70}'),  # overflow
@@ -445,3 +484,16 @@ class TestCanonicalFastPath:
         text = text.replace(old, new, 1)
         assert cover_module._canonical_parts(text) is None
         assert load_outcome(text) == load_outcome(text, fast=False)
+
+
+def test_loading_takes_a_few_times_the_file_size():
+    # a load through Python lists and whole-cover edge temporaries peaks
+    # near 10x the file; the one-pass parse and block-wise validate near 3x
+    text = cover_to_json(random_dp_cover(random_regular(1000, 8, 1), 32, 1.0, 2))
+    tracemalloc.start()
+    try:
+        cover_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * len(text)

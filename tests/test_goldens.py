@@ -54,7 +54,7 @@ def covers(tmp_path_factory):
     edges = nibble.cover.edge_array()
     deficient = dp.DpCover(nibble.base,
                            dp.Graph.from_edges(nibble.num_colors, edges[1:]),
-                           nibble.all_lists())
+                           nibble.list_sizes(), nibble.lcolors)
     docs = {
         "nibble": nibble,
         "deficient": deficient,

@@ -135,7 +135,7 @@ class TestRunRound:
         g = Graph.empty(2)
         cov = from_list_assignment(g, [[0], [1]])
         from dpnibble.cover import DpCover
-        broken = DpCover(g, cov.cover, [[0, 1], []])
+        broken = DpCover(g, cov.cover, [2, 0], [0, 1])
         with pytest.raises(ValueError, match="nonempty"):
             run_round(broken, RoundParams(eta=0.5, d=1, ell=1, beta=0.1), 0)
 

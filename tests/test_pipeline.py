@@ -33,8 +33,7 @@ class TestFinish:
         # is (1/64)/(63/64) = 1/63 resamples per run
         from dpnibble import DpCover
         base = Graph.from_edges(2, [(0, 1)])
-        cov = DpCover(base, Graph.from_edges(16, [(0, 8)]),
-                      [range(8), range(8, 16)])
+        cov = DpCover(base, Graph.from_edges(16, [(0, 8)]), [8, 8], range(16))
         total = 0
         runs = 400
         for seed in range(runs):
