@@ -7,11 +7,12 @@ rounds at seeds ``seed .. seed+B-1`` (mod 2**64) with one array pass per
 step: per-vertex arrays are ``(B, n)``, the kept mask is ``(B, K)``, and an
 entry of the flattened mask is keyed ``trial * K + color``.
 
-``nibble.run_round`` is the ``B = 1`` case, and then no key carries a trial
-offset.  ``analysis.round_stats`` runs its trials in blocks of
+``analysis.round_stats`` runs its trials in blocks of
 ``B = max(1, min(trials, _BLOCK_ENTRIES // max(cover-row entries, colors)))``
 with ``_BLOCK_ENTRIES = 2**16``: the 408-color criterion-3 cover (6,528
 entries) gets ``B = 10``, a 4,800-color, 16-regular cover ``B = 1``.
+``nibble.run_round`` runs :func:`alive_round`, which picks colors for the
+activated vertices only, from the alive colors of their root lists.
 
 Array layout shared by the kernels:
 
@@ -40,6 +41,16 @@ def gather_rows(ptr, idx, rows, offsets=None):
     return out
 
 
+def row_gather(ptr, idx):
+    """``rows -> gather_rows(ptr, idx, rows)``; rows of one width, as those of
+    a regular cover or of equal lists, are copied whole from a 2-D view."""
+    width = int(ptr[1]) if ptr.size > 1 else 0
+    if width and np.all(np.diff(ptr) == width):
+        table = idx.reshape(-1, width)
+        return lambda rows: table[rows].ravel()
+    return lambda rows: gather_rows(ptr, idx, rows)
+
+
 def masked_keys(values, mask, width):
     """``values[mask]`` for a ``(B, m)`` mask and the key offset ``trial * width``
     of each entry; the offsets are ``None`` when ``B = 1``.
@@ -54,6 +65,11 @@ def masked_keys(values, mask, width):
     return picked, offsets
 
 
+def list_positions(u, sizes):
+    """The entry of a list of ``sizes`` colors that the uniform ``u`` picks."""
+    return np.minimum((u * sizes).astype(np.int64), sizes - 1)
+
+
 def round_kernel(seed, block, eta, lptr, sizes, lcolors, cptr, cidx):
     """``block`` nibble rounds at seeds ``seed, seed+1, ...`` on lists of
     ``sizes`` >= 1; returns (activated, col, kept, phi).
@@ -64,7 +80,7 @@ def round_kernel(seed, block, eta, lptr, sizes, lcolors, cptr, cidx):
     """
     u_act, u_col = vertex_uniforms(seed, sizes.size, block)
     activated = u_act < eta
-    pick = lcolors[lptr[:-1] + np.minimum((u_col * sizes).astype(np.int64), sizes - 1)]
+    pick = lcolors[lptr[:-1] + list_positions(u_col, sizes)]
     col = np.where(activated, pick, -1)
     width = cptr.size - 1
     kept = np.ones((block, width), dtype=bool)
@@ -77,5 +93,18 @@ def round_kernel(seed, block, eta, lptr, sizes, lcolors, cptr, cidx):
     return activated, col, kept, phi
 
 
-# perfbench/traced.py times the round kernel through this name
-round_dispatch = round_kernel
+def alive_round(seed, eta, vertices, sizes, alive, list_rows, cover_rows):
+    """One round at ``seed`` on the ``alive`` colors of the root lists of
+    ``vertices``, ``sizes`` >= 1 each, which ``list_rows`` gathers; returns
+    the activation mask, the activated vertices' picks and their cover rows."""
+    u_act, u_col = vertex_uniforms(seed, sizes.size)
+    activated = u_act[0] < eta
+    act = np.flatnonzero(activated)
+    s = sizes[act]
+    listed = list_rows(vertices[act])
+    pick = listed[alive[listed]][s.cumsum() - s + list_positions(u_col[0, act], s)]
+    return activated, pick, cover_rows(pick)
+
+
+# perfbench/traced.py times the round kernel of `color` through this name
+round_dispatch = alive_round

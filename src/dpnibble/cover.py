@@ -118,6 +118,23 @@ class PartialColoring:
 
 # cover CSR entries validate reads at a time
 _VALIDATE_BLOCK = 1 << 16
+# most base vertices whose adjacency validate packs into n * n bits (2 MB)
+_BITSET_MAX = 4096
+_BIT = np.array([1 << i for i in range(8)], dtype=np.uint8)
+
+
+def _base_adjacency(base: Graph):
+    """``backed(key)``: which keys ``u * n + v`` are directed base edges; one
+    gather from n * n bits up to ``_BITSET_MAX`` vertices, else a search."""
+    n = base.vertex_count
+    # directed base edges u * n + v, sorted since the CSR rows are
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, base.degrees()) + base.indices
+    if n <= _BITSET_MAX:
+        bits = np.zeros((n * n + 7) // 8, dtype=np.uint8)
+        np.bitwise_or.at(bits, keys >> 3, _BIT[keys & 7])
+        return lambda key: (bits[key >> 3] & _BIT[key & 7]) != 0
+    keys = np.append(keys, n * n)  # above every key, so a search stays in range
+    return lambda key: keys[np.searchsorted(keys, key)] == key
 
 
 def validate(c: DpCover, max_violations: int = 1000) -> list[Violation]:
@@ -136,43 +153,40 @@ def validate(c: DpCover, max_violations: int = 1000) -> list[Violation]:
 
     # partition: every color in exactly one list, owners consistent
     seen = np.bincount(c.lcolors, minlength=c.num_colors)
-    for col in np.nonzero(seen == 0)[0]:
+    unlisted = np.flatnonzero(seen == 0)
+    for col in unlisted:
         add(out, "color-in-no-list", col)
     for col in np.nonzero(seen > 1)[0]:
         add(out, "color-in-multiple-lists", col)
 
     inside, unbacked, unmatched = [], [], []
     n = c.base.vertex_count
-    # directed base edges u * n + v, sorted since the CSR rows are
-    base_keys = np.repeat(np.arange(n, dtype=np.int64) * n, c.base.degrees())
-    base_keys += c.base.indices
+    backed_by_base = _base_adjacency(c.base)
     indptr, indices, owner = c.cover.indptr, c.cover.indices, c.owner
     lo = 0
     while lo < c.num_colors:
         hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + _VALIDATE_BLOCK,
                                              side="right")) - 1)
         # entry (x, y) of row x; each edge shows up in both of its rows
-        x = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo:hi + 1]))
+        lens = np.diff(indptr[lo:hi + 1])
+        x = np.repeat(np.arange(lo, hi, dtype=np.int64), lens)
         y = indices[indptr[lo]:indptr[hi]]
+        u, v = np.repeat(owner[lo:hi], lens), owner[y]
         lo = hi
-        u, v = owner[x], owner[y]
-        placed = (u >= 0) & (v >= 0)  # partition defects already reported
+        # owners are -1 only for colors in no list, reported already
+        placed = (u >= 0) & (v >= 0) if unlisted.size else True
         same = placed & (u == v)
         upper = y > x
         for i in np.flatnonzero(same & upper):
             add(inside, "list-not-independent", u[i], x[i], y[i])
         cross = placed & ~same
-        key = u * n + v
-        backed = np.zeros(key.size, dtype=bool)
-        if base_keys.size:
-            backed = base_keys[np.minimum(np.searchsorted(base_keys, key),
-                                          base_keys.size - 1)] == key
+        backed = backed_by_base(u * n + v)
         for i in np.flatnonzero(cross & ~backed & upper):
             add(unbacked, "cover-edge-without-base-edge", u[i], v[i], x[i], y[i])
         # matching: each color has at most one partner inside any one list,
         # so the keys x * n + owner(y) of a row never repeat
         good = cross & backed
-        keys = x[good] * n + v[good]
+        keys = x * n + v if good.all() else x[good] * n + v[good]
         if np.all(keys[1:] > keys[:-1]):
             continue
         keys.sort()

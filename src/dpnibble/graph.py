@@ -66,9 +66,8 @@ class Graph:
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edge in edge list")
         indptr = np.zeros(n + 1, dtype=np.int64)
-        degrees = np.bincount(e[:, 0], minlength=n)
-        degrees += np.bincount(e[:, 1], minlength=n)
-        np.cumsum(degrees, out=indptr[1:])
+        # every edge counts once at each end
+        np.cumsum(np.bincount(e.reshape(-1), minlength=n), out=indptr[1:])
         np.remainder(keys, max(n, 1), out=keys)
         return cls(n, indptr, keys)
 

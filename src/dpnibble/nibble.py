@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .cover import DpCover, PartialColoring
+from .cover import DpCover
 from .errors import RetriesExhaustedError
 
 
@@ -88,33 +88,44 @@ class RoundParams:
 
 
 class ResidualView:
-    """The residual of a partial coloring, as masks over a root cover.
+    """The residual of a partial coloring, as arrays over a root cover.
 
     ``blank`` marks uncolored vertices, ``alive`` the colors left on their
     lists; ``sizes`` counts alive colors per vertex, ``deg`` alive neighbours
-    per color.  Residual vertex ``i`` is the ``i``-th blank vertex with its
-    alive colors in increasing order: the ids a renumbered residual cover
-    would give them, so a round draws the same streams on either.
+    per alive color.  Residual vertex ``i`` is the blank vertex
+    ``vertices[i]`` with its alive colors in increasing order: the ids a
+    renumbered residual cover would give them, so a round draws the same
+    streams on either.  The compact lists ``lcolors``/``lptr`` are built on
+    first use.  :attr:`RoundOutcome.residual` advances the arrays in place
+    and leaves this view ``spent``.
     """
 
     def __init__(self, root: DpCover, blank: np.ndarray, alive: np.ndarray,
-                 sizes: np.ndarray, deg: np.ndarray):
-        self.root = root
-        self.blank = blank
-        self.alive = alive
-        self.sizes = sizes
-        self.deg = deg
-        self.vertices = np.flatnonzero(blank)
-        self.lcolors = root.lcolors[alive[root.lcolors]]
-        self._list_sizes = sizes[self.vertices]
-        self.lptr = np.concatenate([[0], np.cumsum(self._list_sizes)])
+                 sizes: np.ndarray, deg: np.ndarray, vertices: np.ndarray, rows=None):
+        self.root, self.blank, self.alive, self.sizes, self.deg = root, blank, alive, sizes, deg
+        self.vertices, self.spent = vertices, False
+        self._list_sizes = sizes[vertices]
+        self._max_degree = int(deg.max(initial=0))
+        # gathers of the root lists and of the cover rows
+        self.rows = rows or (_kernels.row_gather(root.lptr, root.lcolors),
+                             _kernels.row_gather(root.cover.indptr, root.cover.indices))
 
     @classmethod
     def of(cls, cover: DpCover) -> "ResidualView":
         """The whole cover: every vertex blank, every color alive."""
-        return cls(cover, np.ones(cover.base.vertex_count, bool),
-                   np.ones(cover.num_colors, bool), cover.list_sizes(),
-                   cover.cover.degrees())
+        n = cover.base.vertex_count
+        view = cls(cover, np.ones(n, bool), np.ones(cover.num_colors, bool),
+                   cover.list_sizes(), cover.cover.degrees(), np.arange(n))
+        view.lcolors, view.lptr = cover.lcolors, cover.lptr
+        return view
+
+    @cached_property
+    def lcolors(self) -> np.ndarray:
+        return self.root.lcolors[self.alive[self.root.lcolors]]
+
+    @cached_property
+    def lptr(self) -> np.ndarray:
+        return np.concatenate([[0], np.cumsum(self._list_sizes)])
 
     def lists(self, i: int) -> np.ndarray:
         """Alive colors of residual vertex ``i``, in increasing order."""
@@ -126,11 +137,16 @@ class ResidualView:
 
     def max_degree(self) -> int:
         """Largest residual cover degree; 0 without alive colors."""
-        return int(self.deg[self.lcolors].max(initial=0))
+        return self._max_degree
 
 
-def _as_view(cover: DpCover | ResidualView) -> ResidualView:
-    return cover if isinstance(cover, ResidualView) else ResidualView.of(cover)
+def _round_view(cover: DpCover | ResidualView) -> ResidualView:
+    view = cover if isinstance(cover, ResidualView) else ResidualView.of(cover)
+    if view.spent:
+        raise ValueError("a round was already applied to this residual view")
+    if np.any(view.list_sizes() < 1):
+        raise ValueError("every vertex needs a nonempty list")
+    return view
 
 
 def on_lists(view: ResidualView, kept: np.ndarray) -> np.ndarray:
@@ -165,59 +181,68 @@ def residual_degrees(view: ResidualView, stays: np.ndarray) -> np.ndarray:
 
 
 class RoundOutcome:
-    """Result of one round on a residual view, backed by the kernel arrays.
+    """Result of one round on a residual view.
 
-    Vertices are residual ranks and colors root ids.  ``activated_mask``/
-    ``col``/``kept_mask``/``phi`` are the raw arrays (one row of a kernel
-    block); the residual degrees (``next_deg``) and the next residual, a
-    :class:`ResidualView` over the same root, are built on demand.
+    Vertices are residual ranks and colors root ids.  ``activated_mask``,
+    the picks of the activated vertices and their cover rows (``hits``) come
+    from the kernel; the rest is read from the colors the round takes off
+    the lists (``dying``) and from the view, so it belongs before
+    :attr:`residual`, which advances the view.
     """
 
     def __init__(self, view: ResidualView, seed: int, activated_mask: np.ndarray,
-                 col: np.ndarray, kept_mask: np.ndarray, phi: np.ndarray):
-        self.view = view
-        self.seed = seed
-        self.activated_mask = activated_mask
-        self.col = col
-        self.kept_mask = kept_mask
-        self.phi = phi
+                 pick: np.ndarray, hits: np.ndarray):
+        self.view, self.seed, self.activated_mask, self.hits = view, seed, activated_mask, hits
+        self.kept_mask = np.ones(view.root.num_colors, dtype=bool)
+        self.kept_mask[hits] = False
+        self.col = np.full(activated_mask.size, -1, dtype=np.int64)
+        self.col[activated_mask] = pick
+        self.phi = np.where(activated_mask & self.kept_mask[self.col], self.col, -1)
 
-    def kept(self, v: int) -> np.ndarray:
-        lst = self.view.lists(v)
-        return lst[self.kept_mask[lst]]
+    @cached_property
+    def _killed(self) -> np.ndarray:
+        """The alive colors with a picked neighbour, each once, increasing."""
+        h = np.sort(self.hits[self.view.alive[self.hits]])
+        first = np.ones(h.size, dtype=bool)
+        np.not_equal(h[1:], h[:-1], out=first[1:])
+        return h[first]
+
+    @cached_property
+    def dying(self) -> np.ndarray:
+        """The killed colors, then the other alive colors of the vertices colored."""
+        v = self.view
+        listed = v.rows[0](v.vertices[self.phi >= 0])
+        return np.concatenate([self._killed, listed[v.alive[listed] & self.kept_mask[listed]]])
 
     def kept_sizes(self) -> np.ndarray:
-        return kept_counts(self.view, self._listed)[0]
-
-    @property
-    def coloring(self) -> PartialColoring:
-        return PartialColoring(self.phi.copy())
-
-    @cached_property
-    def _listed(self) -> np.ndarray:
-        return on_lists(self.view, self.kept_mask[None])
-
-    @cached_property
-    def stays(self) -> np.ndarray:
-        """Mask over ``view.lcolors``: the kept colors of vertices left blank."""
-        return staying(self.view, self._listed, self.phi[None])[0]
+        v = self.view
+        lost = np.bincount(v.root.owner[self._killed], minlength=v.sizes.size)
+        return v.list_sizes() - lost[v.vertices]
 
     @cached_property
     def next_deg(self) -> np.ndarray:
-        """Alive neighbours of every root color after this round."""
-        return residual_degrees(self.view, self.stays[None])[0]
+        """Alive neighbours after this round of every color alive before it."""
+        deg = self.view.deg.copy()
+        np.subtract.at(deg, self.view.rows[1](self.dying), 1)
+        return deg
 
     @cached_property
     def residual(self) -> ResidualView:
-        """The residual after this round, as masks over the same root."""
+        """The residual after this round, made in place: only the entries of
+        the dying colors, of their owners and along their cover rows change."""
         v = self.view
-        dying = v.lcolors[~self.stays]
-        blank = v.blank.copy()
-        blank[v.vertices[self.phi >= 0]] = False
-        alive = v.alive.copy()
-        alive[dying] = False
-        sizes = v.sizes - np.bincount(v.root.owner[dying], minlength=v.blank.size)
-        return ResidualView(v.root, blank, alive, sizes, self.next_deg)
+        if v.spent:
+            raise ValueError("a round was already applied to this residual view")
+        colored = self.phi >= 0
+        v.alive[self.dying] = False
+        v.blank[v.vertices[colored]] = False
+        np.subtract.at(v.sizes, v.root.owner[self.dying], 1)
+        # dead colors' degrees may fall below 0: nothing reads them
+        np.subtract.at(v.deg, v.rows[1](self.dying), 1)
+        v.deg[self.dying] = 0
+        v.spent = True
+        return ResidualView(v.root, v.blank, v.alive, v.sizes, v.deg, v.vertices[~colored],
+                            v.rows)
 
 
 def run_block(cover: DpCover | ResidualView, params: RoundParams, seed: int,
@@ -227,21 +252,18 @@ def run_block(cover: DpCover | ResidualView, params: RoundParams, seed: int,
     Returns ``(activated, col, kept, phi)``: ``(block, n)`` arrays over the
     residual vertices and a ``(block, K)`` mask over the root colors.
     """
-    view = _as_view(cover)
-    sizes = view.list_sizes()
-    if np.any(sizes < 1):
-        raise ValueError("every vertex needs a nonempty list")
+    view = _round_view(cover)
     g = view.root.cover
-    return _kernels.round_kernel(seed, block, params.eta, view.lptr, sizes,
+    return _kernels.round_kernel(seed, block, params.eta, view.lptr, view.list_sizes(),
                                  view.lcolors, g.indptr, g.indices)
 
 
 def run_round(cover: DpCover | ResidualView, params: RoundParams,
               seed: int) -> RoundOutcome:
     """Execute one round; a pure function of (cover, params, seed)."""
-    view = _as_view(cover)
-    activated, col, kept, phi = run_block(view, params, seed, 1)
-    return RoundOutcome(view, seed, activated[0], col[0], kept[0], phi[0])
+    view = _round_view(cover)
+    return RoundOutcome(view, seed, *_kernels.alive_round(
+        seed, params.eta, view.vertices, view.list_sizes(), view.alive, *view.rows))
 
 
 def round_is_good(outcome: RoundOutcome, ell_target: float, d_target: float) -> bool:
@@ -253,9 +275,12 @@ def round_is_good(outcome: RoundOutcome, ell_target: float, d_target: float) -> 
 def count_violations(outcome: RoundOutcome, ell_target: float, d_target: float) -> tuple[int, int]:
     """(#vertices with kept size <= ell_target, #residual colors with degree >= d_target)."""
     bad_v = int(np.count_nonzero(outcome.kept_sizes() <= ell_target))
-    survivors = outcome.view.lcolors[outcome.stays]
-    bad_c = int(np.count_nonzero(outcome.next_deg[survivors] >= d_target))
-    return bad_v, bad_c
+    # degrees only fall: if none reaches d_target yet, none will
+    if outcome.view.max_degree() < d_target:
+        return bad_v, 0
+    survivors = outcome.view.alive.copy()
+    survivors[outcome.dying] = False
+    return bad_v, int(np.count_nonzero(outcome.next_deg[survivors] >= d_target))
 
 
 def run_round_until_good(cover: DpCover | ResidualView, params: RoundParams,
@@ -271,7 +296,7 @@ def run_round_until_good(cover: DpCover | ResidualView, params: RoundParams,
     best: RoundOutcome | None = None
     best_score = None
     violations: dict[int, tuple[int, int]] = {}
-    view = _as_view(cover)
+    view = _round_view(cover)
     for k in range(max_retries):
         outcome = run_round(view, params, seed + k)
         bad_v, bad_c = count_violations(outcome, ell_target, d_target)

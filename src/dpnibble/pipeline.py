@@ -1,15 +1,15 @@
 """End-to-end coloring: iterated good rounds, then resampling completion.
 
 Round-to-round the engine tracks the *observed* state of the residual cover,
-kept as masks over the root cover (:class:`~dpnibble.nibble.ResidualView`):
-the uniform list bound for the next round is the smallest surviving kept
-list, and the degree bound is the largest residual cover degree (never worse
-than the closed-form prediction after a good round).  Nibbling stops as soon
-as every list is at least eight times the residual cover degree, at which
-point repeated resampling of conflicting edges completes the coloring; the
-resampler reads the same masks and builds no renumbered cover.  The
-returned coloring is verified against the original cover before it leaves
-this module.
+kept as arrays over the root cover (:class:`~dpnibble.nibble.ResidualView`)
+that a round updates where it touched them: the uniform list bound for the
+next round is the smallest surviving kept list, and the degree bound is the
+largest residual cover degree (never worse than the closed-form prediction
+after a good round).  Nibbling stops as soon as every list is at least eight
+times the residual cover degree, at which point repeated resampling of
+conflicting edges completes the coloring; the resampler reads the same
+arrays and builds no renumbered cover.  The returned coloring is verified
+against the original cover before it leaves this module.
 
 The closed-form schedule keyed by the same inputs is the reference for the
 round targets; its integer sequences are not used to truncate lists (at
@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._kernels import gather_rows
+from ._kernels import gather_rows, list_positions
 from ._rng import derive_seed, normalize_seed
 from .analysis import verify_proper
 from .cover import DpCover, PartialColoring, regularize, require_valid
@@ -78,10 +78,15 @@ class ColoringResult:
     verified: bool = True
 
 
-def finish_with_stats(c: DpCover, max_resamples: int, seed: int):
-    """:func:`resample_residual` on a whole cover, its coloring as a PartialColoring."""
-    chosen, resamples, trajectory = resample_residual(ResidualView.of(c), max_resamples, seed)
-    return PartialColoring(chosen), resamples, trajectory
+def finish_with_stats(c: DpCover, max_resamples: int, seed: int,
+                      view: ResidualView | None = None):
+    """:func:`resample_residual` on ``view``, a residual of ``c`` (by default
+    all of it); its colors as a PartialColoring of ``c``'s vertices."""
+    view = ResidualView.of(c) if view is None else view
+    coloring = PartialColoring.blank(c.base.vertex_count)
+    coloring.assignment[view.vertices], resamples, trajectory = resample_residual(
+        view, max_resamples, seed)
+    return coloring, resamples, trajectory
 
 
 def resample_residual(view: ResidualView, max_resamples: int, seed: int):
@@ -121,7 +126,7 @@ def resample_residual(view: ResidualView, max_resamples: int, seed: int):
         return int(lst[j])
 
     # one uniform per vertex, in vertex order: the same doubles as n scalar draws
-    pick = np.minimum((rng.random(n) * sizes).astype(np.int64), sizes - 1)
+    pick = list_positions(rng.random(n), sizes)
     chosen = view.lcolors[view.lptr[:-1] + pick]
     if d == 0:
         return chosen, 0, []
@@ -247,8 +252,9 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
         raise PipelineError(str(exhausted), telemetry=telemetry) from exhausted
 
     try:
-        phi_total[view.vertices], finish_resamples, _ = resample_residual(
-            view, cfg.max_finish_resamples, derive_seed(base_seed, 0))
+        finished, finish_resamples, _ = finish_with_stats(
+            c, cfg.max_finish_resamples, derive_seed(base_seed, 0), view)
+        phi_total[view.vertices] = finished.assignment[view.vertices]
     except (ValueError, ResampleBudgetError) as exc:
         raise PipelineError(f"completion failed: {exc}",
                             telemetry=telemetry) from exc

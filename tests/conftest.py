@@ -244,12 +244,22 @@ def validate_reference(c: DpCover, max_violations: int = 1000) -> list[Violation
     return out
 
 
-def defective_cover(seed: int, n: int = 40, colors: int = 400, edges: int = 1500) -> DpCover:
+def defective_cover(seed: int, n: int = 40, colors: int = 400, edges: int = 1500,
+                    base_edges: int | None = None) -> DpCover:
     """A cover with defects of every kind: lists that miss or repeat colors
     (and need not be ranges of ids), cover edges inside a list, across a
-    non-edge of the base, and colors matched twice into one list."""
+    non-edge of the base, and colors matched twice into one list.
+
+    With ``base_edges``, the base has that many random edges instead of
+    density 0.15, and one edge inside a list and one color matched twice
+    are planted, since random edges of a sparse cover rarely make them."""
     rng = np.random.default_rng(seed)
-    base = random_graph(n, 0.15, seed)
+    if base_edges is None:
+        base = random_graph(n, 0.15, seed)
+    else:
+        ends = rng.integers(0, n, (base_edges, 2))
+        ends = ends[ends[:, 0] != ends[:, 1]]
+        base = Graph.from_edges(n, np.unique(np.sort(ends, axis=1), axis=0))
     owner = rng.integers(0, n, colors)
     # a few colors in no list, a few in two
     lists = [[] for _ in range(n)]
@@ -267,4 +277,14 @@ def defective_cover(seed: int, n: int = 40, colors: int = 400, edges: int = 1500
     for x, y in rng.integers(0, colors, (edges, 2)).tolist():
         if x != y:
             pairs.add((min(x, y), max(x, y)))
+    if base_edges is not None:
+        # colors in exactly one list
+        counts = np.bincount(np.concatenate(lists).astype(np.int64), minlength=colors)
+        once = [[x for x in lst if counts[x] == 1] for lst in lists]
+        u = next(u for u in range(n) if len(once[u]) >= 2)
+        pairs.add((once[u][0], once[u][1]))
+        u, v = next((u, v) for u, v in base.edge_array().tolist()
+                    if once[u] and len(once[v]) >= 2)
+        for y in once[v][:2]:
+            pairs.add((min(once[u][0], y), max(once[u][0], y)))
     return DpCover.from_lists(base, Graph.from_edges(colors, sorted(pairs)), lists)

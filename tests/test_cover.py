@@ -217,11 +217,15 @@ class TestValidate:
 
     @pytest.mark.parametrize("block", [1, 64, 1 << 16])
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_reference_in_row_blocks(self, monkeypatch, block, seed):
+    @pytest.mark.parametrize("n", [40, 4096, 4097])
+    def test_matches_reference_in_row_blocks(self, monkeypatch, block, seed, n):
         # over 4,600 cover CSR entries: a block of 64 entries splits them
-        # into about 75 blocks, a block of 1 gives each row its own
+        # into about 75 blocks, a block of 1 gives each row its own.  Up to
+        # 4,096 base vertices the base edges are looked up in a bitset, above
+        # by a search: the sparse covers sit on both sides of that gate.
         monkeypatch.setattr(cover_module, "_VALIDATE_BLOCK", block)
-        cov = defective_cover(seed)
+        cov = (defective_cover(seed) if n == 40 else
+               defective_cover(seed, n, colors=1200, edges=400, base_edges=3 * n))
         full = [str(v) for v in validate_reference(cov, 10 ** 9)]
         assert {s[:s.index("(")] for s in full} == {
             "color-in-no-list", "color-in-multiple-lists", "list-not-independent",

@@ -8,9 +8,12 @@ import pytest
 from dpnibble import (Graph, PipelineConfig, ScheduleInput, color_graph,
                       from_list_assignment, pipeline, uniform_list_cover)
 from dpnibble.analysis import verify_proper
-from dpnibble.errors import PipelineError, ResampleBudgetError
+from dpnibble.errors import PipelineError, ResampleBudgetError, RetriesExhaustedError
 from dpnibble.generators import incidence_graph, random_dp_cover, random_regular
-from dpnibble.nibble import ResidualView, RoundParams, run_round, run_round_until_good
+from dpnibble.graph import max_degree
+from dpnibble.nibble import (ResidualView, RoundParams, count_violations, kept_counts,
+                             on_lists, residual_degrees, run_block, run_round,
+                             run_round_until_good, staying)
 from dpnibble.pipeline import finish_with_stats, resample_residual, result_to_json
 
 from conftest import finish_by_rescan, path_graph, regular_cover, residual_cover
@@ -282,3 +285,129 @@ class TestResultJson:
         cfg = quick_cfg(3, 0.5, seed=1)
         res = color_graph(cov, cfg)
         assert result_to_json(res, cfg) == result_to_json(res, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the incremental round state against the full-array helpers
+# ---------------------------------------------------------------------------
+
+
+def snapshot(view: ResidualView) -> ResidualView:
+    """A view over copies of ``view``'s arrays, which a residual leaves alone."""
+    return ResidualView(view.root, view.blank.copy(), view.alive.copy(),
+                        view.sizes.copy(), view.deg.copy(), view.vertices.copy())
+
+
+def assert_same_state(view: ResidualView, other: ResidualView):
+    for name in ("blank", "alive", "sizes", "deg", "vertices"):
+        assert np.array_equal(getattr(view, name), getattr(other, name)), name
+
+
+def full_array_round(view: ResidualView, p: RoundParams, seed: int, ell_t: float, d_t: float):
+    """The round at ``seed`` recomputed by the full-array helpers ``stats``
+    runs: the next ``alive``, ``blank`` and degrees, and the violation counts."""
+    _, _, kept, phi = run_block(view, p, seed, 1)
+    listed = on_lists(view, kept)
+    stays = staying(view, listed, phi)
+    deg = residual_degrees(view, stays)[0]
+    alive = np.zeros_like(view.alive)
+    alive[view.lcolors[stays[0]]] = True
+    blank = view.blank.copy()
+    blank[view.vertices[phi[0] >= 0]] = False
+    counts = (int(np.count_nonzero(kept_counts(view, listed)[0] <= ell_t)),
+              int(np.count_nonzero(deg[alive] >= d_t)))
+    return alive, blank, deg, counts
+
+
+class CheckedRounds:
+    """``run_round_until_good`` that checks every attempt and every accepted
+    round against :func:`full_array_round`."""
+
+    def __init__(self):
+        self.rounds = self.rejected = self.gate_live = 0
+
+    def __call__(self, view, p, ell_t, d_t, max_retries, seed):
+        before = snapshot(view)
+        self.gate_live += view.max_degree() >= d_t
+        try:
+            outcome = run_round_until_good(view, p, ell_t, d_t, max_retries, seed)
+        except RetriesExhaustedError as exc:
+            assert_same_state(view, before)
+            for s, counts in exc.violations.items():
+                assert counts == full_array_round(before, p, s, ell_t, d_t)[3]
+            raise
+        # the rejected retries changed nothing
+        assert_same_state(view, before)
+        for s in range(seed, outcome.seed + 1):
+            counts = count_violations(run_round(view, p, s), ell_t, d_t)
+            assert counts == full_array_round(before, p, s, ell_t, d_t)[3], s
+        self.rejected += outcome.seed - seed
+        alive, blank, deg, _ = full_array_round(before, p, outcome.seed, ell_t, d_t)
+        after = outcome.residual
+        assert view.spent
+        assert np.array_equal(after.alive, alive)
+        assert np.array_equal(after.blank, blank)
+        assert np.array_equal(after.vertices, np.flatnonzero(blank))
+        assert np.array_equal(after.sizes, np.bincount(view.root.owner[alive],
+                                                       minlength=blank.size))
+        assert np.array_equal(after.deg[alive], deg[alive])
+        assert after.max_degree() == int(deg[alive].max(initial=0))
+        self.rounds += 1
+        return outcome
+
+
+def cli_cfg(cov, seed: int) -> PipelineConfig:
+    """The configuration ``dpnibble color`` builds without ``--epsilon``."""
+    d = max(max_degree(cov.cover), 1)
+    ell = int(cov.list_sizes().min())
+    return quick_cfg(d, min(max(ell * math.log(max(d, 3)) / max(d, 3) - 1.0, 0.01), 99.0), seed)
+
+
+class TestRoundStateAgainstFullArrays:
+    @pytest.mark.parametrize("make, seed, error", [
+        # an incidence list cover, through the rounds to the finisher
+        (lambda: uniform_list_cover(incidence_graph(5, seed=0), 14), 7, None),
+        # a thinned cover, whose colors have unequal degrees
+        (lambda: random_dp_cover(random_regular(60, 6, 1), 12, 0.7, 2), 1, None),
+        (lambda: random_dp_cover(random_regular(40, 4, 3), 24, 1.0, 4), 2, None),
+        (lambda: uniform_list_cover(incidence_graph(7, seed=0), 7), 3,
+         "round 278: a vertex has an empty list"),
+    ], ids=["incidence", "thinned", "finisher", "empty-list"])
+    def test_pipeline_rounds(self, monkeypatch, make, seed, error):
+        cov = make()
+        checked = CheckedRounds()
+        monkeypatch.setattr(pipeline, "run_round_until_good", checked)
+        if error is None:
+            res = color_graph(cov, cli_cfg(cov, seed))
+            assert verify_proper(cov, res.coloring)[0]
+        else:
+            with pytest.raises(PipelineError, match=error):
+                color_graph(cov, cli_cfg(cov, seed))
+        assert checked.rounds > 0
+
+    def test_degree_gate_live_with_rejected_retries(self):
+        # targets tighter than any pipeline sets: a round is rejected when a
+        # kept color keeps two alive neighbours
+        cov = regular_cover(20, 3, 6, seed=8)
+        p = RoundParams(eta=0.6, d=3, ell=6, beta=0.02)
+        checked = CheckedRounds()
+        view = ResidualView.of(cov)
+        for k in range(5):
+            view = checked(view, p, 0.0, 2.0, 20, 100 * k).residual
+        assert checked.gate_live > 0 and checked.rejected > 0
+
+    def test_exhausted_retries_change_nothing(self):
+        cov = regular_cover(24, 4, 8, seed=8)
+        with pytest.raises(RetriesExhaustedError):
+            CheckedRounds()(ResidualView.of(cov), RoundParams(eta=0.3, d=4, ell=8, beta=0.02),
+                            0.0, 4.0, 20, 0)
+
+    def test_spent_view_is_refused(self):
+        cov = regular_cover(16, 4, 8, seed=8)
+        p = RoundParams(eta=0.5, d=4, ell=8, beta=0.02)
+        view = ResidualView.of(cov)
+        first, second = run_round(view, p, 1), run_round(view, p, 2)
+        first.residual
+        for use in (lambda: second.residual, lambda: run_round(view, p, 3)):
+            with pytest.raises(ValueError, match="already applied"):
+                use()

@@ -30,6 +30,12 @@ def test_traced_color_records_round_spans(tmp_path):
          str(cover), "--seed", "1", "--out", str(out)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    spans = {name for name, *_ in json.loads(trace.read_text())["spans"]}
-    assert {"kernels.round", "nibble.residual", "pipeline.color_graph"} <= spans
-    assert json.loads(out.read_text())["ok"]
+    recorded = json.loads(trace.read_text())
+    spans = {name for name, *_ in recorded["spans"]}
+    assert {"cover.validate", "pipeline.color_graph", "kernels.round",
+            "nibble.count_violations", "nibble.residual", "pipeline.finish"} <= spans
+    result = json.loads(out.read_text())
+    assert result["ok"]
+    counts = recorded["counts"]
+    assert counts["pipeline.rounds"] == len(result["rounds"]) > 0
+    assert counts["nibble.round_attempts"] >= counts["pipeline.rounds"]
