@@ -12,7 +12,7 @@ entry of the flattened mask is keyed ``trial * K + color``.
 with ``_BLOCK_ENTRIES = 2**16``: the 408-color criterion-3 cover (6,528
 entries) gets ``B = 10``, a 4,800-color, 16-regular cover ``B = 1``.
 ``nibble.run_round`` runs :func:`alive_round`, which picks colors for the
-activated vertices only, from the alive colors of their root lists.
+activated vertices only; :func:`alive_picks` also makes the finisher's picks.
 
 Array layout shared by the kernels:
 
@@ -93,16 +93,25 @@ def round_kernel(seed, block, eta, lptr, sizes, lcolors, cptr, cidx):
     return activated, col, kept, phi
 
 
-def alive_round(seed, eta, vertices, sizes, alive, list_rows, cover_rows):
-    """One round at ``seed`` on the ``alive`` colors of the root lists of
-    ``vertices``, ``sizes`` >= 1 each, which ``list_rows`` gathers; returns
+def alive_picks(u, vertices, sizes, alive, lptr, lcolors, list_rows):
+    """The colors the uniforms ``u`` pick from the ``alive`` colors of the
+    root lists (CSR ``lptr``, ``lcolors``, rows gathered by ``list_rows``) of
+    ``vertices``, ``sizes`` >= 1 each; lists that lost no color are read at
+    their picks only."""
+    starts, pos = lptr[vertices], list_positions(u, sizes)
+    if np.array_equal(lptr[vertices + 1] - starts, sizes):
+        return lcolors[starts + pos]
+    listed = list_rows(vertices)
+    return listed[alive[listed]][sizes.cumsum() - sizes + pos]
+
+
+def alive_round(seed, eta, vertices, sizes, alive, lptr, lcolors, list_rows, cover_rows):
+    """One round at ``seed`` on ``vertices`` (see :func:`alive_picks`); returns
     the activation mask, the activated vertices' picks and their cover rows."""
     u_act, u_col = vertex_uniforms(seed, sizes.size)
     activated = u_act[0] < eta
     act = np.flatnonzero(activated)
-    s = sizes[act]
-    listed = list_rows(vertices[act])
-    pick = listed[alive[listed]][s.cumsum() - s + list_positions(u_col[0, act], s)]
+    pick = alive_picks(u_col[0, act], vertices[act], sizes[act], alive, lptr, lcolors, list_rows)
     return activated, pick, cover_rows(pick)
 
 

@@ -19,8 +19,8 @@ from ._kernels import gather_rows
 from .cover import DpCover, PartialColoring
 from .errors import BudgetExceededError
 from .graph import Graph
-from .nibble import (ResidualView, RoundParams, d_next, keep_fn, kept_counts,
-                     on_lists, residual_degrees, run_block, staying)
+from .nibble import (RoundParams, d_next, keep_fn, kept_counts, on_lists,
+                     residual_degrees, run_block, staying)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,6 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
     # an integer degree exceeds the real threshold iff it exceeds its floor;
     # the integer comparison skips a float conversion of every degree
     res_floor = math.floor(d_next(p.d, p.ell, p.eta, p.beta))
-    view = ResidualView.of(c)
     n, num_colors = c.base.vertex_count, c.num_colors
     block = block_size(c, trials)
     # row b of each accumulator sums trials b, b + block, ...; the rows are
@@ -223,10 +222,10 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
         nbr_owners = c.owner[nbrs]
     for lo in range(0, trials, block):
         b = min(block, trials - lo)
-        _, _, kept, phi = run_block(view, p, seed + lo, b)
-        listed = on_lists(view, kept)
-        kcnt = kept_counts(view, listed)
-        resdeg = residual_degrees(view, staying(view, listed, phi))
+        _, _, kept, phi = run_block(c, p, seed + lo, b)
+        listed = on_lists(c, kept)
+        kcnt = kept_counts(c, listed)
+        resdeg = residual_degrees(c, staying(c, listed, phi))
         kept_sum[:b] += kcnt
         kept_sumsq[:b] += kcnt * kcnt
         kept_tail[:b] += np.abs(kcnt - keep_ell) > ell_tail

@@ -224,7 +224,6 @@ def cmd_schedule(d, epsilon, s, t, max_iters, out):
 @click.option("--seed", type=int, required=True)
 @click.option("--epsilon", type=float, default=None,
               help="Margin for the schedule; default matches the cover's lists.")
-@click.option("--s", type=int, default=2, show_default=True)
 @click.option("--t", type=int, default=2, show_default=True)
 @click.option("--slack", type=float, default=1.0, show_default=True)
 @click.option("--max-retries", type=int, default=50, show_default=True)
@@ -232,7 +231,7 @@ def cmd_schedule(d, epsilon, s, t, max_iters, out):
 @click.option("--max-rounds", type=int, default=5000, show_default=True)
 @click.option("--regularize-first", is_flag=True, default=False)
 @click.option("--out", type=click.Path(), default=None)
-def cmd_color(cover_file, seed, epsilon, s, t, slack, max_retries,
+def cmd_color(cover_file, seed, epsilon, t, slack, max_retries,
               max_resamples, max_rounds, regularize_first, out):
     """Run the full coloring pipeline on a cover file."""
     cov = _load_cover(cover_file)
@@ -247,7 +246,8 @@ def cmd_color(cover_file, seed, epsilon, s, t, slack, max_retries,
                       math.nextafter(100.0, 0.0))
     try:
         cfg = pipeline.PipelineConfig(
-            schedule_input=ScheduleInput(d=d, epsilon=epsilon, s=s, t=t),
+            # no step of `color` reads s; it is echoed in the result JSON
+            schedule_input=ScheduleInput(d=d, epsilon=epsilon, s=2, t=t),
             seed=seed, slack=slack, max_round_retries=max_retries,
             max_finish_resamples=max_resamples, max_rounds=max_rounds,
             regularize_first=regularize_first)
@@ -266,6 +266,8 @@ def cmd_color(cover_file, seed, epsilon, s, t, slack, max_retries,
         code = EXIT_BUDGET if isinstance(exc.__cause__, budget) else EXIT_FEASIBILITY
     except CoverValidationError as exc:
         error, code = str(exc), EXIT_USAGE
+    except MemoryError as exc:
+        error, code = f"not enough memory: {exc}", EXIT_USAGE
     doc = pipeline.result_to_json(result, cfg, error=error, telemetry=telemetry)
     _write_output(doc, out, "result")
     if code:

@@ -95,41 +95,24 @@ class ResidualView:
     per alive color.  Residual vertex ``i`` is the blank vertex
     ``vertices[i]`` with its alive colors in increasing order: the ids a
     renumbered residual cover would give them, so a round draws the same
-    streams on either.  The compact lists ``lcolors``/``lptr`` are built on
-    first use.  :attr:`RoundOutcome.residual` advances the arrays in place
-    and leaves this view ``spent``.
+    streams on either.  A list is read as its root list through ``alive``.
+    ``ResidualView(cover)`` is the whole cover, and
+    :attr:`RoundOutcome.residual` advances it in place.
     """
 
-    def __init__(self, root: DpCover, blank: np.ndarray, alive: np.ndarray,
-                 sizes: np.ndarray, deg: np.ndarray, vertices: np.ndarray, rows=None):
-        self.root, self.blank, self.alive, self.sizes, self.deg = root, blank, alive, sizes, deg
-        self.vertices, self.spent = vertices, False
-        self._list_sizes = sizes[vertices]
-        self._max_degree = int(deg.max(initial=0))
+    def __init__(self, root: DpCover):
+        n = root.base.vertex_count
+        self.root, self.blank, self.alive = root, np.ones(n, bool), np.ones(root.num_colors, bool)
+        self.sizes, self.deg = root.list_sizes(), root.cover.degrees()
         # gathers of the root lists and of the cover rows
-        self.rows = rows or (_kernels.row_gather(root.lptr, root.lcolors),
-                             _kernels.row_gather(root.cover.indptr, root.cover.indices))
+        self.list_rows = _kernels.row_gather(root.lptr, root.lcolors)
+        self.cover_rows = _kernels.row_gather(root.cover.indptr, root.cover.indices)
+        self._move_to(np.arange(n))
 
-    @classmethod
-    def of(cls, cover: DpCover) -> "ResidualView":
-        """The whole cover: every vertex blank, every color alive."""
-        n = cover.base.vertex_count
-        view = cls(cover, np.ones(n, bool), np.ones(cover.num_colors, bool),
-                   cover.list_sizes(), cover.cover.degrees(), np.arange(n))
-        view.lcolors, view.lptr = cover.lcolors, cover.lptr
-        return view
-
-    @cached_property
-    def lcolors(self) -> np.ndarray:
-        return self.root.lcolors[self.alive[self.root.lcolors]]
-
-    @cached_property
-    def lptr(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self._list_sizes)])
-
-    def lists(self, i: int) -> np.ndarray:
-        """Alive colors of residual vertex ``i``, in increasing order."""
-        return self.lcolors[self.lptr[i]:self.lptr[i + 1]]
+    def _move_to(self, vertices: np.ndarray):
+        self.vertices = vertices
+        self._list_sizes = self.sizes[vertices]
+        self._max_degree = int(self.deg.max(initial=0))
 
     def list_sizes(self) -> np.ndarray:
         """Alive colors per residual vertex: the view's own array, not a copy."""
@@ -140,59 +123,51 @@ class ResidualView:
         return self._max_degree
 
 
-def _round_view(cover: DpCover | ResidualView) -> ResidualView:
-    view = cover if isinstance(cover, ResidualView) else ResidualView.of(cover)
-    if view.spent:
-        raise ValueError("a round was already applied to this residual view")
-    if np.any(view.list_sizes() < 1):
-        raise ValueError("every vertex needs a nonempty list")
-    return view
+def on_lists(cover: DpCover, kept: np.ndarray) -> np.ndarray:
+    """``(B, L)`` mask: ``kept`` at the colors of ``cover.lcolors``, in list order."""
+    return np.take(kept, cover.lcolors, axis=1)
 
 
-def on_lists(view: ResidualView, kept: np.ndarray) -> np.ndarray:
-    """``(B, L)`` mask: ``kept`` at the colors of ``view.lcolors``, in list order."""
-    return np.take(kept, view.lcolors, axis=1)
-
-
-def kept_counts(view: ResidualView, listed: np.ndarray) -> np.ndarray:
-    """Kept colors per residual vertex in each round: ``(B, n)`` from ``on_lists``."""
+def kept_counts(cover: DpCover, listed: np.ndarray) -> np.ndarray:
+    """Kept colors per vertex in each round: ``(B, n)`` from ``on_lists``."""
     # rounds run only on nonempty lists, so no segment is empty
-    return np.add.reduceat(listed, view.lptr[:-1], axis=1, dtype=np.int64)
+    return np.add.reduceat(listed, cover.lptr[:-1], axis=1, dtype=np.int64)
 
 
-def staying(view: ResidualView, listed: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """``(B, L)`` mask over ``view.lcolors``: the kept colors of vertices left blank."""
-    return listed & (phi < 0).repeat(view.list_sizes(), axis=1)
+def staying(cover: DpCover, listed: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``(B, L)`` mask over ``cover.lcolors``: the kept colors of vertices left blank."""
+    return listed & (phi < 0).repeat(cover.list_sizes(), axis=1)
 
 
-def residual_degrees(view: ResidualView, stays: np.ndarray) -> np.ndarray:
-    """Alive neighbours of every root color after each round: ``(B, K)``.
+def residual_degrees(cover: DpCover, stays: np.ndarray) -> np.ndarray:
+    """Alive neighbours of every color after each round: ``(B, K)``.
 
-    ``view.deg`` minus one ``bincount`` over the ``trial * K + color`` keys of
-    the dying colors' cover rows, so the work follows those rows, not the
-    whole cover.  On a whole cover this is each color's residual degree: its
-    neighbours that were kept and whose vertex stayed blank.
+    The cover degrees minus one ``bincount`` over the ``trial * K + color``
+    keys of the dying colors' cover rows, so the work follows those rows,
+    not the whole cover.  For a staying color this is its residual degree:
+    its neighbours that were kept and whose vertex stayed blank.
     """
-    g = view.root.cover
+    g = cover.cover
     width = g.vertex_count
-    dying, offsets = _kernels.masked_keys(view.lcolors, ~stays, width)
+    dying, offsets = _kernels.masked_keys(cover.lcolors, ~stays, width)
     hits = _kernels.gather_rows(g.indptr, g.indices, dying, offsets)
-    return view.deg - np.bincount(hits, minlength=stays.shape[0] * width).reshape(-1, width)
+    return g.degrees() - np.bincount(hits, minlength=stays.shape[0] * width).reshape(-1, width)
 
 
 class RoundOutcome:
     """Result of one round on a residual view.
 
-    Vertices are residual ranks and colors root ids.  ``activated_mask``,
-    the picks of the activated vertices and their cover rows (``hits``) come
-    from the kernel; the rest is read from the colors the round takes off
-    the lists (``dying``) and from the view, so it belongs before
-    :attr:`residual`, which advances the view.
+    Vertices are ranks in ``vertices``, the view's when the round was drawn,
+    and colors root ids.  ``activated_mask``, the picks of the activated
+    vertices and their cover rows (``hits``) come from the kernel; the rest
+    is read from the colors the round takes off the lists (``dying``) and
+    from the view, so it belongs before :attr:`residual`, which advances it.
     """
 
     def __init__(self, view: ResidualView, seed: int, activated_mask: np.ndarray,
                  pick: np.ndarray, hits: np.ndarray):
-        self.view, self.seed, self.activated_mask, self.hits = view, seed, activated_mask, hits
+        self.view, self.vertices, self.seed = view, view.vertices, seed
+        self.activated_mask, self.hits = activated_mask, hits
         self.kept_mask = np.ones(view.root.num_colors, dtype=bool)
         self.kept_mask[hits] = False
         self.col = np.full(activated_mask.size, -1, dtype=np.int64)
@@ -211,59 +186,62 @@ class RoundOutcome:
     def dying(self) -> np.ndarray:
         """The killed colors, then the other alive colors of the vertices colored."""
         v = self.view
-        listed = v.rows[0](v.vertices[self.phi >= 0])
+        listed = v.list_rows(self.vertices[self.phi >= 0])
         return np.concatenate([self._killed, listed[v.alive[listed] & self.kept_mask[listed]]])
 
     def kept_sizes(self) -> np.ndarray:
         v = self.view
         lost = np.bincount(v.root.owner[self._killed], minlength=v.sizes.size)
-        return v.list_sizes() - lost[v.vertices]
+        return v.list_sizes() - lost[self.vertices]
 
     @cached_property
     def next_deg(self) -> np.ndarray:
         """Alive neighbours after this round of every color alive before it."""
         deg = self.view.deg.copy()
-        np.subtract.at(deg, self.view.rows[1](self.dying), 1)
+        np.subtract.at(deg, self.view.cover_rows(self.dying), 1)
         return deg
 
     @cached_property
     def residual(self) -> ResidualView:
-        """The residual after this round, made in place: only the entries of
+        """The view, advanced in place past this round: only the entries of
         the dying colors, of their owners and along their cover rows change."""
         v = self.view
-        if v.spent:
+        if v.vertices is not self.vertices:
             raise ValueError("a round was already applied to this residual view")
         colored = self.phi >= 0
         v.alive[self.dying] = False
-        v.blank[v.vertices[colored]] = False
+        v.blank[self.vertices[colored]] = False
         np.subtract.at(v.sizes, v.root.owner[self.dying], 1)
         # dead colors' degrees may fall below 0: nothing reads them
-        np.subtract.at(v.deg, v.rows[1](self.dying), 1)
+        np.subtract.at(v.deg, v.cover_rows(self.dying), 1)
         v.deg[self.dying] = 0
-        v.spent = True
-        return ResidualView(v.root, v.blank, v.alive, v.sizes, v.deg, v.vertices[~colored],
-                            v.rows)
+        v._move_to(self.vertices[~colored])
+        return v
 
 
-def run_block(cover: DpCover | ResidualView, params: RoundParams, seed: int,
+def run_block(cover: DpCover, params: RoundParams, seed: int,
               block: int) -> tuple[np.ndarray, ...]:
     """Kernel arrays of ``block`` rounds at seeds ``seed .. seed+block-1``.
 
     Returns ``(activated, col, kept, phi)``: ``(block, n)`` arrays over the
-    residual vertices and a ``(block, K)`` mask over the root colors.
+    vertices and a ``(block, K)`` mask over the colors.
     """
-    view = _round_view(cover)
-    g = view.root.cover
-    return _kernels.round_kernel(seed, block, params.eta, view.lptr, view.list_sizes(),
-                                 view.lcolors, g.indptr, g.indices)
+    g, sizes = cover.cover, cover.list_sizes()
+    if np.any(sizes < 1):
+        raise ValueError("every vertex needs a nonempty list")
+    return _kernels.round_kernel(seed, block, params.eta, cover.lptr, sizes, cover.lcolors,
+                                 g.indptr, g.indices)
 
 
 def run_round(cover: DpCover | ResidualView, params: RoundParams,
               seed: int) -> RoundOutcome:
     """Execute one round; a pure function of (cover, params, seed)."""
-    view = _round_view(cover)
+    view = cover if isinstance(cover, ResidualView) else ResidualView(cover)
+    if np.any(view.list_sizes() < 1):
+        raise ValueError("every vertex needs a nonempty list")
     return RoundOutcome(view, seed, *_kernels.alive_round(
-        seed, params.eta, view.vertices, view.list_sizes(), view.alive, *view.rows))
+        seed, params.eta, view.vertices, view.list_sizes(), view.alive, view.root.lptr,
+        view.root.lcolors, view.list_rows, view.cover_rows))
 
 
 def round_is_good(outcome: RoundOutcome, ell_target: float, d_target: float) -> bool:
@@ -296,7 +274,7 @@ def run_round_until_good(cover: DpCover | ResidualView, params: RoundParams,
     best: RoundOutcome | None = None
     best_score = None
     violations: dict[int, tuple[int, int]] = {}
-    view = _round_view(cover)
+    view = cover if isinstance(cover, ResidualView) else ResidualView(cover)
     for k in range(max_retries):
         outcome = run_round(view, params, seed + k)
         bad_v, bad_c = count_violations(outcome, ell_target, d_target)

@@ -1,15 +1,15 @@
 """End-to-end coloring: iterated good rounds, then resampling completion.
 
-Round-to-round the engine tracks the *observed* state of the residual cover,
-kept as arrays over the root cover (:class:`~dpnibble.nibble.ResidualView`)
-that a round updates where it touched them: the uniform list bound for the
-next round is the smallest surviving kept list, and the degree bound is the
-largest residual cover degree (never worse than the closed-form prediction
-after a good round).  Nibbling stops as soon as every list is at least eight
-times the residual cover degree, at which point repeated resampling of
-conflicting edges completes the coloring; the resampler reads the same
-arrays and builds no renumbered cover.  The returned coloring is verified
-against the original cover before it leaves this module.
+Round-to-round the engine tracks the *observed* state of the residual cover
+in one :class:`~dpnibble.nibble.ResidualView` that each round advances in
+place: the uniform list bound for the next round is the smallest surviving
+kept list, and the degree bound is the largest residual cover degree (never
+worse than the closed-form prediction after a good round).  Nibbling stops
+as soon as every list is at least eight times the residual cover degree, at
+which point repeated resampling of conflicting edges completes the coloring;
+the resampler reads the same view, each list as its root list through
+``alive``.  The returned coloring is verified against the original cover
+before it leaves this module.
 
 The closed-form schedule keyed by the same inputs is the reference for the
 round targets; its integer sequences are not used to truncate lists (at
@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._kernels import gather_rows, list_positions
+from ._kernels import alive_picks
 from ._rng import derive_seed, normalize_seed
 from .analysis import verify_proper
 from .cover import DpCover, PartialColoring, regularize, require_valid
@@ -82,7 +82,7 @@ def finish_with_stats(c: DpCover, max_resamples: int, seed: int,
                       view: ResidualView | None = None):
     """:func:`resample_residual` on ``view``, a residual of ``c`` (by default
     all of it); its colors as a PartialColoring of ``c``'s vertices."""
-    view = ResidualView.of(c) if view is None else view
+    view = ResidualView(c) if view is None else view
     coloring = PartialColoring.blank(c.base.vertex_count)
     coloring.assignment[view.vertices], resamples, trajectory = resample_residual(
         view, max_resamples, seed)
@@ -111,26 +111,26 @@ def resample_residual(view: ResidualView, max_resamples: int, seed: int):
     above it; the first violated edge starts at the first lead.  A resample
     costs O(d) array work plus one scan of ``lead``.
     """
-    d = view.max_degree()
-    sizes = view.list_sizes()
-    n = sizes.size
-    if n and sizes.min() < max(8 * d, 1):
+    d, sizes = view.max_degree(), view.list_sizes()
+    if sizes.size and sizes.min() < max(8 * d, 1):
         raise ValueError(
             f"resampling completion needs lists >= 8*max cover degree "
             f"({8 * d}); smallest list has {int(sizes.min())}")
     rng = np.random.default_rng(normalize_seed(seed))
+    root, alive, left = view.root, view.alive, view.sizes
 
     def draw(v: int) -> int:
-        lst = view.lists(v)
+        lst = root.lists(v)
+        if lst.size > left[v]:  # some of its colors are dead
+            lst = lst[alive[lst]]
         j = min(int(rng.random() * lst.size), lst.size - 1)
         return int(lst[j])
 
-    # one uniform per vertex, in vertex order: the same doubles as n scalar draws
-    pick = list_positions(rng.random(n), sizes)
-    chosen = view.lcolors[view.lptr[:-1] + pick]
+    # one uniform per vertex, in vertex order: the same doubles as scalar draws
+    chosen = alive_picks(rng.random(sizes.size), view.vertices, sizes, alive, root.lptr,
+                         root.lcolors, view.list_rows)
     if d == 0:
         return chosen, 0, []
-    root = view.root
     ptr, idx = root.cover.indptr, root.cover.indices
     rank = np.cumsum(view.blank) - 1
 
@@ -141,7 +141,7 @@ def resample_residual(view: ResidualView, max_resamples: int, seed: int):
     on[chosen] = True
     # every violated edge, seen from both of its ends
     src = np.repeat(chosen, ptr[chosen + 1] - ptr[chosen])
-    dst = gather_rows(ptr, idx, chosen)
+    dst = view.cover_rows(chosen)
     hit = on[dst]
     count = int(np.count_nonzero(hit)) // 2
     lead = np.zeros(root.num_colors, dtype=bool)
@@ -175,10 +175,10 @@ def resample_residual(view: ResidualView, max_resamples: int, seed: int):
         x = int(np.argmax(lead))
         rx = row(x)
         y = int(rx[on[rx] & (rx > x)][0])
-        for w in sorted((int(rank[root.owner[x]]), int(rank[root.owner[y]]))):
-            a, b = int(chosen[w]), draw(w)
+        for v in sorted((int(root.owner[x]), int(root.owner[y]))):
+            a, b = int(chosen[rank[v]]), draw(v)
             if a != b:
-                chosen[w] = b
+                chosen[rank[v]] = b
                 count += move(a, b)
         resamples += 1
 
@@ -195,7 +195,7 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
 
     n_orig = original.base.vertex_count
     phi_total = np.full(c.base.vertex_count, -1, dtype=np.int64)
-    view = ResidualView.of(c)
+    view = ResidualView(c)
     telemetry: list[RoundTelemetry] = []
     consts = None
 
@@ -204,12 +204,12 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
             break
         d_cur = view.max_degree()
         ell_cur = int(view.list_sizes().min())
-        if ell_cur >= 8 * d_cur:
-            break
         if ell_cur == 0:
             raise PipelineError(
                 f"round {i}: a vertex has an empty list; instance cannot be "
                 f"completed", telemetry=telemetry)
+        if ell_cur >= 8 * d_cur:
+            break
         if consts is None:
             try:
                 consts = derive_constants(cfg.schedule_input)
@@ -233,7 +233,7 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
                 f"round {i}: {exc}", telemetry=telemetry) from exc
 
         colored = outcome.phi >= 0
-        phi_total[view.vertices[colored]] = outcome.phi[colored]
+        phi_total[outcome.vertices[colored]] = outcome.phi[colored]
         view = outcome.residual
         res_sizes = view.list_sizes()
         telemetry.append(RoundTelemetry(

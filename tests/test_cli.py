@@ -270,6 +270,39 @@ class TestColor:
         result = runner.invoke(main, ["color", str(p), "--seed", "1"])
         assert result.exit_code == 2
 
+    def test_s_option_removed(self, runner, tmp_path):
+        # no step of `color` reads s; the result still echoes s = 2
+        from conftest import regular_cover
+        path = self.write_cover(tmp_path, regular_cover(10, 2, 16, seed=1))
+        r = runner.invoke(main, ["color", str(path), "--seed", "1", "--s", "3"])
+        assert r.exit_code == 2, r.output
+        assert "No such option '--s'" in r.output
+        out = tmp_path / "res.json"
+        r = invoke(runner, ["color", str(path), "--seed", "1", "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        assert json.loads(out.read_text())["config"]["schedule_input"]["s"] == 2
+
+    def test_regularize_out_of_memory_exits_2(self, runner, tmp_path, monkeypatch):
+        # a large cover-degree deficiency makes the auxiliary graph of
+        # `regularize` ask for more memory than there is
+        from dpnibble import pipeline
+        from conftest import regular_cover
+
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 23.0 GiB for an array")
+
+        monkeypatch.setattr(pipeline, "regularize", out_of_memory)
+        path = self.write_cover(tmp_path, regular_cover(10, 2, 16, seed=1))
+        out = tmp_path / "res.json"
+        r = runner.invoke(main, ["color", str(path), "--seed", "1", "--regularize-first",
+                                 "--out", str(out)])
+        assert r.exit_code == 2, (r.output, r.exception)
+        assert isinstance(r.exception, SystemExit)
+        assert "error: not enough memory: Unable to allocate 23.0 GiB" in r.output
+        doc = json.loads(out.read_text())
+        assert doc["ok"] is False
+        assert doc["error"] == "not enough memory: Unable to allocate 23.0 GiB for an array"
+
 
 def valid_doc():
     from dpnibble import cover_to_json

@@ -253,11 +253,10 @@ class TestValidate:
 class TestResidual:
     def test_identity_when_nothing_colored(self):
         cov = regular_cover(10, 3, 4, seed=6)
-        view = ResidualView.of(cov)
+        view = ResidualView(cov)
         assert view.blank.all() and view.alive.all()
         assert np.array_equal(view.vertices, np.arange(10))
-        assert np.array_equal(view.lptr, cov.lptr)
-        assert np.array_equal(view.lcolors, cov.lcolors)
+        assert np.array_equal(view.list_sizes(), cov.list_sizes())
         assert np.array_equal(view.deg, cov.cover.degrees())
         assert view.max_degree() == max_degree(cov.cover)
 
@@ -267,33 +266,30 @@ class TestResidual:
         assert list(outcome.phi) == [0, 1, 2]
         view = outcome.residual
         assert view.vertices.size == 0 and not view.alive.any()
-        assert view.lcolors.size == 0 and view.list_sizes().size == 0
+        assert view.list_sizes().size == 0
         assert view.max_degree() == 0
 
     def test_round_outcome_residual_avoids_image(self):
         cov = regular_cover(12, 4, 6, seed=7)
         outcome = run_round(cov, RoundParams(eta=0.5, d=4, ell=6, beta=0.02), seed=3)
         view = outcome.residual
+        assert view is outcome.view  # advanced in place
         image = set(outcome.phi[outcome.phi >= 0].tolist())
         for col in np.flatnonzero(view.alive):
             for nb in cov.cover.neighbors(int(col)):
                 assert int(nb) not in image
-        # monotone: lists shrink, vertex set shrinks
-        assert view.vertices.size <= cov.base.vertex_count
-        for i, v in enumerate(view.vertices):
-            assert set(view.lists(i).tolist()) <= set(cov.lists(int(v)).tolist())
-        # residual vertex i is the i-th blank vertex, with its alive colors in
-        # increasing order
+        # residual vertex i is the i-th blank vertex; its list is its root
+        # list through `alive`, and alive colors belong to blank vertices only
         assert np.array_equal(view.vertices, np.flatnonzero(outcome.phi < 0))
+        assert np.all(view.blank[cov.owner[view.alive]])
         for i, v in enumerate(view.vertices):
-            lst = cov.lists(int(v))
-            assert np.array_equal(view.lists(i), lst[view.alive[lst]])
+            assert view.list_sizes()[i] == np.count_nonzero(view.alive[cov.lists(int(v))])
 
     def test_kept_must_be_subset(self):
         # alive colors belong to blank vertices only, and the kept counts
         # match the masks after every round
         cov = regular_cover(16, 4, 8, seed=8)
-        view = ResidualView.of(cov)
+        view = ResidualView(cov)
         p = RoundParams(eta=0.5, d=4, ell=8, beta=0.02)
         for seed in range(5):
             view = run_round(view, p, seed).residual

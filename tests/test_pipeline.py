@@ -1,11 +1,14 @@
 import hashlib
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpnibble import (Graph, PipelineConfig, ScheduleInput, color_graph,
+from dpnibble import (DpCover, Graph, PipelineConfig, ScheduleInput, color_graph,
                       from_list_assignment, pipeline, uniform_list_cover)
 from dpnibble.analysis import verify_proper
 from dpnibble.errors import PipelineError, ResampleBudgetError, RetriesExhaustedError
@@ -85,7 +88,7 @@ RESCAN_COVERS = {
 
 
 def residual_after(cov, p: RoundParams, rounds: int) -> ResidualView:
-    view = ResidualView.of(cov)
+    view = ResidualView(cov)
     for seed in range(100, 100 + rounds):
         view = run_round(view, p, seed).residual
     return view
@@ -292,31 +295,45 @@ class TestResultJson:
 # ---------------------------------------------------------------------------
 
 
-def snapshot(view: ResidualView) -> ResidualView:
-    """A view over copies of ``view``'s arrays, which a residual leaves alone."""
-    return ResidualView(view.root, view.blank.copy(), view.alive.copy(),
-                        view.sizes.copy(), view.deg.copy(), view.vertices.copy())
+STATE = ("blank", "alive", "sizes", "deg", "vertices")
 
 
-def assert_same_state(view: ResidualView, other: ResidualView):
-    for name in ("blank", "alive", "sizes", "deg", "vertices"):
+def snapshot(view: ResidualView) -> SimpleNamespace:
+    """Copies of ``view``'s state arrays, which a residual leaves alone, and
+    the residual as a cover of its own with the root ids of its colors."""
+    state = SimpleNamespace(root=view.root,
+                            **{name: getattr(view, name).copy() for name in STATE})
+    state.cover, state.root_ids = residual_cover(view)
+    return state
+
+
+def assert_same_state(view: ResidualView, other: SimpleNamespace):
+    for name in STATE:
         assert np.array_equal(getattr(view, name), getattr(other, name)), name
 
 
-def full_array_round(view: ResidualView, p: RoundParams, seed: int, ell_t: float, d_t: float):
+def full_array_round(before: SimpleNamespace, p: RoundParams, seed: int, ell_t: float,
+                     d_t: float) -> SimpleNamespace:
     """The round at ``seed`` recomputed by the full-array helpers ``stats``
-    runs: the next ``alive``, ``blank`` and degrees, and the violation counts."""
-    _, _, kept, phi = run_block(view, p, seed, 1)
-    listed = on_lists(view, kept)
-    stays = staying(view, listed, phi)
-    deg = residual_degrees(view, stays)[0]
-    alive = np.zeros_like(view.alive)
-    alive[view.lcolors[stays[0]]] = True
-    blank = view.blank.copy()
-    blank[view.vertices[phi[0] >= 0]] = False
-    counts = (int(np.count_nonzero(kept_counts(view, listed)[0] <= ell_t)),
-              int(np.count_nonzero(deg[alive] >= d_t)))
-    return alive, blank, deg, counts
+    runs, on the residual cover of the state ``before``, and mapped back to
+    root ids: ``phi``, the kept sizes, the next ``alive``, ``blank`` and
+    degrees, and the violation counts."""
+    cov, root_ids = before.cover, before.root_ids
+    _, _, kept, phi = run_block(cov, p, seed, 1)
+    listed = on_lists(cov, kept)
+    stays = staying(cov, listed, phi)
+    sizes = kept_counts(cov, listed)[0]
+    alive = np.zeros_like(before.alive)
+    alive[root_ids[cov.lcolors[stays[0]]]] = True
+    deg = np.zeros_like(before.deg)
+    deg[root_ids] = residual_degrees(cov, stays)[0]
+    blank = before.blank.copy()
+    blank[before.vertices[phi[0] >= 0]] = False
+    return SimpleNamespace(
+        phi=np.where(phi[0] >= 0, root_ids[phi[0]], -1), kept_sizes=sizes,
+        alive=alive, blank=blank, deg=deg,
+        counts=(int(np.count_nonzero(sizes <= ell_t)),
+                int(np.count_nonzero(deg[alive] >= d_t))))
 
 
 class CheckedRounds:
@@ -334,26 +351,51 @@ class CheckedRounds:
         except RetriesExhaustedError as exc:
             assert_same_state(view, before)
             for s, counts in exc.violations.items():
-                assert counts == full_array_round(before, p, s, ell_t, d_t)[3]
+                assert counts == full_array_round(before, p, s, ell_t, d_t).counts
             raise
         # the rejected retries changed nothing
         assert_same_state(view, before)
         for s in range(seed, outcome.seed + 1):
-            counts = count_violations(run_round(view, p, s), ell_t, d_t)
-            assert counts == full_array_round(before, p, s, ell_t, d_t)[3], s
+            attempt, ref = run_round(view, p, s), full_array_round(before, p, s, ell_t, d_t)
+            assert count_violations(attempt, ell_t, d_t) == ref.counts, s
+            assert np.array_equal(attempt.phi, ref.phi), s
+            assert np.array_equal(attempt.kept_sizes(), ref.kept_sizes), s
         self.rejected += outcome.seed - seed
-        alive, blank, deg, _ = full_array_round(before, p, outcome.seed, ell_t, d_t)
         after = outcome.residual
-        assert view.spent
-        assert np.array_equal(after.alive, alive)
-        assert np.array_equal(after.blank, blank)
-        assert np.array_equal(after.vertices, np.flatnonzero(blank))
-        assert np.array_equal(after.sizes, np.bincount(view.root.owner[alive],
-                                                       minlength=blank.size))
-        assert np.array_equal(after.deg[alive], deg[alive])
-        assert after.max_degree() == int(deg[alive].max(initial=0))
+        assert after is view
+        assert np.array_equal(after.alive, ref.alive)
+        assert np.array_equal(after.blank, ref.blank)
+        assert np.array_equal(after.vertices, np.flatnonzero(ref.blank))
+        assert np.array_equal(after.sizes, np.bincount(view.root.owner[ref.alive],
+                                                       minlength=ref.blank.size))
+        assert np.array_equal(after.list_sizes(), after.sizes[after.vertices])
+        assert np.array_equal(after.deg[ref.alive], ref.deg[ref.alive])
+        assert after.max_degree() == int(ref.deg[ref.alive].max(initial=0))
         self.rounds += 1
         return outcome
+
+
+@st.composite
+def random_covers(draw) -> DpCover:
+    """A cover on a random base graph, edgeless or with isolated vertices
+    among them, with lists of uneven sizes, and each base edge's matching
+    as large as the smaller list allows, thinned at the rate ``rho``."""
+    n = draw(st.integers(1, 14))
+    density = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+    rho = draw(st.sampled_from([0.5, 0.8, 1.0]))
+    top = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    sizes = rng.integers(1, top + 1, n)
+    ptr = np.concatenate([[0], np.cumsum(sizes)])
+    edges = []
+    for u, v in pairs:
+        k = min(sizes[u], sizes[v])
+        keep = rng.random(k) < rho
+        edges += zip((ptr[u] + rng.permutation(sizes[u])[:k])[keep].tolist(),
+                     (ptr[v] + rng.permutation(sizes[v])[:k])[keep].tolist())
+    return DpCover(Graph.from_edges(n, pairs), Graph.from_edges(int(ptr[-1]), edges),
+                   sizes, np.arange(ptr[-1]))
 
 
 def cli_cfg(cov, seed: int) -> PipelineConfig:
@@ -372,7 +414,11 @@ class TestRoundStateAgainstFullArrays:
         (lambda: random_dp_cover(random_regular(40, 4, 3), 24, 1.0, 4), 2, None),
         (lambda: uniform_list_cover(incidence_graph(7, seed=0), 7), 3,
          "round 278: a vertex has an empty list"),
-    ], ids=["incidence", "thinned", "finisher", "empty-list"])
+        # a list empties as the last alive colors lose their last alive
+        # neighbours: ell >= 8 * d holds at ell = d = 0, yet the list is empty
+        (lambda: uniform_list_cover(incidence_graph(5, seed=0), 6), 1,
+         "round 296: a vertex has an empty list"),
+    ], ids=["incidence", "thinned", "finisher", "empty-list", "empty-list-no-degree"])
     def test_pipeline_rounds(self, monkeypatch, make, seed, error):
         cov = make()
         checked = CheckedRounds()
@@ -391,7 +437,7 @@ class TestRoundStateAgainstFullArrays:
         cov = regular_cover(20, 3, 6, seed=8)
         p = RoundParams(eta=0.6, d=3, ell=6, beta=0.02)
         checked = CheckedRounds()
-        view = ResidualView.of(cov)
+        view = ResidualView(cov)
         for k in range(5):
             view = checked(view, p, 0.0, 2.0, 20, 100 * k).residual
         assert checked.gate_live > 0 and checked.rejected > 0
@@ -399,15 +445,33 @@ class TestRoundStateAgainstFullArrays:
     def test_exhausted_retries_change_nothing(self):
         cov = regular_cover(24, 4, 8, seed=8)
         with pytest.raises(RetriesExhaustedError):
-            CheckedRounds()(ResidualView.of(cov), RoundParams(eta=0.3, d=4, ell=8, beta=0.02),
+            CheckedRounds()(ResidualView(cov), RoundParams(eta=0.3, d=4, ell=8, beta=0.02),
                             0.0, 4.0, 20, 0)
 
-    def test_spent_view_is_refused(self):
+    def test_stale_outcome_is_refused(self):
         cov = regular_cover(16, 4, 8, seed=8)
         p = RoundParams(eta=0.5, d=4, ell=8, beta=0.02)
-        view = ResidualView.of(cov)
+        view = ResidualView(cov)
         first, second = run_round(view, p, 1), run_round(view, p, 2)
-        first.residual
-        for use in (lambda: second.residual, lambda: run_round(view, p, 3)):
-            with pytest.raises(ValueError, match="already applied"):
-                use()
+        assert first.residual is view
+        with pytest.raises(ValueError, match="already applied"):
+            second.residual
+        # the view goes on from where the accepted round left it
+        assert run_round(view, p, 3).vertices is view.vertices
+
+    @given(cov=random_covers(), eta=st.sampled_from([0.2, 0.5, 0.9]),
+           ell_t=st.sampled_from([-1.0, 0.0, 1.0]),
+           d_t=st.sampled_from([2.0, 3.0, 5.0, math.inf]), seed=st.integers(0, 2 ** 20))
+    @settings(max_examples=300, deadline=None)
+    def test_random_covers(self, cov, eta, ell_t, d_t, seed):
+        # targets tight enough that both gates reject some rounds
+        p = RoundParams(eta=eta, d=max(max_degree(cov.cover), 1), ell=1, beta=0.05)
+        checked = CheckedRounds()
+        view = ResidualView(cov)
+        for k in range(10):
+            if view.vertices.size == 0 or view.list_sizes().min() == 0:
+                break
+            try:
+                view = checked(view, p, ell_t, d_t, 5, seed + 10 * k).residual
+            except RetriesExhaustedError:
+                pass
