@@ -3,8 +3,10 @@
 For a fixed seed the ``color`` result JSON and the ``stats`` CSV must stay
 byte-identical across refactors.  The digests below were recorded from the
 CLI before the coloring state moved from rebuilt residual covers to masks
-over the root cover; a change that alters any of them changes outputs and
-must say so and refresh them on purpose.
+over the root cover, and those of the one-trial-block and thinned covers
+before the rounds of ``color`` and ``stats`` shared one kernel; a change
+that alters any of them changes outputs and must say so and refresh them
+on purpose.
 """
 
 import hashlib
@@ -32,6 +34,14 @@ REGULARIZED = "f06cd426c9e714d318e40c19173b1143a89ec910d9fbab03da98a2ee97851ae4"
 FINISH_ONLY = "d4024a80d7efc1861c24318aec07ee49624024751ca3db9cfb09a1782c6d3aba"
 # 200 trials of stats --anchor 0 on a 16-regular cover with lists of 12
 STATS = "067530bf15680fa03cfacef9f6d5e5619e4ff459b49ea3994933535401877402"
+# 100 trials on a 4,800-color, 16-regular cover: one trial per kernel call
+STATS_LARGE = "eb6d8052e0c4672bf8a6cc5fa7bcb684a3211ccb03df5ba77820c1f0f9124264"
+# 200 trials of stats --anchor 3 on the 16-regular base thinned at rho = 0.8,
+# so the cover rows have unequal widths
+STATS_THINNED = "2c6a71d2f9e05477bb355d21194c95639bf94a1d763d9acfc1abc4f4895e9e83"
+# a 6-regular base thinned at rho = 0.8, lists of 12: nibble rounds on
+# unequal cover rows
+THINNED = "173182d6f9412e2e9f523434ce25573d993cbdd49488cdebd41a9f6704e8f369"
 # generate outputs, recorded before from_list_assignment was vectorized
 GENERATED = {
     "list_cover_girth5": (["--kind", "list_cover", "--n", "26", "--d", "4", "--girth5",
@@ -60,6 +70,9 @@ def covers(tmp_path_factory):
         "deficient": deficient,
         "finish": random_dp_cover(random_regular(60, 3, seed=7), 24, 1.0, seed=8),
         "stats": random_dp_cover(random_regular(34, 16, seed=77), 12, 1.0, seed=78),
+        "large": random_dp_cover(random_regular(400, 16, seed=78), 12, 1.0, seed=79),
+        "thin": random_dp_cover(random_regular(34, 16, seed=77), 12, 0.8, seed=78),
+        "thinned": random_dp_cover(random_regular(60, 6, seed=5), 12, 0.8, seed=6),
     }
     paths = {}
     for name, cov in docs.items():
@@ -96,6 +109,21 @@ def test_stats_anchor_csv(covers, tmp_path, monkeypatch):
     args = ["stats", "stats.json", "--seed", "3", "--trials", "200",
             "--eta", "0.1", "--anchor", "0"]
     assert digest(args, tmp_path / "s.csv") == STATS
+
+
+def test_thinned_result(covers, tmp_path):
+    args = ["color", str(covers["thinned"]), "--seed", "1"]
+    assert digest(args, tmp_path / "r.json") == THINNED
+
+
+@pytest.mark.parametrize("name, args, expected", [
+    ("large", ["--seed", "4", "--trials", "100", "--eta", "0.1"], STATS_LARGE),
+    ("thin", ["--seed", "5", "--trials", "200", "--eta", "0.1", "--anchor", "3"],
+     STATS_THINNED),
+], ids=["one-trial-blocks", "thinned"])
+def test_stats_csv(covers, tmp_path, monkeypatch, name, args, expected):
+    monkeypatch.chdir(covers[name].parent)
+    assert digest(["stats", f"{name}.json"] + args, tmp_path / "s.csv") == expected
 
 
 @pytest.mark.parametrize("kind", sorted(GENERATED))
