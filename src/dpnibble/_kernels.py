@@ -2,22 +2,21 @@
 
 Per-vertex draws come from the counter hash in ``_rng``, so a round's outcome
 depends only on ``(seed, vertex)``, never on evaluation order, and rounds at
-different seeds are independent.  The kernel therefore runs a block of ``B``
-rounds at seeds ``seed .. seed+B-1`` (mod 2**64) with one array pass per
-step: per-vertex arrays are ``(B, n)``, the kept mask is ``(B, K)``, and an
-entry of the flattened mask is keyed ``trial * K + color``.
+different seeds are independent.  :func:`round_kernel`, the one round kernel,
+therefore runs a block of ``B`` rounds at seeds ``seed .. seed+B-1``
+(mod 2**64) on a residual view (``nibble.ResidualView``) with one array pass
+per step: per-vertex arrays are ``(B, n)``, the kept mask is ``(B, K)``, and
+an entry of the flattened mask is keyed ``trial * K + color``.  Only the
+activated ``(trial, vertex)`` entries pick a color (:func:`alive_picks`,
+which also makes the finisher's picks), and the view's row gathers read the
+cover rows of those picks.
 
-``analysis.round_stats`` runs its trials in blocks of
+``nibble.run_round`` runs one round (``B = 1``) on the view ``color``
+advances.  ``analysis.round_stats`` runs its trials on the whole cover in
+blocks of
 ``B = max(1, min(trials, _BLOCK_ENTRIES // max(cover-row entries, colors)))``
 with ``_BLOCK_ENTRIES = 2**16``: the 408-color criterion-3 cover (6,528
 entries) gets ``B = 10``, a 4,800-color, 16-regular cover ``B = 1``.
-``nibble.run_round`` runs :func:`alive_round`, which picks colors for the
-activated vertices only; :func:`alive_picks` also makes the finisher's picks.
-
-Array layout shared by the kernels:
-
-* lists CSR: ``lptr`` (n+1), ``lcolors`` (total colors, grouped by vertex)
-* cover CSR over color ids: ``cptr`` (K+1), ``cidx``
 """
 
 from __future__ import annotations
@@ -42,13 +41,20 @@ def gather_rows(ptr, idx, rows, offsets=None):
 
 
 def row_gather(ptr, idx):
-    """``rows -> gather_rows(ptr, idx, rows)``; rows of one width, as those of
-    a regular cover or of equal lists, are copied whole from a 2-D view."""
+    """``(rows, offsets=None) -> gather_rows(ptr, idx, rows, offsets)``; rows of
+    one width, as those of a regular cover or of equal lists, are copied whole
+    from a 2-D view."""
     width = int(ptr[1]) if ptr.size > 1 else 0
-    if width and np.all(np.diff(ptr) == width):
-        table = idx.reshape(-1, width)
-        return lambda rows: table[rows].ravel()
-    return lambda rows: gather_rows(ptr, idx, rows)
+    if not (width and np.all(np.diff(ptr) == width)):
+        return lambda rows, offsets=None: gather_rows(ptr, idx, rows, offsets)
+    table = idx.reshape(-1, width)
+
+    def gather(rows, offsets=None):
+        out = table[rows]
+        if offsets is not None:
+            out += offsets[:, None]
+        return out.ravel()
+    return gather
 
 
 def masked_keys(values, mask, width):
@@ -65,55 +71,46 @@ def masked_keys(values, mask, width):
     return picked, offsets
 
 
-def list_positions(u, sizes):
-    """The entry of a list of ``sizes`` colors that the uniform ``u`` picks."""
-    return np.minimum((u * sizes).astype(np.int64), sizes - 1)
-
-
-def round_kernel(seed, block, eta, lptr, sizes, lcolors, cptr, cidx):
-    """``block`` nibble rounds at seeds ``seed, seed+1, ...`` on lists of
-    ``sizes`` >= 1; returns (activated, col, kept, phi).
-
-    ``activated``, ``col`` and ``phi`` are ``(block, n)``; ``kept`` is
-    ``(block, K)``.  The lists may hold a subset of the colors; ``kept``
-    covers them all.
-    """
-    u_act, u_col = vertex_uniforms(seed, sizes.size, block)
-    activated = u_act < eta
-    pick = lcolors[lptr[:-1] + list_positions(u_col, sizes)]
-    col = np.where(activated, pick, -1)
-    width = cptr.size - 1
-    kept = np.ones((block, width), dtype=bool)
-    flat = kept.reshape(-1)
-    rows, offsets = masked_keys(pick, activated, width)
-    flat[gather_rows(cptr, cidx, rows, offsets)] = False
-    if block > 1:
-        pick = pick + np.arange(0, block * width, width)[:, None]
-    phi = np.where(activated & flat[pick], col, -1)
-    return activated, col, kept, phi
-
-
-def alive_picks(u, vertices, sizes, alive, lptr, lcolors, list_rows):
-    """The colors the uniforms ``u`` pick from the ``alive`` colors of the
-    root lists (CSR ``lptr``, ``lcolors``, rows gathered by ``list_rows``) of
-    ``vertices``, ``sizes`` >= 1 each; lists that lost no color are read at
-    their picks only."""
-    starts, pos = lptr[vertices], list_positions(u, sizes)
+def alive_picks(view, u, ranks=slice(None)):
+    """The colors the uniforms ``u`` pick from the alive colors of the residual
+    vertices at ``ranks`` (all by default) of ``view``, >= 1 each; a list is
+    read as its root list through ``view.alive``, and lists that lost no
+    color are read at their picks only."""
+    vertices, sizes = view.vertices[ranks], view.list_sizes()[ranks]
+    lptr, lcolors = view.root.lptr, view.root.lcolors
+    # the entry each uniform picks from a list of ``sizes`` colors
+    starts, pos = lptr[vertices], np.minimum((u * sizes).astype(np.int64), sizes - 1)
     if np.array_equal(lptr[vertices + 1] - starts, sizes):
         return lcolors[starts + pos]
-    listed = list_rows(vertices)
-    return listed[alive[listed]][sizes.cumsum() - sizes + pos]
+    listed = view.list_rows(vertices)
+    return listed[view.alive[listed]][sizes.cumsum() - sizes + pos]
 
 
-def alive_round(seed, eta, vertices, sizes, alive, lptr, lcolors, list_rows, cover_rows):
-    """One round at ``seed`` on ``vertices`` (see :func:`alive_picks`); returns
-    the activation mask, the activated vertices' picks and their cover rows."""
-    u_act, u_col = vertex_uniforms(seed, sizes.size)
-    activated = u_act[0] < eta
-    act = np.flatnonzero(activated)
-    pick = alive_picks(u_col[0, act], vertices[act], sizes[act], alive, lptr, lcolors, list_rows)
-    return activated, pick, cover_rows(pick)
+def round_kernel(view, eta, seed, block=1):
+    """``block`` nibble rounds at seeds ``seed, seed+1, ...`` on the residual
+    ``view``, whose lists are nonempty; returns (activated, col, kept, phi, hits).
+
+    ``activated``, ``col`` and ``phi`` are ``(block, n)`` over the view's
+    vertices; ``kept`` is ``(block, K)`` over the root colors.  Only the
+    activated vertices pick (:func:`alive_picks`); ``hits`` holds the cover
+    rows of their picks, keyed ``trial * K + color`` when ``block > 1``.
+    """
+    u_act, u_col = vertex_uniforms(seed, view.vertices.size, block)
+    activated = u_act < eta
+    trial, ranks = np.nonzero(activated)
+    pick = alive_picks(view, u_col[activated], ranks)
+    width = view.root.num_colors
+    offsets = trial * width if block > 1 else None
+    hits = view.cover_rows(pick, offsets)
+    kept = np.ones((block, width), dtype=bool)
+    flat = kept.reshape(-1)
+    flat[hits] = False
+    col = np.full(activated.shape, -1, dtype=np.int64)
+    col[activated] = pick
+    phi = np.full(activated.shape, -1, dtype=np.int64)
+    phi[activated] = np.where(flat[pick if offsets is None else pick + offsets], pick, -1)
+    return activated, col, kept, phi, hits
 
 
-# perfbench/traced.py times the round kernel of `color` through this name
-round_dispatch = alive_round
+# perfbench/traced.py times the rounds of `color` and `stats` through this name
+round_dispatch = round_kernel

@@ -19,7 +19,7 @@ from ._kernels import gather_rows
 from .cover import DpCover, PartialColoring
 from .errors import BudgetExceededError
 from .graph import Graph
-from .nibble import (RoundParams, d_next, keep_fn, kept_counts, on_lists,
+from .nibble import (ResidualView, RoundParams, d_next, keep_fn, kept_counts, on_lists,
                      residual_degrees, run_block, staying)
 
 
@@ -220,9 +220,10 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
     if m:
         nbrs = c.cover.neighbors(int(anchor))
         nbr_owners = c.owner[nbrs]
+    view = ResidualView(c)
     for lo in range(0, trials, block):
         b = min(block, trials - lo)
-        _, _, kept, phi = run_block(c, p, seed + lo, b)
+        _, _, kept, phi, _ = run_block(view, p, seed + lo, b)
         listed = on_lists(c, kept)
         kcnt = kept_counts(c, listed)
         resdeg = residual_degrees(c, staying(c, listed, phi))

@@ -35,11 +35,19 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _write_file(path: str, raw: bytes):
+    """Write ``raw`` to ``path``; a path that cannot be written exits 2."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(raw)
+    except OSError as exc:
+        _fail(EXIT_USAGE, f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write_output(data: str, out: str | None, label: str):
     raw = data.encode()
     if out:
-        with open(out, "wb") as fh:
-            fh.write(raw)
+        _write_file(out, raw)
         click.echo(f"{label} {out} sha256:{_digest(raw)}")
     else:
         sys.stdout.write(data)
@@ -309,8 +317,7 @@ def cmd_stats(cover_file, seed, trials, eta, t, anchor, out, summary_path):
               "d": d, "ell": ell}
     _write_output(analysis.stats_to_csv(stats, config), out, "stats")
     if summary_path:
-        with open(summary_path, "w") as fh:
-            fh.write(analysis.stats_summary_json(stats, config))
+        _write_file(summary_path, analysis.stats_summary_json(stats, config).encode())
         click.echo(f"summary {summary_path}")
 
 

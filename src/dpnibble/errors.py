@@ -36,14 +36,12 @@ class CoverValidationError(DpnibbleError):
 class RetriesExhaustedError(DpnibbleError):
     """No good round was found within the retry budget.
 
-    ``best_outcome`` is the attempt with the fewest violated events and
     ``violations`` maps each tried seed to its (vertex_events, color_events)
     counts.
     """
 
-    def __init__(self, message, best_outcome=None, violations=None):
+    def __init__(self, message, violations=None):
         super().__init__(message)
-        self.best_outcome = best_outcome
         self.violations = dict(violations or {})
 
 

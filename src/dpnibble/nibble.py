@@ -158,21 +158,18 @@ class RoundOutcome:
     """Result of one round on a residual view.
 
     Vertices are ranks in ``vertices``, the view's when the round was drawn,
-    and colors root ids.  ``activated_mask``, the picks of the activated
-    vertices and their cover rows (``hits``) come from the kernel; the rest
-    is read from the colors the round takes off the lists (``dying``) and
-    from the view, so it belongs before :attr:`residual`, which advances it.
+    and colors root ids.  ``activated_mask``, ``col``, ``kept_mask`` and
+    ``phi`` are row 0 of the kernel's arrays and ``hits`` the cover rows of
+    the picks; the rest is read from the colors the round takes off the
+    lists (``dying``) and from the view, so it belongs before
+    :attr:`residual`, which advances it.
     """
 
-    def __init__(self, view: ResidualView, seed: int, activated_mask: np.ndarray,
-                 pick: np.ndarray, hits: np.ndarray):
-        self.view, self.vertices, self.seed = view, view.vertices, seed
-        self.activated_mask, self.hits = activated_mask, hits
-        self.kept_mask = np.ones(view.root.num_colors, dtype=bool)
-        self.kept_mask[hits] = False
-        self.col = np.full(activated_mask.size, -1, dtype=np.int64)
-        self.col[activated_mask] = pick
-        self.phi = np.where(activated_mask & self.kept_mask[self.col], self.col, -1)
+    def __init__(self, view: ResidualView, seed: int, activated: np.ndarray, col: np.ndarray,
+                 kept: np.ndarray, phi: np.ndarray, hits: np.ndarray):
+        self.view, self.vertices, self.seed, self.hits = view, view.vertices, seed, hits
+        self.activated_mask, self.col, self.kept_mask, self.phi = (
+            activated[0], col[0], kept[0], phi[0])
 
     @cached_property
     def _killed(self) -> np.ndarray:
@@ -219,29 +216,21 @@ class RoundOutcome:
         return v
 
 
-def run_block(cover: DpCover, params: RoundParams, seed: int,
+def run_block(view: ResidualView, params: RoundParams, seed: int,
               block: int) -> tuple[np.ndarray, ...]:
-    """Kernel arrays of ``block`` rounds at seeds ``seed .. seed+block-1``.
-
-    Returns ``(activated, col, kept, phi)``: ``(block, n)`` arrays over the
-    vertices and a ``(block, K)`` mask over the colors.
-    """
-    g, sizes = cover.cover, cover.list_sizes()
-    if np.any(sizes < 1):
+    """Kernel arrays of ``block`` rounds at seeds ``seed .. seed+block-1`` on
+    ``view``: ``(activated, col, kept, phi, hits)``, see
+    :func:`_kernels.round_kernel`."""
+    if np.any(view.list_sizes() < 1):
         raise ValueError("every vertex needs a nonempty list")
-    return _kernels.round_kernel(seed, block, params.eta, cover.lptr, sizes, cover.lcolors,
-                                 g.indptr, g.indices)
+    return _kernels.round_kernel(view, params.eta, seed, block)
 
 
 def run_round(cover: DpCover | ResidualView, params: RoundParams,
               seed: int) -> RoundOutcome:
     """Execute one round; a pure function of (cover, params, seed)."""
     view = cover if isinstance(cover, ResidualView) else ResidualView(cover)
-    if np.any(view.list_sizes() < 1):
-        raise ValueError("every vertex needs a nonempty list")
-    return RoundOutcome(view, seed, *_kernels.alive_round(
-        seed, params.eta, view.vertices, view.list_sizes(), view.alive, view.root.lptr,
-        view.root.lcolors, view.list_rows, view.cover_rows))
+    return RoundOutcome(view, seed, *run_block(view, params, seed, 1))
 
 
 def round_is_good(outcome: RoundOutcome, ell_target: float, d_target: float) -> bool:
@@ -266,13 +255,11 @@ def run_round_until_good(cover: DpCover | ResidualView, params: RoundParams,
                          max_retries: int, seed: int) -> RoundOutcome:
     """First good round among seeds ``seed, seed+1, ...``.
 
-    Raises :class:`RetriesExhaustedError` carrying the best attempt (fewest
-    violated events) and the per-seed violation counts.
+    Raises :class:`RetriesExhaustedError` carrying the per-seed violation
+    counts.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be >= 1")
-    best: RoundOutcome | None = None
-    best_score = None
     violations: dict[int, tuple[int, int]] = {}
     view = cover if isinstance(cover, ResidualView) else ResidualView(cover)
     for k in range(max_retries):
@@ -281,11 +268,8 @@ def run_round_until_good(cover: DpCover | ResidualView, params: RoundParams,
         if bad_v == 0 and bad_c == 0:
             return outcome
         violations[seed + k] = (bad_v, bad_c)
-        score = bad_v + bad_c
-        if best_score is None or score < best_score:
-            best, best_score = outcome, score
     raise RetriesExhaustedError(
         f"no good round in {max_retries} tries from seed {seed} "
         f"(targets: ell<={ell_target:.4g}, d>={d_target:.4g}); "
-        f"best attempt violated {best_score} events",
-        best_outcome=best, violations=violations)
+        f"best attempt violated {min(map(sum, violations.values()))} events",
+        violations=violations)

@@ -127,8 +127,7 @@ def resample_residual(view: ResidualView, max_resamples: int, seed: int):
         return int(lst[j])
 
     # one uniform per vertex, in vertex order: the same doubles as scalar draws
-    chosen = alive_picks(rng.random(sizes.size), view.vertices, sizes, alive, root.lptr,
-                         root.lcolors, view.list_rows)
+    chosen = alive_picks(view, rng.random(sizes.size))
     if d == 0:
         return chosen, 0, []
     ptr, idx = root.cover.indptr, root.cover.indices

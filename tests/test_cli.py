@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpnibble import cover_from_json, girth, graph_from_text
 from dpnibble.cli import main
@@ -510,3 +512,74 @@ class TestStats:
         assert r.exit_code == 0
         doc = json.loads(summ.read_text())
         assert doc["anchor"]["identity_holds"] is True
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 with a message."""
+
+    @pytest.fixture(params=["directory", "missing-parent"])
+    def bad(self, request, tmp_path):
+        return str(tmp_path if request.param == "directory" else tmp_path / "no" / "out")
+
+    def refused(self, runner, args):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, (r.output, r.exception)
+        assert isinstance(r.exception, SystemExit)
+        assert "error: cannot write " in r.output
+
+    def cover_file(self, tmp_path):
+        p = tmp_path / "cover.json"
+        p.write_text(json.dumps(valid_doc()))
+        return str(p)
+
+    def test_generate(self, runner, bad):
+        self.refused(runner, ["generate", "--kind", "regular", "--n", "10", "--d", "3",
+                              "--seed", "1", "--out", bad])
+
+    def test_schedule(self, runner, bad):
+        self.refused(runner, ["schedule", "--d", "100", "--epsilon", "0.5", "--out", bad])
+
+    def test_color(self, runner, tmp_path, bad):
+        self.refused(runner, ["color", self.cover_file(tmp_path), "--seed", "1", "--out", bad])
+
+    def test_stats(self, runner, tmp_path, bad):
+        self.refused(runner, ["stats", self.cover_file(tmp_path), "--seed", "1", "--trials",
+                              "2", "--eta", "0.5", "--out", bad])
+
+    def test_stats_summary(self, runner, tmp_path, bad):
+        self.refused(runner, ["stats", self.cover_file(tmp_path), "--seed", "1", "--trials",
+                              "2", "--eta", "0.5", "--out", str(tmp_path / "s.csv"),
+                              "--summary", bad])
+
+
+def mutated_documents():
+    """A small canonical cover document with one byte replaced, or cut short."""
+    from dpnibble import cover_to_json
+    from conftest import regular_cover
+    raw = cover_to_json(regular_cover(6, 2, 3, seed=1)).encode()
+    byte = st.one_of(st.sampled_from(b'0123456789[]{},:"-.e '), st.integers(0, 255))
+    replaced = st.tuples(st.integers(0, len(raw) - 1), byte).map(
+        lambda pb: raw[:pb[0]] + bytes([pb[1]]) + raw[pb[0] + 1:])
+    return st.one_of(replaced, st.integers(0, len(raw) - 1).map(lambda k: raw[:k]))
+
+
+class TestHostileCoverFiles:
+    @given(data=mutated_documents())
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutations_exit_cleanly(self, runner, tmp_path, data):
+        from dpnibble import cover_from_json
+        try:
+            cover_from_json(data)
+            refused = False
+        except Exception:
+            refused = True
+        p = tmp_path / "cover.json"
+        p.write_bytes(data)
+        for r in run_both(runner, p):
+            assert 0 <= r.exit_code <= 3, (data, r.output)
+            # a traceback is any exception but click's own exit
+            assert r.exception is None or isinstance(r.exception, SystemExit), (data, r.output)
+            if refused:
+                assert r.exit_code == 2 and "error: cannot load cover:" in r.output, (
+                    data, r.output)

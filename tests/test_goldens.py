@@ -72,7 +72,7 @@ def covers(tmp_path_factory):
         "stats": random_dp_cover(random_regular(34, 16, seed=77), 12, 1.0, seed=78),
         "large": random_dp_cover(random_regular(400, 16, seed=78), 12, 1.0, seed=79),
         "thin": random_dp_cover(random_regular(34, 16, seed=77), 12, 0.8, seed=78),
-        "thinned": random_dp_cover(random_regular(60, 6, seed=5), 12, 0.8, seed=6),
+        "thin_color": random_dp_cover(random_regular(60, 6, seed=5), 12, 0.8, seed=6),
     }
     paths = {}
     for name, cov in docs.items():
@@ -112,7 +112,7 @@ def test_stats_anchor_csv(covers, tmp_path, monkeypatch):
 
 
 def test_thinned_result(covers, tmp_path):
-    args = ["color", str(covers["thinned"]), "--seed", "1"]
+    args = ["color", str(covers["thin_color"]), "--seed", "1"]
     assert digest(args, tmp_path / "r.json") == THINNED
 
 

@@ -166,7 +166,8 @@ class TestGoodRounds:
             run_round_until_good(cov, p, 4.0, -1.0, max_retries=7, seed=10)
         err = exc.value
         assert len(err.violations) == 7
-        assert err.best_outcome is not None
+        fewest = min(bv + bc for bv, bc in err.violations.values())
+        assert str(err).endswith(f"best attempt violated {fewest} events")
         assert all(bc > 0 for _, bc in err.violations.values())
 
     def test_mid_distribution_targets_get_better_with_slack(self):

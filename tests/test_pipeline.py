@@ -319,7 +319,7 @@ def full_array_round(before: SimpleNamespace, p: RoundParams, seed: int, ell_t: 
     root ids: ``phi``, the kept sizes, the next ``alive``, ``blank`` and
     degrees, and the violation counts."""
     cov, root_ids = before.cover, before.root_ids
-    _, _, kept, phi = run_block(cov, p, seed, 1)
+    _, _, kept, phi, _ = run_block(ResidualView(cov), p, seed, 1)
     listed = on_lists(cov, kept)
     stays = staying(cov, listed, phi)
     sizes = kept_counts(cov, listed)[0]
