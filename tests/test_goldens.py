@@ -4,7 +4,9 @@ For a fixed seed the ``color`` result JSON and the ``stats`` CSV must stay
 byte-identical across refactors.  The digests below were recorded from the
 CLI before the coloring state moved from rebuilt residual covers to masks
 over the root cover, and those of the one-trial-block and thinned covers
-before the rounds of ``color`` and ``stats`` shared one kernel; a change
+before the rounds of ``color`` and ``stats`` shared one kernel, and those at
+trial counts that are no multiple of a block or of a reduction buffer before
+``stats`` reduced its trials once per buffer; a change
 that alters any of them changes outputs and must say so and refresh them
 on purpose.
 """
@@ -42,6 +44,11 @@ STATS_THINNED = "2c6a71d2f9e05477bb355d21194c95639bf94a1d763d9acfc1abc4f4895e9e8
 # a 6-regular base thinned at rho = 0.8, lists of 12: nibble rounds on
 # unequal cover rows
 THINNED = "173182d6f9412e2e9f523434ce25573d993cbdd49488cdebd41a9f6704e8f369"
+# 1,003 trials on the 4,800-color cover and 5,003 trials of --anchor 0 on the
+# 408-color cover: trial counts that are no multiple of a block (1 and 10
+# trials) or of a reduction buffer
+STATS_LARGE_ODD = "94df7c804976d9b1cb4987652a5ef99f1f68c2e070cc3d4a5bf5ec4be8965b7f"
+STATS_ANCHOR_ODD = "f3ba2b257f345b6387975fc58dbf72cfcd4562c8ac8fe2d0556e28d8e89d829c"
 # generate outputs, recorded before from_list_assignment was vectorized
 GENERATED = {
     "list_cover_girth5": (["--kind", "list_cover", "--n", "26", "--d", "4", "--girth5",
@@ -120,7 +127,10 @@ def test_thinned_result(covers, tmp_path):
     ("large", ["--seed", "4", "--trials", "100", "--eta", "0.1"], STATS_LARGE),
     ("thin", ["--seed", "5", "--trials", "200", "--eta", "0.1", "--anchor", "3"],
      STATS_THINNED),
-], ids=["one-trial-blocks", "thinned"])
+    ("large", ["--seed", "6", "--trials", "1003", "--eta", "0.1"], STATS_LARGE_ODD),
+    ("stats", ["--seed", "7", "--trials", "5003", "--eta", "0.1", "--anchor", "0"],
+     STATS_ANCHOR_ODD),
+], ids=["one-trial-blocks", "thinned", "one-trial-blocks-odd", "anchor-blocks-odd"])
 def test_stats_csv(covers, tmp_path, monkeypatch, name, args, expected):
     monkeypatch.chdir(covers[name].parent)
     assert digest(["stats", f"{name}.json"] + args, tmp_path / "s.csv") == expected
