@@ -55,10 +55,15 @@ def vertex_uniforms(seed: int, n: int, block: int = 1) -> tuple[np.ndarray, np.n
     seeds = np.arange(block, dtype=np.uint64) + U64(normalize_seed(seed))
     v = np.arange(n, dtype=np.uint64)
     x = (seeds * _U_GOLDEN)[:, None] + v * _U_STREAM + _DRAW_OFFSETS
-    x = (x ^ (x >> _U30)) * _U_MIX1
-    x = (x ^ (x >> _U27)) * _U_MIX2
-    x = x ^ (x >> _U31)
-    u = (x >> _U11).astype(np.float64) * INV_2_53
+    # the finalizer in place: one (2, block, n) array, no temporaries
+    x ^= x >> _U30
+    x *= _U_MIX1
+    x ^= x >> _U27
+    x *= _U_MIX2
+    x ^= x >> _U31
+    x >>= _U11
+    u = x.astype(np.float64)
+    u *= INV_2_53
     return u[0], u[1]
 
 

@@ -19,8 +19,8 @@ from ._kernels import gather_rows
 from .cover import DpCover, PartialColoring
 from .errors import BudgetExceededError
 from .graph import Graph
-from .nibble import (ResidualView, RoundParams, d_next, keep_fn, kept_counts, on_lists,
-                     residual_degrees, run_block, staying)
+from .nibble import (ResidualView, RoundParams, d_next, keep_fn, kept_counts,
+                     residual_degrees, run_block)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +138,8 @@ def classify_structure(cover: Graph, anchor: int, d: int, t: int) -> StructureRe
 
 # array entries one block of Monte-Carlo trials may touch (see block_size)
 _BLOCK_ENTRIES = 1 << 16
+# int64 entries of each row buffer round_stats reduces at once: 512 KB
+_REDUCE_ENTRIES = 1 << 16
 
 
 def block_size(c: DpCover, trials: int) -> int:
@@ -210,11 +212,16 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
     res_floor = math.floor(d_next(p.d, p.ell, p.eta, p.beta))
     n, num_colors = c.base.vertex_count, c.num_colors
     block = block_size(c, trials)
-    # row b of each accumulator sums trials b, b + block, ...; the rows are
-    # added once at the end, so a block costs no extra pass
-    kept_sum, kept_sumsq, kept_tail = (np.zeros((block, n), np.int64) for _ in range(3))
-    res_sum, res_sumsq, res_tail = (np.zeros((block, num_colors), np.int64)
-                                    for _ in range(3))
+    # kept sizes and residual degrees go into row buffers of whole blocks of
+    # about _REDUCE_ENTRIES entries; a full buffer, and the last, is reduced
+    # into its sum, sum of squares and tail count at once
+    rows = block * max(1, _REDUCE_ENTRIES // (block * max(n, num_colors, 1)))
+    kept_buf, res_buf = np.empty((rows, n), np.int64), np.empty((rows, num_colors), np.int64)
+    kept_acc, res_acc = np.zeros((3, n), np.int64), np.zeros((3, num_colors), np.int64)
+
+    def reduce(acc, buf, tail):
+        acc += (buf.sum(axis=0), (buf * buf).sum(axis=0), np.count_nonzero(tail, axis=0))
+
     m = 0 if anchor is None else trials
     anchor_u, anchor_umk, anchor_res = (np.zeros(m, np.int64) for _ in range(3))
     if m:
@@ -223,25 +230,21 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
     view = ResidualView(c)
     for lo in range(0, trials, block):
         b = min(block, trials - lo)
-        _, _, kept, phi, _ = run_block(view, p, seed + lo, b)
-        listed = on_lists(c, kept)
-        kcnt = kept_counts(c, listed)
-        resdeg = residual_degrees(c, staying(c, listed, phi))
-        kept_sum[:b] += kcnt
-        kept_sumsq[:b] += kcnt * kcnt
-        kept_tail[:b] += np.abs(kcnt - keep_ell) > ell_tail
-        res_sum[:b] += resdeg
-        res_sumsq[:b] += resdeg * resdeg
-        res_tail[:b] += resdeg > res_floor
+        kept, phi, _ = run_block(view, p, seed + lo, b)
+        row = lo % rows
+        kept_buf[row:row + b] = kept_counts(view, kept)
+        res_buf[row:row + b] = residual_degrees(view, kept, phi < 0)
         if m:
             blank = phi[:, nbr_owners] < 0
             anchor_u[lo:lo + b] = np.count_nonzero(blank, axis=1)
             anchor_umk[lo:lo + b] = np.count_nonzero(blank & ~kept[:, nbrs], axis=1)
-            anchor_res[lo:lo + b] = resdeg[:, anchor]
-    kept_sum, kept_sumsq, kept_tail, res_sum, res_sumsq, res_tail = (
-        a.sum(axis=0) for a in (kept_sum, kept_sumsq, kept_tail, res_sum, res_sumsq, res_tail))
-    return RoundStats(trials, p, kept_sum, kept_sumsq, res_sum, res_sumsq,
-                      kept_tail, res_tail, anchor, anchor_u, anchor_umk, anchor_res)
+            anchor_res[lo:lo + b] = res_buf[row:row + b, anchor]
+        if row + b == rows or lo + b == trials:
+            k, r = kept_buf[:row + b], res_buf[:row + b]
+            reduce(kept_acc, k, np.abs(k - keep_ell) > ell_tail)
+            reduce(res_acc, r, r > res_floor)
+    return RoundStats(trials, p, kept_acc[0], kept_acc[1], res_acc[0], res_acc[1],
+                      kept_acc[2], res_acc[2], anchor, anchor_u, anchor_umk, anchor_res)
 
 
 # ---------------------------------------------------------------------------
@@ -339,22 +342,21 @@ def exact_round_expectation(c: DpCover, p: RoundParams,
 
 
 def stats_to_csv(stats: RoundStats, config: dict) -> str:
-    """One row per vertex and per color; config echoed in comment lines."""
-    lines = [f"# {json.dumps(config, sort_keys=True)}"]
-    lines.append("kind,id,mean,variance,tail_freq")
-    for v in range(stats.kept_mean.size):
-        lines.append(f"vertex,{v},{float(stats.kept_mean[v])!r},"
-                     f"{float(stats.kept_var[v])!r},"
-                     f"{float(stats.kept_tail_freq[v])!r}")
-    for col in range(stats.res_mean.size):
-        lines.append(f"color,{col},{float(stats.res_mean[col])!r},"
-                     f"{float(stats.res_var[col])!r},"
-                     f"{float(stats.res_tail_freq[col])!r}")
+    """One row per vertex and per color; config echoed in comment lines.
+
+    The columns are read as Python numbers with one ``tolist`` each; the
+    repr of a Python float is that of the float64 it came from.
+    """
+    lines = [f"# {json.dumps(config, sort_keys=True)}", "kind,id,mean,variance,tail_freq"]
+    for kind, columns in (("vertex", (stats.kept_mean, stats.kept_var, stats.kept_tail_freq)),
+                          ("color", (stats.res_mean, stats.res_var, stats.res_tail_freq))):
+        lines += [f"{kind},{i},{mean!r},{var!r},{tail!r}"
+                  for i, (mean, var, tail) in enumerate(zip(*(a.tolist() for a in columns)))]
     if stats.anchor is not None:
         lines.append("# anchor samples: trial,u,u_minus_k,residual_degree")
-        for i in range(stats.anchor_u.size):
-            lines.append(f"anchor,{i},{stats.anchor_u[i]},{stats.anchor_u_minus_k[i]},"
-                         f"{stats.anchor_res[i]}")
+        columns = (stats.anchor_u, stats.anchor_u_minus_k, stats.anchor_res)
+        lines += [f"anchor,{i},{u},{umk},{res}"
+                  for i, (u, umk, res) in enumerate(zip(*(a.tolist() for a in columns)))]
     return "\n".join(lines) + "\n"
 
 

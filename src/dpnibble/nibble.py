@@ -123,53 +123,49 @@ class ResidualView:
         return self._max_degree
 
 
-def on_lists(cover: DpCover, kept: np.ndarray) -> np.ndarray:
-    """``(B, L)`` mask: ``kept`` at the colors of ``cover.lcolors``, in list order."""
-    return np.take(kept, cover.lcolors, axis=1)
+def kept_counts(view: ResidualView, kept: np.ndarray) -> np.ndarray:
+    """Kept colors per vertex in each round of the ``(B, K)`` mask ``kept``
+    on the whole-cover ``view``: ``(B, n)``, the list sizes minus one
+    ``bincount`` of the owners of the killed colors, keyed ``trial * n + owner``."""
+    block, n = kept.shape[0], view.sizes.size
+    trial, killed = _kernels.mask_entries(~kept)
+    owners = view.root.owner[killed]
+    if trial is not None:
+        owners += trial * n
+    return view.sizes - np.bincount(owners, minlength=block * n).reshape(block, n)
 
 
-def kept_counts(cover: DpCover, listed: np.ndarray) -> np.ndarray:
-    """Kept colors per vertex in each round: ``(B, n)`` from ``on_lists``."""
-    # rounds run only on nonempty lists, so no segment is empty
-    return np.add.reduceat(listed, cover.lptr[:-1], axis=1, dtype=np.int64)
+def residual_degrees(view: ResidualView, kept: np.ndarray, blank: np.ndarray) -> np.ndarray:
+    """Alive neighbours of every color after each round on the whole-cover
+    ``view``: ``(B, K)`` from the kept colors and the ``(B, n)`` blank vertices.
 
-
-def staying(cover: DpCover, listed: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """``(B, L)`` mask over ``cover.lcolors``: the kept colors of vertices left blank."""
-    return listed & (phi < 0).repeat(cover.list_sizes(), axis=1)
-
-
-def residual_degrees(cover: DpCover, stays: np.ndarray) -> np.ndarray:
-    """Alive neighbours of every color after each round: ``(B, K)``.
-
-    The cover degrees minus one ``bincount`` over the ``trial * K + color``
-    keys of the dying colors' cover rows, so the work follows those rows,
-    not the whole cover.  For a staying color this is its residual degree:
-    its neighbours that were kept and whose vertex stayed blank.
+    A color stays when it was kept and its vertex stayed blank.  The cover
+    degrees minus one ``bincount`` over the cover rows of the other, dying,
+    colors, keyed ``trial * K + color``, so the work follows those rows, not
+    the whole cover; for a staying color this is its residual degree.
     """
-    g = cover.cover
-    width = g.vertex_count
-    dying, offsets = _kernels.masked_keys(cover.lcolors, ~stays, width)
-    hits = _kernels.gather_rows(g.indptr, g.indices, dying, offsets)
-    return g.degrees() - np.bincount(hits, minlength=stays.shape[0] * width).reshape(-1, width)
+    block, width = kept.shape
+    stays = np.take(blank, view.root.owner, axis=1)
+    stays &= kept
+    trial, dying = _kernels.mask_entries(~stays)
+    hits = view.cover_rows(dying, None if trial is None else trial * width)
+    return view.deg - np.bincount(hits, minlength=block * width).reshape(block, width)
 
 
 class RoundOutcome:
     """Result of one round on a residual view.
 
     Vertices are ranks in ``vertices``, the view's when the round was drawn,
-    and colors root ids.  ``activated_mask``, ``col``, ``kept_mask`` and
-    ``phi`` are row 0 of the kernel's arrays and ``hits`` the cover rows of
-    the picks; the rest is read from the colors the round takes off the
+    and colors root ids.  ``kept_mask`` and ``phi`` are row 0 of the
+    kernel's arrays and ``hits`` the cover rows of the picks; the rest is read from the colors the round takes off the
     lists (``dying``) and from the view, so it belongs before
     :attr:`residual`, which advances it.
     """
 
-    def __init__(self, view: ResidualView, seed: int, activated: np.ndarray, col: np.ndarray,
-                 kept: np.ndarray, phi: np.ndarray, hits: np.ndarray):
+    def __init__(self, view: ResidualView, seed: int, kept: np.ndarray, phi: np.ndarray,
+                 hits: np.ndarray):
         self.view, self.vertices, self.seed, self.hits = view, view.vertices, seed, hits
-        self.activated_mask, self.col, self.kept_mask, self.phi = (
-            activated[0], col[0], kept[0], phi[0])
+        self.kept_mask, self.phi = kept[0], phi[0]
 
     @cached_property
     def _killed(self) -> np.ndarray:
@@ -219,7 +215,7 @@ class RoundOutcome:
 def run_block(view: ResidualView, params: RoundParams, seed: int,
               block: int) -> tuple[np.ndarray, ...]:
     """Kernel arrays of ``block`` rounds at seeds ``seed .. seed+block-1`` on
-    ``view``: ``(activated, col, kept, phi, hits)``, see
+    ``view``: ``(kept, phi, hits)``, see
     :func:`_kernels.round_kernel`."""
     if np.any(view.list_sizes() < 1):
         raise ValueError("every vertex needs a nonempty list")

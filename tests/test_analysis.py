@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpnibble import (DpCover, Graph, PartialColoring, from_list_assignment, keep_fn,
                       uncolor_fn)
@@ -207,7 +210,7 @@ def per_round_sums(cov, p, trials, seed, anchor):
     sums = {k: 0 for k in ("kept_sum", "kept_sumsq", "kept_tail",
                            "res_sum", "res_sumsq", "res_tail")}
     rows = []
-    nbrs = cov.cover.neighbors(anchor)
+    nbrs = cov.cover.neighbors(0 if anchor is None else anchor)
     for t in range(trials):
         o = run_round(cov, p, seed + t)
         k, r = o.kept_sizes(), o.next_deg
@@ -217,9 +220,43 @@ def per_round_sums(cov, p, trials, seed, anchor):
         sums["res_sum"] = sums["res_sum"] + r
         sums["res_sumsq"] = sums["res_sumsq"] + r * r
         sums["res_tail"] = sums["res_tail"] + (r > res_thresh)
-        blank = o.phi[cov.owner[nbrs]] < 0
-        rows.append((int(blank.sum()), int((blank & ~o.kept_mask[nbrs]).sum()), int(r[anchor])))
+        if anchor is not None:
+            blank = o.phi[cov.owner[nbrs]] < 0
+            rows.append((int(blank.sum()), int((blank & ~o.kept_mask[nbrs]).sum()),
+                         int(r[anchor])))
     return sums, rows
+
+
+def assert_same_as_single_rounds(cov, p, trials, seed, anchor):
+    stats = round_stats(cov, p, trials=trials, seed=seed, anchor=anchor)
+    sums, rows = per_round_sums(cov, p, trials, seed, anchor)
+    for field_name, want in sums.items():
+        assert getattr(stats, field_name).tolist() == want.tolist(), field_name
+    got = list(zip(stats.anchor_u.tolist(), stats.anchor_u_minus_k.tolist(),
+                   stats.anchor_res.tolist()))
+    assert got == rows
+
+
+@st.composite
+def renumbered_covers(draw) -> DpCover:
+    """A cover on a random base graph with lists of uneven sizes, each base
+    edge's matching thinned at the rate ``rho``, and the color ids shuffled,
+    so that no list is a run of consecutive ids."""
+    n = draw(st.integers(1, 10))
+    rho = draw(st.sampled_from([0.5, 0.8, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+    sizes = rng.integers(1, 6, n)
+    ptr = np.concatenate([[0], np.cumsum(sizes)])
+    ids = rng.permutation(int(ptr[-1]))
+    edges = []
+    for u, v in pairs:
+        k = min(sizes[u], sizes[v])
+        keep = rng.random(k) < rho
+        edges += zip(ids[ptr[u] + rng.permutation(sizes[u])[:k]][keep].tolist(),
+                     ids[ptr[v] + rng.permutation(sizes[v])[:k]][keep].tolist())
+    return DpCover(Graph.from_edges(n, pairs), Graph.from_edges(int(ptr[-1]), edges),
+                   sizes, ids)
 
 
 class TestBlockAgainstSingleRounds:
@@ -243,13 +280,27 @@ class TestBlockAgainstSingleRounds:
         assert block_size(cov, trials) == min(block, trials)
         if name == "sparse":
             assert np.any(cov.cover.degrees() == 0)
-        st = round_stats(cov, p, trials=trials, seed=seed, anchor=anchor)
-        sums, rows = per_round_sums(cov, p, trials, seed, anchor)
-        for field_name, want in sums.items():
-            assert getattr(st, field_name).tolist() == want.tolist(), field_name
-        got = list(zip(st.anchor_u.tolist(), st.anchor_u_minus_k.tolist(),
-                       st.anchor_res.tolist()))
-        assert got == rows
+        assert_same_as_single_rounds(cov, p, trials, seed, anchor)
+
+    @settings(max_examples=80, deadline=None)
+    @given(renumbered_covers(), st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from(["R-1", "R", "R+1", "BR+1"]), st.sampled_from([0.3, 0.7, 1.0]),
+           st.integers(0, 2 ** 64 - 1), st.data())
+    def test_buffered_blocks_on_random_covers(self, cov, block, buffers, count, eta, seed,
+                                              data):
+        # R = buffers * block trials fill a reduction buffer; the trial
+        # counts around R and B * R end on a partial block, on a full buffer
+        # and on a partial buffer
+        rows = buffers * block
+        trials = {"R-1": rows - 1, "R": rows, "R+1": rows + 1, "BR+1": block * rows + 1}[count]
+        anchor = data.draw(st.none() | st.integers(0, cov.num_colors - 1))
+        p = RoundParams(eta=eta, d=max(int(cov.cover.degrees().max(initial=0)), 1),
+                        ell=int(cov.list_sizes().min()), beta=0.1)
+        width = max(cov.base.vertex_count, cov.num_colors)
+        with mock.patch.object(analysis, "_BLOCK_ENTRIES",
+                               block * max(cov.cover.indices.size, cov.num_colors)), \
+                mock.patch.object(analysis, "_REDUCE_ENTRIES", rows * width):
+            assert_same_as_single_rounds(cov, p, max(trials, 1), seed, anchor)
 
     def test_block_size_on_the_benchmark_shapes(self):
         # 34 vertices, 16-regular, 12 labels: 6528 cover-row entries

@@ -6,6 +6,7 @@ import pytest
 from dpnibble import (Graph, PartialColoring, d_next, ell_next, from_list_assignment,
                       good_round_targets, keep_fn, round_is_good, run_round,
                       run_round_until_good, uncolor_fn)
+from dpnibble._rng import scalar_uniform
 from dpnibble.analysis import verify_proper
 from dpnibble.errors import RetriesExhaustedError
 from dpnibble.nibble import RoundParams, count_violations
@@ -73,7 +74,6 @@ class TestRunRound:
         p = RoundParams(eta=1.0, d=1, ell=3, beta=0.1)
         for seed in range(20):
             o = run_round(cov, p, seed)
-            assert o.activated_mask[0]
             assert o.kept_sizes()[0] == 3
             assert o.phi[0] >= 0
 
@@ -110,13 +110,21 @@ class TestRunRound:
         assert np.array_equal(a.phi, b.phi)
         assert np.array_equal(a.kept_mask, b.kept_mask)
         c = run_round(cov, p, seed=100)
-        assert not np.array_equal(a.col, c.col)
+        assert not np.array_equal(a.hits, c.hits)
 
     def test_kept_set_law(self):
         cov = regular_cover(14, 4, 5, seed=4)
         p = RoundParams(eta=0.6, d=4, ell=5, beta=0.05)
         o = run_round(cov, p, seed=5)
-        assigned = set(o.col[o.activated_mask].tolist())
+        # the picks of the activated vertices, from the scalar reference draws
+        assigned = set()
+        for v in range(14):
+            if scalar_uniform(5, v, 0) < p.eta:
+                lst = cov.lists(v)
+                assigned.add(int(lst[int(scalar_uniform(5, v, 1) * lst.size)]))
+        assert set(o.phi[o.phi >= 0].tolist()) <= assigned
+        assert sorted(o.hits.tolist()) == sorted(
+            int(nb) for a in assigned for nb in cov.cover.neighbors(a))
         for v in range(14):
             expect = [c for c in cov.lists(v)
                       if not any(int(nb) in assigned

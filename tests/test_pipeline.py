@@ -15,8 +15,7 @@ from dpnibble.errors import PipelineError, ResampleBudgetError, RetriesExhausted
 from dpnibble.generators import incidence_graph, random_dp_cover, random_regular
 from dpnibble.graph import max_degree
 from dpnibble.nibble import (ResidualView, RoundParams, count_violations, kept_counts,
-                             on_lists, residual_degrees, run_block, run_round,
-                             run_round_until_good, staying)
+                             residual_degrees, run_block, run_round, run_round_until_good)
 from dpnibble.pipeline import finish_with_stats, resample_residual, result_to_json
 
 from conftest import finish_by_rescan, path_graph, regular_cover, residual_cover
@@ -319,14 +318,13 @@ def full_array_round(before: SimpleNamespace, p: RoundParams, seed: int, ell_t: 
     root ids: ``phi``, the kept sizes, the next ``alive``, ``blank`` and
     degrees, and the violation counts."""
     cov, root_ids = before.cover, before.root_ids
-    _, _, kept, phi, _ = run_block(ResidualView(cov), p, seed, 1)
-    listed = on_lists(cov, kept)
-    stays = staying(cov, listed, phi)
-    sizes = kept_counts(cov, listed)[0]
+    view = ResidualView(cov)
+    kept, phi, _ = run_block(view, p, seed, 1)
+    sizes = kept_counts(view, kept)[0]
     alive = np.zeros_like(before.alive)
-    alive[root_ids[cov.lcolors[stays[0]]]] = True
+    alive[root_ids[kept[0] & (phi[0] < 0)[cov.owner]]] = True
     deg = np.zeros_like(before.deg)
-    deg[root_ids] = residual_degrees(cov, stays)[0]
+    deg[root_ids] = residual_degrees(view, kept, phi < 0)[0]
     blank = before.blank.copy()
     blank[before.vertices[phi[0] >= 0]] = False
     return SimpleNamespace(
