@@ -10,6 +10,7 @@ no two picks adjacent in ``H``.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -345,6 +346,11 @@ _DIGITS_ONLY = bytes(c if c in b"0123456789" else 32 for c in range(256))
 _ZERO_DIGITS = bytes(48 if c in b"0123456789" else c for c in range(256))
 # np.fromstring saturates past 2**63, so a canonical id has at most 18 digits
 _MAX_ID = 10 ** 18
+# the bytes of text one parse block starts with; a block ends at the next
+# byte that is no digit, so no run of digits is split.  Blocks keep the
+# masks and copies of a parse small, and none of them document-sized
+_PARSE_BLOCK = 1 << 18
+_NON_DIGIT = re.compile(rb"\D")
 
 
 def _canonical_parts(text: str | bytes):
@@ -355,29 +361,38 @@ def _canonical_parts(text: str | bytes):
 
     The layout is checked on the skeleton, the text with each run of digits
     cut to one ``0``, and no run of two or more digits may start with ``0``.
-    The numbers are then read in one ``np.fromstring`` pass over a copy with
-    every other byte turned into a space.
+    The numbers are then read by ``np.fromstring`` from a copy of each block
+    with every other byte turned into a space.  Both passes go block by block
+    (:data:`_PARSE_BLOCK`).
     """
     if isinstance(text, str):
         if not text.isascii():
             return None
         text = text.encode()
-    buf = np.frombuffer(text, np.uint8)
-    digit = (buf - ord("0")) < 10  # uint8 subtraction wraps the lower bytes past 9
-    # the skeleton keeps every byte but the second and later digits of a run
-    keep = np.empty_like(digit)
-    keep[:1] = True
-    np.logical_and(digit[1:], digit[:-1], out=keep[1:])
-    del digit
-    np.logical_not(keep[1:], out=keep[1:])
-    # a kept 0 followed by a dropped byte starts a run of two or more digits
-    leading = buf[:-1] == ord("0")
-    leading &= keep[:-1]
-    if np.any(np.greater(leading, keep[1:], out=leading)):
-        return None
-    del leading
-    skeleton = buf[keep].tobytes().translate(_ZERO_DIGITS)
-    del keep, buf
+    blocks, pieces = [], []
+    start = 0
+    while start < len(text):
+        after = _NON_DIGIT.search(text, start + _PARSE_BLOCK)
+        end = after.start() if after else len(text)
+        buf = np.frombuffer(text, np.uint8, end - start, start)
+        digit = (buf - ord("0")) < 10  # uint8 subtraction wraps the lower bytes past 9
+        # the skeleton keeps every byte but the second and later digits of a
+        # run; a block starts with a byte that is no digit, or the text does
+        keep = np.empty_like(digit)
+        keep[:1] = True
+        np.logical_and(digit[1:], digit[:-1], out=keep[1:])
+        np.logical_not(keep[1:], out=keep[1:])
+        # a kept 0 followed by a dropped byte starts a run of two or more digits
+        leading = buf[:-1] == ord("0")
+        leading &= keep[:-1]
+        if np.any(np.greater(leading, keep[1:], out=leading)):
+            return None
+        pieces.append(buf[keep].tobytes().translate(_ZERO_DIGITS))
+        # the numbers of the block: one 0 each in its skeleton
+        blocks.append((start, end, pieces[-1].count(b"0")))
+        start = end
+    skeleton = b"".join(pieces)
+    del pieces
     if not (skeleton.startswith(_HEAD) and skeleton.endswith(_TAIL)):
         return None
     mid = skeleton.find(_MID, len(_HEAD))
@@ -392,10 +407,15 @@ def _canonical_parts(text: str | bytes):
     del skeleton
     at = 2 * mb  # where vertex_count is
     end = at + 1 + 2 * mc  # where the list entries start
-    # the skeleton holds one 0 per number, so this count is exact (and with
-    # it np.fromstring allocates the array once instead of growing it)
-    ids = np.fromstring(text.translate(_DIGITS_ONLY), dtype=np.int64,
-                        count=end + int(sizes.sum()), sep=" ")
+    # the skeleton holds one 0 per number, so the blocks' counts add up to
+    # the numbers of the layout
+    ids = np.empty(end + int(sizes.sum()), np.int64)
+    i = 0
+    for a, b, count in blocks:
+        if count:
+            ids[i:i + count] = np.fromstring(text[a:b].translate(_DIGITS_ONLY), dtype=np.int64,
+                                             count=count, sep=" ")
+            i += count
     if ids.max() >= _MAX_ID:
         return None
     return (int(ids[at]), ids[:at].reshape(mb, 2), ids[at + 1:end].reshape(mc, 2),

@@ -463,6 +463,25 @@ class TestCanonicalFastPath:
         text = text[:at] + text[at + 1] + text[at] + text[at + 2:]
         assert load_outcome(text) == load_outcome(text, fast=False)
 
+    @settings(max_examples=150, deadline=None)
+    @given(canonical_covers(), st.integers(1, 8), st.booleans(), st.data())
+    def test_blocks_of_a_few_bytes_agree(self, text, block, mutate, data):
+        # parse blocks of a few bytes put their boundaries next to and after
+        # runs of digits all through a short document
+        if mutate:
+            at = data.draw(st.integers(0, len(text) - 1))
+            text = text[:at] + data.draw(st.sampled_from(MUTATION_BYTES)) + text[at + 1:]
+        whole = cover_module._canonical_parts(text)
+        with mock.patch.object(cover_module, "_PARSE_BLOCK", block):
+            parts = cover_module._canonical_parts(text)
+            assert load_outcome(text) == load_outcome(text, fast=False)
+        assert (parts is None) == (whole is None)
+        if parts is not None:
+            assert parts[0] == whole[0]
+            for got, want in zip(parts[1:], whole[1:]):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [1 << 18, 1, 3], ids=["one-block", "1", "3"])
     @pytest.mark.parametrize("old, new", [
         ('"cover_edges":[[', '"cover_edges":[[0'),        # leading zero
         (",[0,17],", ",0[,17],"),                         # an id moved out of its pair
@@ -478,7 +497,8 @@ class TestCanonicalFastPath:
         ('{"base":', '{"a":1,"base":'),                  # key before base
         ("]],\"lists\"", "]], \"lists\""),
     ])
-    def test_non_canonical_text_takes_json_loads(self, old, new):
+    def test_non_canonical_text_takes_json_loads(self, monkeypatch, block, old, new):
+        monkeypatch.setattr(cover_module, "_PARSE_BLOCK", block)
         text = cover_to_json(regular_cover(8, 3, 4, seed=12))
         assert cover_module._canonical_parts(text) is not None
         text = text.replace(old, new, 1)
