@@ -16,7 +16,11 @@ advances.  ``analysis.round_stats`` runs its trials on the whole cover in
 blocks of
 ``B = max(1, min(trials, _BLOCK_ENTRIES // max(cover-row entries, colors)))``
 with ``_BLOCK_ENTRIES = 2**16``: the 408-color criterion-3 cover (6,528
-entries) gets ``B = 10``, a 4,800-color, 16-regular cover ``B = 1``.
+entries) gets ``B = 10``, a 4,800-color, 16-regular cover ``B = 1``.  It
+reads a block per color (``nibble.kept_counts``, ``nibble.residual_degrees``:
+the view's sizes and degrees minus a ``bincount`` of the killed colors'
+owners and of the dying colors' cover rows) into row buffers of about
+``_REDUCE_ENTRIES = 2**16`` entries, each reduced once when full.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ def row_gather(ptr, idx):
 
 def mask_entries(mask):
     """``(trial, column)`` of the true entries of a ``(B, m)`` mask; ``trial``
-    is None when ``B = 1``, where a one-row ``nonzero`` is 5x faster."""
+    is None when ``B = 1``, where a 1-D ``nonzero`` is about 5x faster."""
     if mask.shape[0] == 1:
         return None, mask[0].nonzero()[0]
     return mask.nonzero()

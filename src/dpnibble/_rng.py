@@ -55,7 +55,7 @@ def vertex_uniforms(seed: int, n: int, block: int = 1) -> tuple[np.ndarray, np.n
     seeds = np.arange(block, dtype=np.uint64) + U64(normalize_seed(seed))
     v = np.arange(n, dtype=np.uint64)
     x = (seeds * _U_GOLDEN)[:, None] + v * _U_STREAM + _DRAW_OFFSETS
-    # the finalizer in place: one (2, block, n) array, no temporaries
+    # the finalizer, in place on the one (2, block, n) array
     x ^= x >> _U30
     x *= _U_MIX1
     x ^= x >> _U27

@@ -346,9 +346,9 @@ _DIGITS_ONLY = bytes(c if c in b"0123456789" else 32 for c in range(256))
 _ZERO_DIGITS = bytes(48 if c in b"0123456789" else c for c in range(256))
 # np.fromstring saturates past 2**63, so a canonical id has at most 18 digits
 _MAX_ID = 10 ** 18
-# the bytes of text one parse block starts with; a block ends at the next
-# byte that is no digit, so no run of digits is split.  Blocks keep the
-# masks and copies of a parse small, and none of them document-sized
+# a parse block takes this many bytes of text and ends before the next byte
+# that is no digit, so it splits no run of digits; it keeps the masks and
+# copies of a parse small, and none of them is document-sized
 _PARSE_BLOCK = 1 << 18
 _NON_DIGIT = re.compile(rb"\D")
 
@@ -388,8 +388,7 @@ def _canonical_parts(text: str | bytes):
         if np.any(np.greater(leading, keep[1:], out=leading)):
             return None
         pieces.append(buf[keep].tobytes().translate(_ZERO_DIGITS))
-        # the numbers of the block: one 0 each in its skeleton
-        blocks.append((start, end, pieces[-1].count(b"0")))
+        blocks.append((start, end, pieces[-1].count(b"0")))  # one 0 per number
         start = end
     skeleton = b"".join(pieces)
     del pieces
@@ -412,10 +411,9 @@ def _canonical_parts(text: str | bytes):
     ids = np.empty(end + int(sizes.sum()), np.int64)
     i = 0
     for a, b, count in blocks:
-        if count:
-            ids[i:i + count] = np.fromstring(text[a:b].translate(_DIGITS_ONLY), dtype=np.int64,
-                                             count=count, sep=" ")
-            i += count
+        ids[i:i + count] = np.fromstring(text[a:b].translate(_DIGITS_ONLY), dtype=np.int64,
+                                         count=count, sep=" ")
+        i += count
     if ids.max() >= _MAX_ID:
         return None
     return (int(ids[at]), ids[:at].reshape(mb, 2), ids[at + 1:end].reshape(mc, 2),
