@@ -62,11 +62,13 @@ def row_gather(ptr, idx):
 
 
 def mask_entries(mask):
-    """``(trial, column)`` of the true entries of a ``(B, m)`` mask; ``trial``
-    is None when ``B = 1``, where a 1-D ``nonzero`` is about 5x faster."""
+    """``(trial, column)`` of the true entries of a ``(B, m)`` mask, in row order,
+    ``trial`` None when ``B = 1``; a 2-D ``nonzero`` costs several times this."""
+    keys = mask.reshape(-1).nonzero()[0]
     if mask.shape[0] == 1:
-        return None, mask[0].nonzero()[0]
-    return mask.nonzero()
+        return None, keys
+    trial = keys // mask.shape[1]
+    return trial, keys - trial * mask.shape[1]
 
 
 def alive_picks(view, u, ranks=slice(None)):

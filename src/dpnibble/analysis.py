@@ -218,10 +218,6 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
     rows = block * max(1, _REDUCE_ENTRIES // (block * max(n, num_colors, 1)))
     kept_buf, res_buf = np.empty((rows, n), np.int64), np.empty((rows, num_colors), np.int64)
     kept_acc, res_acc = np.zeros((3, n), np.int64), np.zeros((3, num_colors), np.int64)
-
-    def reduce(acc, buf, tail):
-        acc += (buf.sum(axis=0), (buf * buf).sum(axis=0), np.count_nonzero(tail, axis=0))
-
     m = 0 if anchor is None else trials
     anchor_u, anchor_umk, anchor_res = (np.zeros(m, np.int64) for _ in range(3))
     if m:
@@ -241,8 +237,9 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
             anchor_res[lo:lo + b] = res_buf[row:row + b, anchor]
         if row + b == rows or lo + b == trials:
             k, r = kept_buf[:row + b], res_buf[:row + b]
-            reduce(kept_acc, k, np.abs(k - keep_ell) > ell_tail)
-            reduce(res_acc, r, r > res_floor)
+            for acc, buf, tail in ((kept_acc, k, np.abs(k - keep_ell) > ell_tail),
+                                   (res_acc, r, r > res_floor)):
+                acc += (buf.sum(axis=0), (buf * buf).sum(axis=0), np.count_nonzero(tail, axis=0))
     return RoundStats(trials, p, kept_acc[0], kept_acc[1], res_acc[0], res_acc[1],
                       kept_acc[2], res_acc[2], anchor, anchor_u, anchor_umk, anchor_res)
 
@@ -342,11 +339,8 @@ def exact_round_expectation(c: DpCover, p: RoundParams,
 
 
 def stats_to_csv(stats: RoundStats, config: dict) -> str:
-    """One row per vertex and per color; config echoed in comment lines.
-
-    The columns are read as Python numbers with one ``tolist`` each; the
-    repr of a Python float is that of the float64 it came from.
-    """
+    """One row per vertex and per color; config echoed in comment lines."""
+    # one tolist() per column: a Python float has the repr of its float64
     lines = [f"# {json.dumps(config, sort_keys=True)}", "kind,id,mean,variance,tail_freq"]
     for kind, columns in (("vertex", (stats.kept_mean, stats.kept_var, stats.kept_tail_freq)),
                           ("color", (stats.res_mean, stats.res_var, stats.res_tail_freq))):
