@@ -239,7 +239,8 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
             k, r = kept_buf[:row + b], res_buf[:row + b]
             for acc, buf, tail in ((kept_acc, k, np.abs(k - keep_ell) > ell_tail),
                                    (res_acc, r, r > res_floor)):
-                acc += (buf.sum(axis=0), (buf * buf).sum(axis=0), np.count_nonzero(tail, axis=0))
+                acc += (buf.sum(axis=0), np.einsum("ij,ij->j", buf, buf),
+                        np.count_nonzero(tail, axis=0))
     return RoundStats(trials, p, kept_acc[0], kept_acc[1], res_acc[0], res_acc[1],
                       kept_acc[2], res_acc[2], anchor, anchor_u, anchor_umk, anchor_res)
 

@@ -210,7 +210,7 @@ def per_round_sums(cov, p, trials, seed, anchor):
     sums = {k: 0 for k in ("kept_sum", "kept_sumsq", "kept_tail",
                            "res_sum", "res_sumsq", "res_tail")}
     rows = []
-    nbrs = cov.cover.neighbors(0 if anchor is None else anchor)
+    nbrs = None if anchor is None else cov.cover.neighbors(anchor)
     for t in range(trials):
         o = run_round(cov, p, seed + t)
         k, r = o.kept_sizes(), o.next_deg
@@ -220,7 +220,7 @@ def per_round_sums(cov, p, trials, seed, anchor):
         sums["res_sum"] = sums["res_sum"] + r
         sums["res_sumsq"] = sums["res_sumsq"] + r * r
         sums["res_tail"] = sums["res_tail"] + (r > res_thresh)
-        if anchor is not None:
+        if nbrs is not None:
             blank = o.phi[cov.owner[nbrs]] < 0
             rows.append((int(blank.sum()), int((blank & ~o.kept_mask[nbrs]).sum()),
                          int(r[anchor])))

@@ -430,6 +430,32 @@ def canonical_covers(draw):
 MUTATION_BYTES = '0123456789[],:-." {}etx\n'
 
 
+# edits that make a canonical document non-canonical
+NON_CANONICAL_EDITS = [
+    ('"cover_edges":[[', '"cover_edges":[[0'),        # leading zero
+    (",[0,17],", ",0[,17],"),                         # an id moved out of its pair
+    ('"cover_edges":[[', '"cover_edges":[[ '),        # whitespace
+    ('"cover_edges":[[', '"cover_edges":[[-'),        # negative id
+    ('"cover_edges":[[', f'"cover_edges":[[{2 ** 70}'),  # overflow
+    ('"cover_edges":[[', f'"cover_edges":[[{10 ** 19 - 1},0],['),  # 19 digits saturate
+    ('"cover_edges":[[', '"cover_edges":[[true,1],['),
+    ("]],\"lists\"", "],],\"lists\""),                 # trailing comma
+    ("]],\"lists\"", "],[1,]],\"lists\""),             # missing id
+    ("]],\"lists\"", "]],\"cover_edges\":[],\"lists\""),  # second key
+    ('{"base":{', '{"base":{"cover_edges":[[0,1]],'),  # key inside base
+    ('{"base":', '{"a":1,"base":'),                  # key before base
+    ("]],\"lists\"", "]], \"lists\""),
+]
+
+
+def assert_edit_takes_json_loads(old: str, new: str):
+    text = cover_to_json(regular_cover(8, 3, 4, seed=12))
+    assert cover_module._canonical_parts(text) is not None
+    text = text.replace(old, new, 1)
+    assert cover_module._canonical_parts(text) is None
+    assert load_outcome(text) == load_outcome(text, fast=False)
+
+
 class TestCanonicalFastPath:
     """Canonical cover files skip ``json.loads``; every other text must load,
     or be refused, exactly as ``json.loads`` reads it."""
@@ -481,29 +507,16 @@ class TestCanonicalFastPath:
             for got, want in zip(parts[1:], whole[1:]):
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("block", [1 << 18, 1, 3], ids=["one-block", "1", "3"])
-    @pytest.mark.parametrize("old, new", [
-        ('"cover_edges":[[', '"cover_edges":[[0'),        # leading zero
-        (",[0,17],", ",0[,17],"),                         # an id moved out of its pair
-        ('"cover_edges":[[', '"cover_edges":[[ '),        # whitespace
-        ('"cover_edges":[[', '"cover_edges":[[-'),        # negative id
-        ('"cover_edges":[[', f'"cover_edges":[[{2 ** 70}'),  # overflow
-        ('"cover_edges":[[', f'"cover_edges":[[{10 ** 19 - 1},0],['),  # 19 digits saturate
-        ('"cover_edges":[[', '"cover_edges":[[true,1],['),
-        ("]],\"lists\"", "],],\"lists\""),                 # trailing comma
-        ("]],\"lists\"", "],[1,]],\"lists\""),             # missing id
-        ("]],\"lists\"", "]],\"cover_edges\":[],\"lists\""),  # second key
-        ('{"base":{', '{"base":{"cover_edges":[[0,1]],'),  # key inside base
-        ('{"base":', '{"a":1,"base":'),                  # key before base
-        ("]],\"lists\"", "]], \"lists\""),
-    ])
-    def test_non_canonical_text_takes_json_loads(self, monkeypatch, block, old, new):
+    @pytest.mark.parametrize("old, new", NON_CANONICAL_EDITS)
+    def test_non_canonical_text_takes_json_loads(self, old, new):
+        assert_edit_takes_json_loads(old, new)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("old, new", NON_CANONICAL_EDITS)
+    def test_non_canonical_text_refused_in_blocks_of_a_few_bytes(self, monkeypatch, block, old,
+                                                                  new):
         monkeypatch.setattr(cover_module, "_PARSE_BLOCK", block)
-        text = cover_to_json(regular_cover(8, 3, 4, seed=12))
-        assert cover_module._canonical_parts(text) is not None
-        text = text.replace(old, new, 1)
-        assert cover_module._canonical_parts(text) is None
-        assert load_outcome(text) == load_outcome(text, fast=False)
+        assert_edit_takes_json_loads(old, new)
 
 
 def test_loading_takes_a_few_times_the_file_size():
