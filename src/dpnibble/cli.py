@@ -196,7 +196,7 @@ def cmd_generate(kind, n, d, ell, rho, m, s, t, girth5_base, seed, config_path, 
         _fail(EXIT_USAGE, str(exc))
     except MemoryError as exc:
         _fail(EXIT_USAGE, f"not enough memory: {exc}")
-    except GenerationError as exc:
+    except (GenerationError, BudgetExceededError) as exc:
         _fail(EXIT_BUDGET, str(exc))
 
 

@@ -269,9 +269,10 @@ def regularize(c: DpCover, d: int, seed: int) -> DpCover:
     auxiliary ``N``-regular graph of girth at least 5 and ``N`` is the total
     degree deficiency, then adds one cover edge (plus the corresponding base
     edge) per auxiliary edge, always consuming the smallest deficient color
-    ids first.  Girth 5 of the auxiliary graph is what keeps the output free
-    of complete bipartite subgraphs that the input did not contain.  The
-    input embeds as copy 0.
+    ids first.  The auxiliary graph is the edge or the pentagon for N <= 2,
+    else a biaffine plane of girth >= 6 with k = 2Nq, q the least prime >= N.
+    Its girth is what keeps the output free of complete bipartite subgraphs
+    that the input did not contain.  The input embeds as copy 0.
     """
     from .generators import girth5_auxiliary
 

@@ -6,9 +6,9 @@ model with rejection of loops and parallel edges; girth-5 regular graphs are
 obtained by rejection, then local edge-swap repair of 3- and 4-cycles, and,
 at densities where local search cannot work (roughly ``n`` close to ``d^2``,
 where only near-extremal structures exist), from the incidence graph of a
-projective plane with a seeded random relabeling.  Every girth-5 graph is
-certified before it is returned by ``girth(g, 5)``, the girth search bounded
-by 5, which stops after the triangle and 4-cycle levels of its BFS.
+projective plane with a seeded random relabeling; regularization's auxiliary
+graphs are explicit.  Every girth-5 graph is certified before it is returned,
+by ``girth(g, 5)``, whose BFS stops after its triangle and 4-cycle levels.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .graph import Graph, contains_kst, find_short_cycle, girth
 _PAIRING_TRIES = 200  # pairing-model runs before random_regular gives up
 _REJECTION_TRIES = 40  # least number of plain samples in random_girth5_regular
 _REPAIR_TRIES = 8  # its samples with swap repair
-_AUXILIARY_DOUBLINGS = 64  # times girth5_auxiliary doubles its order
 
 
 def _rng(seed: int, tag: int = 0) -> np.random.Generator:
@@ -248,12 +247,14 @@ def incidence_graph(q: int, seed: int) -> Graph:
 
 
 def girth5_auxiliary(regular_degree: int, seed: int) -> Graph:
-    """Auxiliary regular girth-5 graph used by cover regularization.
+    """Auxiliary N-regular graph of girth >= 5 used by cover regularization.
 
-    Explicit for degrees 1 and 2; sampled (with swap repair) for degree >= 3,
-    starting at ``max(N^2+2, 50)`` vertices and doubling on failure up to
-    ``_AUXILIARY_DOUBLINGS`` times.
-    """
+    The empty graph, the edge and the pentagon for N = 0, 1 and 2; for N >= 3
+    the biaffine plane of Lazebnik, Ustimenko and Woldar, relabeled by the
+    seed: points (x, y) and lines [a, b] with x, a < N and y, b in F_q, q the
+    least prime >= N, and (x, y) ~ [a, b] iff y + b = x*a (mod q).  It is
+    N-regular on 2Nq vertices, and two points share at most one line, so its
+    girth is at least 6."""
     n_reg = regular_degree
     if n_reg == 0:
         return Graph.empty(1)
@@ -261,19 +262,17 @@ def girth5_auxiliary(regular_degree: int, seed: int) -> Graph:
         return Graph.from_edges(2, [(0, 1)])
     if n_reg == 2:
         return Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    n = max(n_reg * n_reg + 2, 50)
-    attempts = []
-    for doubling in range(_AUXILIARY_DOUBLINGS):
-        if (n * n_reg) % 2 != 0:
-            n += 1
-        try:
-            return random_girth5_regular(n, n_reg, seed + 131 * doubling)
-        except (GenerationError, ValueError) as exc:
-            attempts.append(f"n={n}: {exc}")
-            n *= 2
-    raise GenerationError(
-        f"no girth-5 {n_reg}-regular auxiliary graph within budget; attempts: "
-        + " | ".join(attempts))
+    q = n_reg
+    while not _is_prime(q):
+        q += 1
+    x, y, a = np.ogrid[:n_reg, :q, :n_reg]
+    point = x * q + y
+    line = n_reg * q + a * q + (x * a - y) % q
+    perm = _rng(seed, 11).permutation(2 * n_reg * q).astype(np.int64)
+    edges = np.stack(np.broadcast_arrays(perm[point], perm[line]), axis=-1)
+    g = Graph.from_edges(2 * n_reg * q, edges.reshape(-1, 2))
+    _check_girth5(g)
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,13 @@ class TestGenerate:
         assert r.exit_code == 2, (r.output, r.exception)
         assert "error: not enough memory: " in r.output
 
+    def test_kst_certificate_over_budget_exits_3(self, runner):
+        # the final contains_kst check would enumerate C(2000,3) * C(2,1) subsets
+        r = runner.invoke(main, ["generate", "--kind", "kst_free_bipartite", "--m", "2000",
+                                 "--n", "2", "--s", "3", "--t", "1", "--seed", "1"])
+        assert r.exit_code == 3, (r.output, r.exception)
+        assert "error: " in r.output and "exceeds budget" in r.output
+
     @pytest.mark.parametrize("raw, message", [
         (b"{bad", "error: cannot load config: "),
         (b"[1, 2]", "error: cannot load config: expected an object, got list"),

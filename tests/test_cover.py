@@ -327,7 +327,7 @@ class TestRegularize:
         assert validate(out) == []
         assert not contains_kst(out.cover, 2, 2)
 
-    @pytest.mark.parametrize("seed,drop", [(1, 1), (2, 2), (3, 3)])
+    @pytest.mark.parametrize("seed,drop", [(1, 1), (2, 2), (3, 3), (4, 4)])
     def test_random_deficient_covers(self, seed, drop):
         base = random_girth5_regular(30, 3, seed=seed)
         cov = random_dp_cover(base, 4, 1.0, seed=seed + 10)
@@ -375,10 +375,12 @@ class TestRegularize:
 
     def test_freeness_preserved_up_to_three_by_three(self):
         base = random_girth5_regular(30, 3, seed=21)
-        cov = drop_cover_edges(random_dp_cover(base, 3, 1.0, seed=22), 2, seed=23)
-        out = regularize(cov, 3, seed=24)
-        for s, t in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-            assert contains_kst(cov.cover, s, t) == contains_kst(out.cover, s, t)
+        # total deficiency 4 and 8: the biaffine plane over F_5 and over F_11
+        for drop in (2, 4):
+            cov = drop_cover_edges(random_dp_cover(base, 3, 1.0, seed=22), drop, seed=23)
+            out = regularize(cov, 3, seed=24)
+            for s, t in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+                assert contains_kst(cov.cover, s, t) == contains_kst(out.cover, s, t)
 
 
 class TestCoverJson:

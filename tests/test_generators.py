@@ -111,10 +111,17 @@ class TestGirth5Auxiliary:
         g = girth5_auxiliary(2, seed=0)
         assert g.vertex_count == 5 and girth(g) == 5
 
-    def test_degree_four_doubles_until_feasible(self):
-        g = girth5_auxiliary(4, seed=0)
-        assert list(np.unique(g.degrees())) == [4]
-        assert girth(g) >= 5
+    @pytest.mark.parametrize("degree", [*range(3, 21), 31, 40])
+    def test_biaffine_plane_is_regular_with_girth_six(self, degree):
+        # q is the least prime >= N; q = N itself gives 4-cycles when N is composite
+        q = next(p for p in range(degree, 2 * degree) if all(p % f for f in range(2, p)))
+        g = girth5_auxiliary(degree, seed=degree)
+        assert g.vertex_count == 2 * degree * q
+        assert list(np.unique(g.degrees())) == [degree]
+        assert girth(g) == 6
+
+    def test_relabeling_depends_on_seed(self):
+        assert girth5_auxiliary(5, seed=0) != girth5_auxiliary(5, seed=1)
 
 
 class TestRandomDpCover:
