@@ -32,46 +32,47 @@ def drop_cover_edges(cov: DpCover, count: int, seed: int) -> DpCover:
     return DpCover(cov.base, smaller, cov.list_sizes(), cov.lcolors)
 
 
-# sha256 of cover_to_json(regularize(...)) for c06-style covers, recorded
-# when regularize still consumed per-copy queues of deficient colors.
+# sha256 of cover_to_json(regularize(...)) for c06-style covers, keyed by
 # (base order, list size, cover edges dropped, seed): dropping 1, 2 or 3
 # edges leaves a total deficiency of 2, 4 or 6, so the auxiliary graph is the
-# pentagon or a sampled girth-5 graph on 100 or 400 vertices
+# pentagon or the biaffine plane on 40 or 84 vertices.  The drop-1 digests
+# were recorded when regularize still consumed per-copy queues of deficient
+# colors; the others when the biaffine plane replaced a sampled graph.
 REGULARIZED = {
     (30, 1, 1, 40): "dc7198f6e45ef53c0eeb153f7fa8302448e02abf785a12bde0f8908fc7ec7cf8",
-    (30, 1, 2, 41): "6ddc346fd1949203baa19f65a6687bb3a10bfe731310c8040b31d7b7cf4f44d3",
-    (30, 1, 3, 42): "317d2be5b721c02e108e34695b5dbd1133c4350bd38b7afd43ca90db47a37f33",
+    (30, 1, 2, 41): "584e3cc7227ba6146ff50bb9553594c5bfcb36d08438633688469cd53d3fa3fb",
+    (30, 1, 3, 42): "d6296ab391d43fe8fa48eb3d2808738e36f1eb6ef9cb590375ca938f4385854a",
     (30, 2, 1, 43): "d0fb80a01d72be0ea6223e3b3d6f6a04bad0d22f730880c7e07b25470d51b8ee",
-    (30, 2, 2, 44): "06f018c6cbd5808370af040c3cf95347f3587adf771f8d3af1e84fc4888b2f34",
-    (30, 2, 3, 45): "c2441c90e4ef4ca8da1689452fb6ca204f6f1d8fdb8212a92e251b36ac384b90",
+    (30, 2, 2, 44): "b129d8e2b5651c32e2101df2ba3938c91758a0301db739ef85d3f6939c9d4f64",
+    (30, 2, 3, 45): "643539ee630bdaa7a3071886b10882e4a695d41af20cfe242607547cac458220",
     (30, 3, 1, 46): "22288f35e6a35050ca042768292b38c2aebf5816d512878a20c59c5ace4e340d",
-    (30, 3, 2, 47): "865fa31a4d504aa371d365da488fcaf31ec69f2fe39a12eeb0d108ba83e3f838",
-    (30, 3, 3, 48): "b320fda4a059ec173f578639ae293d4fd8ede2b53b31a18ff08124710620385f",
+    (30, 3, 2, 47): "85225a4de48e360a02df4d252e447ef33d495fcbfaac8d58ac3f058f1bb2cd04",
+    (30, 3, 3, 48): "f024543f56d96b23422a2b98f987e652ba60db146a7c39a83667a7576b6504b4",
     (30, 4, 1, 49): "2020ca66dd5c67965342078212c355d7ea0b40147d9497e12de7f6fd0d276cf9",
-    (30, 4, 2, 50): "72fe21bc9eb7c74df2377b29dab25eedb680069b4d7adb094b3e060d67886845",
-    (30, 4, 3, 51): "ded307cc1fa79b3dc67a1b2baa5173c9837233001989d19dcdda35392fa4ee52",
+    (30, 4, 2, 50): "b56e605c8ef9fbbbd55e57786b3b2e28eda9f8ad16866ae79624ac9d786f6034",
+    (30, 4, 3, 51): "bcc64c0781cd3bd226e7147224265259086ab9322196bede41cce5b35e9f8895",
     (40, 1, 1, 52): "49b541e9ff0aab17eb25c1faeb15078d40667d46c0fbe52dcc34d89859eca5eb",
-    (40, 1, 2, 53): "64a04bc627e5ab12404a9d5c0b5396a97b9be55c5a1eb91900ce8b4c111e38ec",
-    (40, 1, 3, 54): "c68a497029212f76fd92b29e79bdab8030113f132c49a44d7e8b29997f98e4d9",
+    (40, 1, 2, 53): "586ea7df792c889beea5fd87f9d3635b12fc98ec73508fa185acffbd3269ded3",
+    (40, 1, 3, 54): "3adb8537a1935c2ddc247f45d7ac53c8e5e753865edfa9bb1650e17a0646330e",
     (40, 2, 1, 55): "b6c14f25a2f853124059d4383c9599cabaaf1c06deb373ad079c701ef5f4cb99",
-    (40, 2, 2, 56): "15139b2e664477155217c80c6bbdf42a8d978d04e06c661f7820462b0a1c8b15",
-    (40, 2, 3, 57): "84d9d66120abb56c5d0cfb7e41d2c57c60b416b77feddba39a0708a9cb62138d",
+    (40, 2, 2, 56): "cdbdf983fe08f0e81a5b09904e09800dd95117aaac81af43ff71fa6e88f43b7b",
+    (40, 2, 3, 57): "6724654c2b06a49b66962bd588fafd8cd14ec87c4495542bdf8a164693d93a9b",
     (40, 3, 1, 58): "49057d7bc1376c88c999e2eafbba44ba26b891783d469593dfd7661e35d761bc",
-    (40, 3, 2, 59): "aa3be8150aae55010dd899f512c9a6565fa8c848d9d4f511a0dc3fd483f13e94",
-    (40, 3, 3, 60): "e6a0d1f38a66ef77032cc00511959977887ff7b40bc4b9fcdecc52fd66887ab2",
+    (40, 3, 2, 59): "1c0cc7e8d4ab0e546ac479b1f27b0dab9637ff5782c3370443c7ffca141bb037",
+    (40, 3, 3, 60): "239b91180b413ea263eea8b7421e5668a94437bece5d5b7af0e0a6d6c68ab20e",
     (40, 4, 1, 61): "352c6caf1231a9762bf36a48b23afec1e94003a878ba7d8fb48971a1b515a54b",
-    (40, 4, 2, 62): "155473e69da03e6cf6572b6c03679d90cc2214931743bc8d6e3068d980b20014",
-    (40, 4, 3, 63): "cd94a48ef7a0d32f801fe2a878f841d51505ff0400b326d3859d360b13f629d0",
-    (100, 4, 2, 74): "b56e5219097ddd133a41aa8f8ebb7d5425a0bc03b08687afbacdb2baa737ef95",
-    (100, 4, 3, 75): "ccb111aa9a21bc843c2aa784a9d9d32bd972606423599c0081ee62228b758ca6",
+    (40, 4, 2, 62): "09fb0ea869385fb83443b62b28f349caf35bcde92de846dffd4134e56d24ba6a",
+    (40, 4, 3, 63): "a9e6b3a2c080256b8736a4fca58be359fcc1807e7cc216ec40c2bc8bc73914fc",
+    (100, 4, 2, 74): "0275d11f8f5823ec5472c31265a61a95e9a505750622af0ed2fa94e7b2bb20c9",
+    (100, 4, 3, 75): "7594fc890d7c02630bc42a2886b07b57c1e9f5c7c577764dd1c32862729a076f",
 }
 # list covers on paths, regularized with seed 5, keyed by (path order, labels
 # per vertex, target degree): an end color misses two or more cover edges,
 # so a copy's stubs repeat it
 REGULARIZED_PATHS = {
-    (2, 1, 3): "08a1d53b3ccabf13ff05d276b631a4d36afedda7d9608b805f493bced600302f",
-    (3, 1, 3): "c5d9c59fd1b385e0862b197b01c8f1d457932ca54c027ed3cae6d218bf4e4fa4",
-    (3, 2, 2): "ab23379ff10147b89641ab825e336c3eb78ebaed090f79d428cf449b64d0ef6d",
+    (2, 1, 3): "5d133a0eebba09ce5f9f7640c50693fbb4ae806d45af5a74a110e67d06a72965",
+    (3, 1, 3): "b929134a50bd88ddaa1a6d02d49849df1cbc0e626cb396c8fd95782768ee56b4",
+    (3, 2, 2): "4258f346df07247a156a7c05d8a40c47e481dad961ea0d133f68b65744906a93",
 }
 
 
