@@ -12,7 +12,6 @@ validation error, 3 budget exhaustion.
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 
 import click
@@ -60,40 +59,6 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-# the JSON type each config key must have: that of its flag on `generate`
-_CONFIG_TYPES = {"kind": str, "n": int, "d": int, "ell": int, "rho": float,
-                 "m": int, "s": int, "t": int, "seed": int, "girth5": bool}
-
-
-def _load_config(path: str | None) -> dict:
-    """Read the config object; a bad file, an unknown key or a mistyped value exits 2."""
-    if not path:
-        return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    # decoding and parse errors are ValueErrors; deep nesting is a RecursionError
-    except (OSError, ValueError, RecursionError) as exc:
-        _fail(EXIT_USAGE, f"cannot load config: {exc}")
-    if not isinstance(cfg, dict):
-        _fail(EXIT_USAGE, f"cannot load config: expected an object, got {type(cfg).__name__}")
-    unknown = sorted(set(cfg) - set(_CONFIG_TYPES))
-    if unknown:
-        _fail(EXIT_USAGE, f"unknown config key {unknown[0]!r}")
-    for key, want in _CONFIG_TYPES.items():
-        value = cfg.get(key)
-        # bool is an int to Python but not to JSON; an int is a valid float
-        if key in cfg and ((want is bool) != isinstance(value, bool) or not isinstance(
-                value, (int, float) if want is float else want)):
-            _fail(EXIT_USAGE, f"config key {key!r} must be {want.__name__}, got {value!r}")
-    return cfg
-
-
-def _resolve(flag_value, config: dict, key: str, default=None):
-    """Flags take precedence over the config file, which beats the default."""
-    return flag_value if flag_value is not None else config.get(key, default)
-
-
 def _load_cover(path: str) -> DpCover:
     """Read and validate a cover file; any malformed document, or one too
     large for memory, exits 2."""
@@ -135,40 +100,20 @@ _GENERATE_NEEDS = {
 
 
 @main.command("generate")
-@click.option("--kind", type=click.Choice(
-    ["regular", "girth5_regular", "dp_cover", "list_cover", "kst_free_bipartite"]),
-    required=False)
+@click.option("--kind", type=click.Choice(list(_GENERATE_NEEDS)), required=True)
 @click.option("--n", type=int, default=None)
 @click.option("--d", type=int, default=None)
 @click.option("--ell", type=int, default=None)
-@click.option("--rho", type=float, default=None)
+@click.option("--rho", type=float, default=1.0)
 @click.option("--m", type=int, default=None)
 @click.option("--s", type=int, default=None)
 @click.option("--t", type=int, default=None)
 @click.option("--girth5/--no-girth5", "girth5_base", default=False,
               help="Use a girth>=5 base graph for cover kinds.")
-@click.option("--seed", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--seed", type=int, required=True)
 @click.option("--out", type=click.Path(), default=None)
-def cmd_generate(kind, n, d, ell, rho, m, s, t, girth5_base, seed, config_path, out):
+def cmd_generate(kind, n, d, ell, rho, m, s, t, girth5_base, seed, out):
     """Generate a graph or cover file and print its content digest."""
-    cfg = _load_config(config_path)
-    kind = _resolve(kind, cfg, "kind")
-    n = _resolve(n, cfg, "n")
-    d = _resolve(d, cfg, "d")
-    ell = _resolve(ell, cfg, "ell")
-    rho = _resolve(rho, cfg, "rho", 1.0)
-    m = _resolve(m, cfg, "m")
-    s = _resolve(s, cfg, "s")
-    t = _resolve(t, cfg, "t")
-    seed = _resolve(seed, cfg, "seed")
-    girth5_base = girth5_base or cfg.get("girth5", False)
-    if kind is None:
-        _fail(EXIT_USAGE, "missing --kind")
-    if seed is None:
-        _fail(EXIT_USAGE, "a --seed is mandatory for every randomized command")
-    if kind not in _GENERATE_NEEDS:  # a config file's kind skips click's check
-        _fail(EXIT_USAGE, f"unknown --kind {kind!r}")
     given = {"n": n, "d": d, "ell": ell, "m": m, "s": s, "t": t}
     for opt in _GENERATE_NEEDS[kind]:
         if given[opt] is None:
@@ -192,7 +137,8 @@ def cmd_generate(kind, n, d, ell, rho, m, s, t, girth5_base, seed, config_path, 
         elif kind == "kst_free_bipartite":
             g = generators.kst_free_bipartite(m, n, s, t, seed)
             _write_output(graph_to_text(g), out, "graph")
-    except (ValueError, TypeError) as exc:
+    # np.arange(2**63) is empty, so such an n first overflows in Graph.from_edges
+    except (ValueError, TypeError, OverflowError) as exc:
         _fail(EXIT_USAGE, str(exc))
     except MemoryError as exc:
         _fail(EXIT_USAGE, f"not enough memory: {exc}")

@@ -319,10 +319,11 @@ def kst_free_bipartite(m: int, n: int, s: int, t: int, seed: int) -> Graph:
         raise ValueError("orient the larger side first: need m >= n")
     if min(n, s, t) < 1:
         raise ValueError("n, s, t must be >= 1")
-    rng = _rng(seed, 31)
+    # drawn before the sets, and from an int64 count (np.arange(2**63) is
+    # empty), so a size numpy cannot allocate fails at once
+    order = _rng(seed, 31).permutation(np.int64(m * n))
     adj_x: list[set[int]] = [set() for _ in range(m)]
     adj_y: list[set[int]] = [set() for _ in range(n)]
-    order = rng.permutation(m * n)
     for key in order:
         x, y = int(key) // n, int(key) % n
         if _would_create_kst(adj_x, adj_y, x, y, s, t):

@@ -246,9 +246,8 @@ def contains_kst(
     placements.  Branches over s-subsets by common-neighborhood intersection:
     a subset is extended only by vertices still adjacent to at least ``t``
     members of the running intersection.  Work is metered; when it would
-    exceed ``budget`` (for the two-sided form, also when the subset-count
-    guard ``C(|left|,s)*C(|right|,t)`` does) the search refuses with
-    :class:`BudgetExceededError` rather than approximating.
+    exceed ``budget`` the search refuses with :class:`BudgetExceededError`
+    rather than approximating.
     """
     if s < 1 or t < 1:
         raise ValueError("s and t must be >= 1")
@@ -260,11 +259,6 @@ def contains_kst(
         right_set = frozenset(int(v) for v in right)
         if right_set & set(left_list):
             raise ValueError("left and right must be disjoint")
-        guard = math.comb(len(left_list), s) * math.comb(len(right_set), t)
-        if guard > budget:
-            raise BudgetExceededError(
-                f"K_(s,t) subset guard: C({len(left_list)},{s})*C({len(right_set)},{t})"
-                f" = {guard} exceeds budget {budget}")
         cand_set = set(left_list)
         restrict = right_set
     else:

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -66,17 +67,21 @@ class TestGenerate:
         assert r.exit_code == 2
         assert "seed" in r.output
 
-    def test_config_file_with_flag_precedence(self, runner, tmp_path):
+    def test_config_option_removed(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "regular", "n": 10, "d": 2, "seed": 1}))
-        out1 = tmp_path / "o1.txt"
-        r = invoke(runner, ["generate", "--config", str(cfg), "--out", str(out1)])
-        assert r.exit_code == 0
-        out2 = tmp_path / "o2.txt"
-        r = invoke(runner, ["generate", "--config", str(cfg), "--n", "12",
-                            "--out", str(out2)])
-        assert r.exit_code == 0
-        assert graph_from_text(out2.read_text()).vertex_count == 12
+        r = runner.invoke(main, ["generate", "--config", str(cfg)])
+        assert r.exit_code == 2
+        assert "No such option '--config'" in r.output
+
+    @pytest.mark.parametrize("args, missing", [
+        (["--n", "10", "--d", "2", "--seed", "1"], "--kind"),
+        (["--kind", "regular", "--n", "10", "--d", "2"], "--seed"),
+    ])
+    def test_kind_and_seed_required(self, runner, args, missing):
+        r = runner.invoke(main, ["generate", *args])
+        assert r.exit_code == 2
+        assert f"Missing option '{missing}'" in r.output
 
     def test_usage_error_on_bad_params(self, runner):
         r = invoke(runner, ["generate", "--kind", "regular", "--n", "5",
@@ -101,49 +106,43 @@ class TestGenerate:
     @pytest.mark.parametrize("args", [
         ["--kind", "regular", "--n", "100000000000000", "--d", "2"],
         ["--kind", "dp_cover", "--n", "10", "--d", "2", "--ell", "100000000000000"],
+        # the edge order is drawn before the m adjacency sets are built
+        ["--kind", "kst_free_bipartite", "--m", "10000000000000", "--n", "2",
+         "--s", "2", "--t", "2"],
     ])
     def test_unallocatable_size_refused(self, runner, args):
         r = runner.invoke(main, ["generate", *args, "--seed", "1"])
         assert r.exit_code == 2, (r.output, r.exception)
         assert "error: not enough memory: " in r.output
 
-    def test_kst_certificate_over_budget_exits_3(self, runner):
-        # the final contains_kst check would enumerate C(2000,3) * C(2,1) subsets
-        r = runner.invoke(main, ["generate", "--kind", "kst_free_bipartite", "--m", "2000",
-                                 "--n", "2", "--s", "3", "--t", "1", "--seed", "1"])
-        assert r.exit_code == 3, (r.output, r.exception)
-        assert "error: " in r.output and "exceeds budget" in r.output
-
-    @pytest.mark.parametrize("raw, message", [
-        (b"{bad", "error: cannot load config: "),
-        (b"[1, 2]", "error: cannot load config: expected an object, got list"),
-        (b"\xff\xfe", "error: cannot load config: "),
-        (b'{"kind": "regular", "n": 10, "d": 2, "seed": 1.5}',
-         "error: config key 'seed' must be int, got 1.5"),
-        (b'{"kind": "regular", "n": "10", "d": 2, "seed": 1}',
-         "error: config key 'n' must be int, got '10'"),
-        (b'{"kind": "regular", "n": 10, "d": true, "seed": 1}',
-         "error: config key 'd' must be int, got True"),
-        (b'{"kind": "dp_cover", "n": 10, "d": 2, "ell": 3, "rho": "1", "seed": 1}',
-         "error: config key 'rho' must be float, got '1'"),
-        (b'{"kind": "regular", "n": 10, "d": 2, "seed": 1, "girth5": 1}',
-         "error: config key 'girth5' must be bool, got 1"),
-        (b'{"kind": "regular", "n": 10, "d": 3, "seed": 1, "girth_5": true}',
-         "error: unknown config key 'girth_5'"),
+    @pytest.mark.parametrize("args", [
+        ["--kind", "regular", "--n", str(2 ** 63), "--d", "2"],
+        ["--kind", "dp_cover", "--n", str(2 ** 63), "--d", "2", "--ell", "2"],
+        ["--kind", "list_cover", "--n", str(2 ** 63), "--d", "2", "--ell", "2"],
+        ["--kind", "kst_free_bipartite", "--m", str(2 ** 63), "--n", "1", "--s", "1",
+         "--t", "1"],
     ])
-    def test_bad_config_refused(self, runner, tmp_path, raw, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_bytes(raw)
-        r = runner.invoke(main, ["generate", "--config", str(cfg)])
+    def test_size_beyond_int64_refused(self, runner, args):
+        r = runner.invoke(main, ["generate", *args, "--seed", "1"])
         assert r.exit_code == 2, (r.output, r.exception)
-        assert message in r.output
+        assert "error: Python int too large to convert to C long" in r.output
 
-    def test_unknown_kind_in_config_refused(self, runner, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"kind": "petersen", "seed": 1}))
-        r = runner.invoke(main, ["generate", "--config", str(cfg)])
-        assert r.exit_code == 2
-        assert "error: unknown --kind 'petersen'" in r.output
+    def test_kst_certificate_over_budget_exits_3(self, runner, monkeypatch):
+        from dpnibble import generators
+        monkeypatch.setattr(generators, "contains_kst",
+                            functools.partial(generators.contains_kst, budget=1000))
+        r = runner.invoke(main, ["generate", "--kind", "kst_free_bipartite", "--m", "45",
+                                 "--n", "45", "--s", "3", "--t", "3", "--seed", "1"])
+        assert r.exit_code == 3, (r.output, r.exception)
+        assert "error: K_(s,t) search spent over 1000 work units" in r.output
+
+    def test_kst_certificate_within_budget(self, runner):
+        # C(45,3)^2 subsets, but the metered search certifies it in milliseconds
+        r = runner.invoke(main, ["generate", "--kind", "kst_free_bipartite", "--m", "45",
+                                 "--n", "45", "--s", "3", "--t", "3", "--seed", "1"])
+        assert r.exit_code == 0, (r.output, r.exception)
+        g = graph_from_text(r.stdout)
+        assert g.vertex_count == 90 and g.num_edges > 0
 
 
 class TestSchedule:
@@ -590,3 +589,79 @@ class TestHostileCoverFiles:
             if refused:
                 assert r.exit_code == 2 and "error: cannot load cover:" in r.output, (
                     data, r.output)
+
+
+INT_BOUNDS = (0, -1, 1, 2 ** 31, 2 ** 63, 10 ** 30)
+FLOAT_BOUNDS = (0.0, -1.0, 1e-320, 100.0, math.nan, math.inf)
+
+# one known-good invocation per command (generate once per set of size
+# options), with its int and its float options; COVER stands for a small
+# cover, on which even `color --epsilon 1e-320` ends within a second
+BOUNDARY_INVOCATIONS = {
+    "dp_cover": (["generate", "--kind", "dp_cover", "--n", "8", "--d", "3", "--ell", "4",
+                  "--rho", "0.5", "--seed", "1"], ("--n", "--d", "--ell", "--seed"), ("--rho",)),
+    "list_cover": (["generate", "--kind", "list_cover", "--n", "8", "--d", "3", "--ell", "4",
+                    "--seed", "1"], ("--ell",), ()),
+    "kst_free_bipartite": (["generate", "--kind", "kst_free_bipartite", "--m", "6", "--n", "5",
+                            "--s", "2", "--t", "2", "--seed", "1"],
+                           ("--m", "--n", "--s", "--t"), ()),
+    "schedule": (["schedule", "--d", "1000", "--epsilon", "0.5", "--max-iters", "100"],
+                 ("--d", "--s", "--t", "--max-iters"), ("--epsilon",)),
+    "color": (["color", "COVER", "--seed", "1", "--max-resamples", "1000",
+               "--max-rounds", "100"],
+              ("--seed", "--t", "--max-retries", "--max-resamples", "--max-rounds"),
+              ("--epsilon", "--slack")),
+    # without --anchor a huge --trials runs trial after trial; with it the
+    # anchor columns are allocated first, and numpy refuses 2**63 of them
+    "stats": (["stats", "COVER", "--seed", "1", "--trials", "20", "--eta", "0.1",
+               "--anchor", "0"], ("--seed", "--trials", "--t", "--anchor"), ("--eta",)),
+}
+
+# values that neither finish nor fail within a second, checked under
+# `timeout 5` with the address space capped at 1.5 GB: 2**31 asks numpy for
+# 16 GiB or more, which a machine with that much memory allocates and fills
+BOUNDARY_LEFT_OUT = {
+    ("dp_cover", "--n", 2 ** 31): "16 GiB of pairing stubs",
+    ("dp_cover", "--ell", 2 ** 31): "a 16 GiB permutation per base edge",
+    ("kst_free_bipartite", "--m", 2 ** 31): "an 80 GiB edge order",
+    ("stats", "--trials", 2 ** 31): "16 GiB of anchor columns",
+    # the label set range(ell) is built in Python: over 1.5 GB within 3.5 s
+    ("list_cover", "--ell", 2 ** 31): "a Python set of 2**31 labels",
+    ("list_cover", "--ell", 2 ** 63): "a Python set of 2**63 labels",
+    ("list_cover", "--ell", 10 ** 30): "a Python set of 10**30 labels",
+}
+
+BOUNDARY_CASES = [(name, opt, value)
+                  for name, (_, int_opts, float_opts) in BOUNDARY_INVOCATIONS.items()
+                  for opts, values in ((int_opts, INT_BOUNDS), (float_opts, FLOAT_BOUNDS))
+                  for opt in opts for value in values
+                  if (name, opt, value) not in BOUNDARY_LEFT_OUT]
+
+
+class TestBoundaryValues:
+    @pytest.fixture
+    def cover(self, runner, tmp_path):
+        p = tmp_path / "cover.json"
+        invoke(runner, ["generate", "--kind", "dp_cover", "--n", "12", "--d", "3", "--ell",
+                        "8", "--seed", "1", "--out", str(p)])
+        return str(p)
+
+    def test_every_base_invocation_succeeds(self, runner, cover):
+        for args, _, _ in BOUNDARY_INVOCATIONS.values():
+            r = invoke(runner, [cover if a == "COVER" else a for a in args])
+            assert r.exit_code == 0, (args, r.output)
+
+    @given(case=st.sampled_from(BOUNDARY_CASES))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_boundary_value_exits_cleanly(self, runner, cover, case):
+        name, opt, value = case
+        args = [cover if a == "COVER" else a for a in BOUNDARY_INVOCATIONS[name][0]]
+        if opt in args:
+            args[args.index(opt) + 1] = str(value)
+        else:
+            args += [opt, str(value)]
+        r = runner.invoke(main, args)
+        assert r.exit_code in (0, 1, 2, 3), (args, r.output)
+        # a traceback is any exception but click's own exit
+        assert r.exception is None or isinstance(r.exception, SystemExit), (args, r.exception)
