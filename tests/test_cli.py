@@ -74,14 +74,10 @@ class TestGenerate:
         assert r.exit_code == 2
         assert "No such option '--config'" in r.output
 
-    @pytest.mark.parametrize("args, missing", [
-        (["--n", "10", "--d", "2", "--seed", "1"], "--kind"),
-        (["--kind", "regular", "--n", "10", "--d", "2"], "--seed"),
-    ])
-    def test_kind_and_seed_required(self, runner, args, missing):
-        r = runner.invoke(main, ["generate", *args])
+    def test_kind_required(self, runner):
+        r = runner.invoke(main, ["generate", "--n", "10", "--d", "2", "--seed", "1"])
         assert r.exit_code == 2
-        assert f"Missing option '{missing}'" in r.output
+        assert "Missing option '--kind'" in r.output
 
     def test_usage_error_on_bad_params(self, runner):
         r = invoke(runner, ["generate", "--kind", "regular", "--n", "5",
