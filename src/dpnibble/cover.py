@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._kernels import gather_rows
 from .errors import CoverValidationError, GenerationError
 from .graph import Graph, max_degree
 
@@ -253,8 +254,23 @@ def from_list_assignment(g: Graph, lists: Mapping[int, Iterable] | Sequence[Iter
 
 
 def uniform_list_cover(g: Graph, ell: int) -> DpCover:
-    """List cover where every vertex has the same ``ell`` labels."""
-    return from_list_assignment(g, [range(ell)] * g.vertex_count)
+    """List cover where every vertex has the same ``ell`` labels.
+
+    Equal to ``from_list_assignment(g, [range(ell)] * n)``: color ``v * ell + j``
+    is label ``j`` at ``v``, and its cover row is label ``j`` at ``v``'s
+    neighbours, sorted because the base row is.
+    """
+    if ell < 1:  # the empty lists' error, or the empty cover when n = 0
+        return from_list_assignment(g, [()] * g.vertex_count)
+    n = g.vertex_count
+    vertex = np.repeat(np.arange(n, dtype=np.int64), ell)
+    lens = g.degrees()[vertex]
+    indptr = np.zeros(vertex.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    indices = gather_rows(g.indptr, g.indices * ell, vertex,
+                          np.tile(np.arange(ell, dtype=np.int64), n))
+    return DpCover(g, Graph(vertex.size, indptr, indices), np.full(n, ell),
+                   np.arange(vertex.size))
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +340,35 @@ def cover_to_json(c: DpCover) -> str:
     the same text as dumping them as lists of pairs.
     """
     lists = json.dumps([lst.tolist() for lst in c.all_lists()], **_CANONICAL)
-    return (f'{{"base":{{"edges":{_pairs_text(c.base.edge_array())},'
-            f'"vertex_count":{c.base.vertex_count}}},'
-            f'"cover_edges":{_pairs_text(c.cover.edge_array())},"lists":{lists}}}\n')
+    base = _pairs_text(c.base.edge_array(), c.base.vertex_count)
+    return (f'{{"base":{{"edges":{base},"vertex_count":{c.base.vertex_count}}},'
+            f'"cover_edges":{_pairs_text(c.cover.edge_array(), c.num_colors)},'
+            f'"lists":{lists}}}\n')
 
 
-def _pairs_text(e: np.ndarray) -> str:
-    """``json.dumps`` of an (m, 2) id array as a list of pairs, without spaces."""
-    return "[" + ("[%d,%d]," * len(e) % tuple(e.ravel().tolist()))[:-1] + "]"
+def _pairs_text(e: np.ndarray, count: int) -> str:
+    """``json.dumps`` of an (m, 2) array of ids below ``count`` as a list of
+    pairs, without spaces.
+
+    Row ``i`` of a table holds the word ``[i,`` and row ``count + i`` the word
+    ``i],``, each NUL-padded to ``w + 2`` bytes for ``w`` digits; one gather at
+    the ids ``a`` and ``count + b`` of every pair spells the text.
+    """
+    if not len(e):
+        return "[]"
+    ids = np.arange(count, dtype=np.int64)
+    w = len(str(count - 1))
+    power = 10 ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    # the digits of each id, most significant first; its leading zeros NUL
+    digits = (ids[:, None] // power % 10 + ord("0")).astype(np.uint8)
+    digits[ids[:, None] < power] = 0
+    digits[0, -1] = ord("0")
+    table = np.zeros((2 * count, w + 2), dtype=np.uint8)
+    table[:count, 0], table[:count, 1:-1] = ord("["), digits
+    table[count:, :-2], table[count:, -2] = digits, ord("]")
+    table[:, -1] = ord(",")
+    words = np.take(table, (e + [0, count]).ravel(), axis=0)
+    return "[" + words.tobytes().replace(b"\0", b"")[:-1].decode() + "]"
 
 
 # the skeleton of a canonical document, each run of digits cut to one 0:

@@ -294,12 +294,14 @@ def random_dp_cover(g: Graph, ell: int, rho: float, seed: int) -> DpCover:
     n = g.vertex_count
     rng = _rng(seed, 23)
     e = g.edge_array()
-    # per base edge, in edge order: its bijection, then its thinning draws
+    # per base edge, in edge order: its bijection, then its thinning draws;
+    # rng.permutation(ell) is a shuffle of arange(ell), made here in place
     perm = np.empty((len(e), ell), dtype=np.int64)
+    perm[:] = np.arange(ell)
     keep = np.empty((len(e), ell))
     for i in range(len(e)):
-        perm[i] = rng.permutation(ell)
-        keep[i] = rng.random(ell)
+        rng.shuffle(perm[i])
+        rng.random(out=keep[i])
     mask = keep < rho
     src = e[:, :1] * ell + np.arange(ell)
     dst = e[:, 1:] * ell + perm

@@ -621,10 +621,7 @@ BOUNDARY_LEFT_OUT = {
     ("dp_cover", "--ell", 2 ** 31): "a 16 GiB permutation per base edge",
     ("kst_free_bipartite", "--m", 2 ** 31): "an 80 GiB edge order",
     ("stats", "--trials", 2 ** 31): "16 GiB of anchor columns",
-    # the label set range(ell) is built in Python: over 1.5 GB within 3.5 s
-    ("list_cover", "--ell", 2 ** 31): "a Python set of 2**31 labels",
-    ("list_cover", "--ell", 2 ** 63): "a Python set of 2**63 labels",
-    ("list_cover", "--ell", 10 ** 30): "a Python set of 10**30 labels",
+    ("list_cover", "--ell", 2 ** 31): "128 GiB of color owners",
 }
 
 BOUNDARY_CASES = [(name, opt, value)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 from itertools import product
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from dpnibble import (DpCover, Graph, PartialColoring, contains_kst, cover_from_json,
                       cover_to_json, from_list_assignment, max_degree, regularize,
-                      validate)
+                      uniform_list_cover, validate)
 from dpnibble import cover as cover_module
 from dpnibble import generators
 from dpnibble.cover import require_valid
@@ -141,6 +142,34 @@ class TestFromListAssignment:
         assert cov.cover.edge_array().tolist() == [list(e) for e in expected]
         assert [cov.lists(v).tolist() for v in range(12)] == [
             [color[v, lab] for lab in labels[v]] for v in range(12)]
+
+
+class TestUniformListCover:
+    @pytest.mark.parametrize("g, ell", [
+        (random_regular(8, 3, seed=2), 4),
+        (random_regular(8, 3, seed=2), 1),
+        (path_graph(7), 5),
+        (path_graph(7), 1),
+        (random_graph(12, 0.4, seed=3), 3),
+        (Graph.empty(4), 3),
+        (Graph.empty(0), 2),
+    ], ids=["regular", "regular-ell1", "path", "path-ell1", "irregular", "edgeless",
+            "no-vertices"])
+    def test_matches_from_list_assignment(self, g, ell):
+        got = uniform_list_cover(g, ell)
+        ref = from_list_assignment(g, [range(ell)] * g.vertex_count)
+        assert got.base == ref.base and got.cover == ref.cover
+        for a, b in ((got.cover.indptr, ref.cover.indptr),
+                     (got.cover.indices, ref.cover.indices),
+                     (got.owner, ref.owner), (got.lptr, ref.lptr),
+                     (got.lcolors, ref.lcolors)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_empty_lists_rejected(self, ell):
+        with pytest.raises(ValueError, match="vertex 0 has an empty color list"):
+            uniform_list_cover(path_graph(3), ell)
+        assert uniform_list_cover(Graph.empty(0), ell).num_colors == 0
 
 
 class TestDpCoverInit:
@@ -403,6 +432,53 @@ class TestCoverJson:
     def test_byte_identical_serialization(self):
         cov = regular_cover(8, 3, 4, seed=12)
         assert cover_to_json(cov) == cover_to_json(cov)
+
+
+# vertex and color counts whose largest id crosses 9/10, 99/100 or 999/1000
+DIGIT_BOUNDARY_COUNTS = [1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001]
+
+
+@st.composite
+def digit_boundary_covers(draw):
+    """Covers, valid or not, with random edges and lists; the largest id of
+    each graph is on one of its edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def graph(count):
+        m = draw(st.integers(0, 3 * count)) if count > 1 else 0
+        pairs = np.sort(rng.integers(0, count, size=(m, 2)), axis=1)
+        if count > 1:
+            pairs = np.vstack([pairs, [[count - 2, count - 1]]])
+        return Graph.from_edges(count, np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0))
+
+    n = draw(st.sampled_from(DIGIT_BOUNDARY_COUNTS))
+    k = draw(st.sampled_from(DIGIT_BOUNDARY_COUNTS))
+    cuts = np.sort(rng.integers(0, k + 1, size=n - 1))
+    return DpCover(graph(n), graph(k), np.diff(cuts, prepend=0, append=k), rng.permutation(k))
+
+
+def dumped(c: DpCover) -> str:
+    """The canonical document by ``json.dumps`` of the cover's dict form."""
+    doc = {"base": {"vertex_count": c.base.vertex_count,
+                    "edges": c.base.edge_array().tolist()},
+           "cover_edges": c.cover.edge_array().tolist(),
+           "lists": [lst.tolist() for lst in c.all_lists()]}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestCoverToJson:
+    @settings(max_examples=80, deadline=None)
+    @given(digit_boundary_covers())
+    def test_matches_json_dumps(self, c):
+        assert cover_to_json(c) == dumped(c)
+
+    @pytest.mark.parametrize("c", [
+        uniform_list_cover(Graph.empty(12), 1),
+        uniform_list_cover(Graph.empty(0), 1),
+        DpCover.from_lists(path_graph(11), Graph.empty(101), [[100], *([v] for v in range(10))]),
+    ], ids=["no-edges", "no-vertices", "no-cover-edges"])
+    def test_matches_json_dumps_without_edges(self, c):
+        assert cover_to_json(c) == dumped(c)
 
 
 def load_outcome(text: str, fast: bool = True):

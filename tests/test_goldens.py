@@ -60,6 +60,23 @@ GENERATED = {
     "dp_cover": (["--kind", "dp_cover", "--n", "50", "--d", "4", "--ell", "6",
                   "--rho", "0.8", "--seed", "1"],
                  "0bd3edde9d7d08a05f5f1335681027f60a5008e5441e18436d8b06e2513c594e"),
+    # the five covers perfbench/run.py generates, recorded before the cover
+    # writer formatted ids from a digit table
+    "perfbench_calib": (["--kind", "list_cover", "--n", "1986", "--d", "32", "--ell", "37",
+                         "--seed", "424241", "--girth5"],
+                        "b5b2e6320dff22e971a215fdceb26e15e45f0b7574e209f7f7a1e24aba89d275"),
+    "perfbench_finish": (["--kind", "dp_cover", "--n", "4000", "--d", "8", "--ell", "64",
+                          "--seed", "8", "--rho", "1"],
+                         "f6013988106e83921877e3435d3097fb154d348eab0ea321878d7cd975dd70dd"),
+    "perfbench_small": (["--kind", "dp_cover", "--n", "34", "--d", "16", "--ell", "12",
+                         "--seed", "77", "--rho", "1"],
+                        "8c2cf735d7a0b8c96c5b33e1f965b445edd922d8d5c57344189483c77a0eda99"),
+    "perfbench_large": (["--kind", "dp_cover", "--n", "400", "--d", "16", "--ell", "12",
+                         "--seed", "78", "--rho", "1"],
+                        "31bb918cd31ef5906bf2f0a2bfb96bcfe92f6c57c94b62112dfd9c08e27292cf"),
+    "perfbench_probe": (["--kind", "dp_cover", "--n", "34", "--d", "4", "--ell", "32",
+                         "--seed", "79", "--rho", "1"],
+                        "4bccb6c7564e0e949a5c3f727792a22ee2cb8bc359d2e5664f40ad554b29ce27"),
 }
 
 
