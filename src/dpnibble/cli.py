@@ -63,9 +63,9 @@ def _load_cover(path: str) -> DpCover:
     """Read and validate a cover file; any malformed document, or one too
     large for memory, exits 2."""
     try:
-        # the loader frees the bytes once parsed, since no name here keeps them
+        # the loader reads the file in blocks and never holds its bytes whole
         with open(path, "rb") as fh:
-            return cover_from_json(fh.read())
+            return cover_from_json(fh)
     # json.loads raises RecursionError on deeply nested arrays
     except (CoverValidationError, ValueError, OverflowError, RecursionError) as exc:
         _fail(EXIT_USAGE, f"cannot load cover: {exc}")

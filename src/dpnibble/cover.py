@@ -9,8 +9,9 @@ no two picks adjacent in ``H``.
 
 from __future__ import annotations
 
+import io
 import json
-import re
+import zlib
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -384,38 +385,53 @@ _DIGITS_ONLY = bytes(c if c in b"0123456789" else 32 for c in range(256))
 _ZERO_DIGITS = bytes(48 if c in b"0123456789" else c for c in range(256))
 # np.fromstring saturates past 2**63, so a canonical id has at most 18 digits
 _MAX_ID = 10 ** 18
-# a parse block takes this many bytes of text and ends before the next byte
-# that is no digit, so it splits no run of digits; it keeps the masks and
+# a parse block takes this many bytes of the file and ends before the next
+# byte that is no digit, so it splits no run of digits; it keeps the masks and
 # copies of a parse small, and none of them is document-sized
 _PARSE_BLOCK = 1 << 18
-_NON_DIGIT = re.compile(rb"\D")
 
 
-def _canonical_parts(text: str | bytes):
+def _blocks(fh):
+    """The bytes of the binary file ``fh`` from its start, in blocks of at most
+    about :data:`_PARSE_BLOCK` bytes that end with the file or with a byte
+    that is no digit."""
+    fh.seek(0)
+    size = _PARSE_BLOCK
+    while chunk := fh.read(size):
+        block = chunk.rstrip(b"0123456789") if len(chunk) == size else chunk
+        fh.seek(len(block) - len(chunk), 1)
+        if block:
+            size = _PARSE_BLOCK
+            yield block
+        else:  # a run of digits longer than the block
+            size *= 2
+
+
+def _canonical_parts(source):
     """``(vertex_count, base edges, cover edges, list sizes, list entries)`` of
-    ``text`` if it is byte for byte what :func:`cover_to_json` writes; else
-    None.  The edges are (m, 2) arrays; they and the entries are views of one
-    array of all the document's numbers.
+    the document ``source`` (text, bytes or a seekable binary file) if it is
+    byte for byte what :func:`cover_to_json` writes; else None.  The edges are
+    (m, 2) arrays; they and the entries are views of one array of all the
+    document's numbers, the only document-sized array of a parse.
 
     The layout is checked on the skeleton, the text with each run of digits
     cut to one ``0``, and no run of two or more digits may start with ``0``.
-    The numbers are then read by ``np.fromstring`` from a copy of each block
-    with every other byte turned into a space.  Both passes go block by block
-    (:data:`_PARSE_BLOCK`).
+    A second pass reads the numbers by ``np.fromstring`` from a copy of each
+    block with every other byte turned into a space.  Both passes read the
+    file block by block (:func:`_blocks`); a block that the second pass reads
+    unlike the first (its ``crc32`` differs) raises ValueError.
     """
-    if isinstance(text, str):
-        if not text.isascii():
+    if isinstance(source, str):
+        if not source.isascii():
             return None
-        text = text.encode()
+        source = source.encode()
+    fh = io.BytesIO(source) if isinstance(source, bytes) else source
     blocks, pieces = [], []
-    start = 0
-    while start < len(text):
-        after = _NON_DIGIT.search(text, start + _PARSE_BLOCK)
-        end = after.start() if after else len(text)
-        buf = np.frombuffer(text, np.uint8, end - start, start)
+    for block in _blocks(fh):
+        buf = np.frombuffer(block, np.uint8)
         digit = (buf - ord("0")) < 10  # uint8 subtraction wraps the lower bytes past 9
         # the skeleton keeps every byte but the second and later digits of a
-        # run; a block starts with a byte that is no digit, or the text does
+        # run; a block starts with a byte that is no digit or follows one
         keep = np.empty_like(digit)
         keep[:1] = True
         np.logical_and(digit[1:], digit[:-1], out=keep[1:])
@@ -426,8 +442,7 @@ def _canonical_parts(text: str | bytes):
         if np.any(np.greater(leading, keep[1:], out=leading)):
             return None
         pieces.append(buf[keep].tobytes().translate(_ZERO_DIGITS))
-        blocks.append((start, end, pieces[-1].count(b"0")))  # one 0 per number
-        start = end
+        blocks.append((len(block), zlib.crc32(block), pieces[-1].count(b"0")))  # one 0 per number
     skeleton = b"".join(pieces)
     del pieces
     if not (skeleton.startswith(_HEAD) and skeleton.endswith(_TAIL)):
@@ -448,8 +463,13 @@ def _canonical_parts(text: str | bytes):
     # the numbers of the layout
     ids = np.empty(end + int(sizes.sum()), np.int64)
     i = 0
-    for a, b, count in blocks:
-        ids[i:i + count] = np.fromstring(text[a:b].translate(_DIGITS_ONLY), dtype=np.int64,
+    fh.seek(0)
+    for length, crc, count in blocks:
+        block = fh.read(length)
+        # np.fromstring reads past the numbers of a block when it holds fewer
+        if len(block) != length or zlib.crc32(block) != crc:
+            raise ValueError("the cover file changed while it was read")
+        ids[i:i + count] = np.fromstring(block.translate(_DIGITS_ONLY), dtype=np.int64,
                                          count=count, sep=" ")
         i += count
     if ids.max() >= _MAX_ID:
@@ -507,26 +527,30 @@ def _check_vertex_count(n, lists: int) -> None:
                          f"({lists}), got {n!r}")
 
 
-def cover_from_json(text: str | bytes) -> DpCover:
-    """Parse and validate a cover document, given as text or UTF-8 bytes;
-    refuses invalid covers.
+def cover_from_json(source) -> DpCover:
+    """Parse and validate a cover document, given as text, UTF-8 bytes or a
+    binary file read from its start; refuses invalid covers.
 
-    Text in the layout :func:`cover_to_json` writes takes the array fast path
-    of :func:`_canonical_parts`; any other text is read by ``json.loads`` and
-    refused with the same messages.  The text is dropped once parsed, so a
-    caller that passes it without keeping a reference frees it before the
-    graphs are built.
+    The layout :func:`cover_to_json` writes takes the fast path of
+    :func:`_canonical_parts`, which reads a file in blocks, and the cover graph
+    is built in its array of numbers, the one document-sized array of a load;
+    a stream that cannot seek is read whole first.  Any other document is read
+    by ``json.loads`` and refused with the same messages.
     """
-    parts = _canonical_parts(text)
+    if not isinstance(source, (str, bytes)) and not source.seekable():
+        source = source.read()
+    parts = _canonical_parts(source)
     if parts is not None:
-        del text
         n, base_edges, cover_edges, sizes, lcolors = parts
         del parts
         _check_vertex_count(n, sizes.size)
         base = Graph.from_edges(n, base_edges)
     else:
-        if isinstance(text, bytes):
-            text = text.decode()
+        if not isinstance(source, (str, bytes)):
+            source.seek(0)
+            source = source.read()
+        text = source.decode() if isinstance(source, bytes) else source
+        del source
         doc = json.loads(text)
         # a JSON boolean needs a true/false token in the text
         exact = "true" in text or "false" in text
@@ -544,8 +568,9 @@ def cover_from_json(text: str | bytes) -> DpCover:
         base = Graph.from_edges(n, _edge_array(base_edges, "base.edges", exact))
         sizes, lcolors = _flat_lists(lists)
         cover_edges = _edge_array(cover_edges, "cover_edges", exact)
-    cover_graph = Graph.from_edges(int(sizes.sum()), cover_edges)
+    # both paths own cover_edges, a fresh C-contiguous (m, 2) int64 array
+    cover_graph = Graph.from_pairs(int(sizes.sum()), cover_edges, cover_edges)
     cov = DpCover(base, cover_graph, sizes, lcolors)
-    # the edges and entries may be views of the parsed numbers: free them
+    # the base edges and entries may be views of the parsed numbers: free them
     del base_edges, cover_edges, lcolors
     return require_valid(cov)

@@ -20,6 +20,8 @@ INFINITE = math.inf
 
 # work estimate above which brute-force complete-bipartite detection refuses
 DEFAULT_KST_BUDGET = 2 * 10**8
+# edges Graph.from_pairs turns into keys at a time
+_KEY_BLOCK = 1 << 16
 
 
 class Graph:
@@ -48,26 +50,36 @@ class Graph:
             e = edges.astype(np.int64, copy=False).reshape(-1, 2)
         else:
             e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        return cls.from_pairs(n, e, np.empty(e.shape, dtype=np.int64))
+
+    @classmethod
+    def from_pairs(cls, n: int, e: np.ndarray, keys: np.ndarray) -> "Graph":
+        """:meth:`from_edges` of the (m, 2) int64 array ``e``, whose indices are
+        built in the C-contiguous (m, 2) int64 array ``keys``; ``keys`` may be
+        ``e``, which then becomes the indices."""
         if e.size:
             if e.min() < 0 or e.max() >= n:
                 raise ValueError(f"edge endpoint out of range [0, {n})")
             if np.any(e[:, 0] == e[:, 1]):
                 bad = e[e[:, 0] == e[:, 1]][0]
                 raise ValueError(f"self-loop at vertex {bad[0]}")
+        # the pair (u, v) becomes the directed keys (u * n + v, v * n + u), a
+        # block of rows at a time, so that ``keys`` may be ``e``
+        for lo in range(0, e.shape[0], _KEY_BLOCK):
+            pair, key = e[lo:lo + _KEY_BLOCK], keys[lo:lo + _KEY_BLOCK]
+            uv = pair[:, 0] * n
+            uv += pair[:, 1]
+            np.multiply(pair[:, 1], n, out=key[:, 1])
+            key[:, 1] += pair[:, 0]
+            key[:, 0] = uv
         # one sort of the directed keys orders every row and puts the copies
         # of a repeated edge side by side; the sorted keys become the indices
-        m = e.shape[0]
-        keys = np.empty(2 * m, dtype=np.int64)
-        np.multiply(e[:, 0], n, out=keys[:m])
-        keys[:m] += e[:, 1]
-        np.multiply(e[:, 1], n, out=keys[m:])
-        keys[m:] += e[:, 0]
+        keys = keys.reshape(-1)
         keys.sort()
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edge in edge list")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        # every edge counts once at each end
-        np.cumsum(np.bincount(e.reshape(-1), minlength=n), out=indptr[1:])
+        # row v starts at the first key >= v * n; an n beyond int64 overflows here
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
         np.remainder(keys, max(n, 1), out=keys)
         return cls(n, indptr, keys)
 

@@ -11,8 +11,8 @@ shrinkage and residual cover degree on regular covers:
     ell_next           = keep*l - l^(1-beta)
     d_next             = keep*uncolor*d + d^(1-beta)
 
-A round is *good* when no vertex's kept list fell to the ``ell`` target and
-no residual color's degree reached the ``d`` target; the engine simply
+A round is *good* when no vertex's kept list fell to the ``ell`` target or to
+0 and no residual color's degree reached the ``d`` target; the engine simply
 re-rolls (seed+1, seed+2, ...) until a good round appears.
 """
 
@@ -230,14 +230,15 @@ def run_round(cover: DpCover | ResidualView, params: RoundParams,
 
 
 def round_is_good(outcome: RoundOutcome, ell_target: float, d_target: float) -> bool:
-    """No kept list at or below ``ell_target``; no residual color at or above ``d_target``."""
+    """Whether :func:`count_violations` finds no violation."""
     bad_v, bad_c = count_violations(outcome, ell_target, d_target)
     return bad_v == 0 and bad_c == 0
 
 
 def count_violations(outcome: RoundOutcome, ell_target: float, d_target: float) -> tuple[int, int]:
-    """(#vertices with kept size <= ell_target, #residual colors with degree >= d_target)."""
-    bad_v = int(np.count_nonzero(outcome.kept_sizes() <= ell_target))
+    """(#vertices with kept size <= max(ell_target, 0), so an emptied list counts
+    when the target is below 0, #residual colors with degree >= d_target)."""
+    bad_v = int(np.count_nonzero(outcome.kept_sizes() <= max(ell_target, 0)))
     # degrees only fall: if none reaches d_target yet, none will
     if outcome.view.max_degree() < d_target:
         return bad_v, 0

@@ -7,6 +7,7 @@ independent route.
 
 from __future__ import annotations
 
+import io
 from itertools import combinations
 
 import numpy as np
@@ -34,6 +35,23 @@ def acceptance_reporter(request):
             tr.write_line(line)
 
     return _report
+
+
+class RewrittenOnRewind(io.BytesIO):
+    """A binary file whose bytes turn into ``second``, of the same length, when
+    it is rewound a second time, as a file rewritten between two reads."""
+
+    def __init__(self, first: bytes, second: bytes):
+        super().__init__(first)
+        self.second, self.rewinds = second, 0
+
+    def seek(self, pos, whence=0):
+        if (pos, whence) == (0, 0):
+            self.rewinds += 1
+            if self.rewinds == 2:
+                with self.getbuffer() as buf:
+                    buf[:] = self.second
+        return super().seek(pos, whence)
 
 
 PETERSEN_EDGES = [

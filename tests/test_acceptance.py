@@ -4,7 +4,7 @@ Run ``pytest tests/test_acceptance.py -v`` to watch the lines appear (they
 are written through the terminal reporter, outside pytest's capture).
 Criterion 5 is expected to fail in part at moderate degrees: the integer
 parameter recursion's deviation allowances dominate there and the sequences
-exit their domain before the terminal condition; see notes in the repo docs
+exit their domain before the terminal condition; see the caveats in README
 and the analysis printed by the test.  Criterion 9 runs on 1986 vertices
 (nearest feasible order to the nominal 2000 for a 32-regular graph of girth
 at least 5; see README).
@@ -216,7 +216,7 @@ def test_c05_schedule_laws(acceptance_reporter):
     # allowances (ell^(1-beta), d^(1-beta) with beta = 1/(25t) <= 0.04)
     # dominate for d <= 1e7, so d grows, ell collapses, and the terminal
     # condition is unreachable; the laws do hold in their own regime (see
-    # test_schedule.TestLawsInTheirRegime).  Recorded in notes/decisions.md.
+    # test_schedule.TestLawsInTheirRegime).  Recorded in README's caveats.
     assert not fail_b, (
         f"list floor fails at {fail_b}: the dying tail records ell=1 below "
         f"d^(eps/15); asymptotic hypothesis does not hold at this scale")
@@ -330,8 +330,8 @@ def test_c08_finish_correctness(acceptance_reporter):
 def test_c09_end_to_end_calibration(tmp_path, acceptance_reporter):
     start = time.perf_counter()
     # Nominal instance is n=2000; girth>=5 32-regular graphs at that density
-    # exist only near algebraic orders, the closest being 1986 (see README
-    # and notes/decisions.md).  Everything else follows the stated setup:
+    # exist only near algebraic orders, the closest being 1986 (see the
+    # caveats in README).  Everything else follows the stated setup:
     # lists of ceil(4*32/log 32) = 37 labels, default slack.
     ell = math.ceil(4 * 32 / math.log(32))
     assert ell == 37

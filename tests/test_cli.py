@@ -220,6 +220,33 @@ class TestColor:
         doc = json.loads(out.read_text())
         assert doc["ok"] is False and len(doc["rounds"]) == 1
 
+    def test_round_that_empties_a_list_is_retried(self, runner, tmp_path):
+        # round 296 of this run emptied a list, and color exited 1, while the
+        # round gate let a list target below 0 pass every round
+        from dpnibble import uniform_list_cover
+        from dpnibble.generators import incidence_graph
+        path = self.write_cover(tmp_path, uniform_list_cover(incidence_graph(5, seed=0), 6))
+        out = tmp_path / "res.json"
+        r = runner.invoke(main, ["color", str(path), "--seed", "1", "--out", str(out)])
+        assert r.exit_code == 0, (r.output, r.exception)
+        assert json.loads(out.read_text())["verified"] is True
+
+    def test_cover_from_a_pipe(self, tmp_path):
+        # /dev/stdin on a pipe cannot seek, so the loader reads it whole
+        from dpnibble import uniform_list_cover
+        from dpnibble.generators import incidence_graph
+        path = self.write_cover(tmp_path, uniform_list_cover(incidence_graph(3, seed=0), 12))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        results = []
+        for name, source in (("file", str(path)), ("pipe", "/dev/stdin")):
+            out = tmp_path / f"{name}.json"
+            r = subprocess.run([sys.executable, "-m", "dpnibble.cli", "color", source, "--seed",
+                                "9", "--out", str(out)], input=path.read_bytes(),
+                               capture_output=True, env=env)
+            assert r.returncode == 0, r.stderr
+            results.append(out.read_bytes())
+        assert results[0] == results[1]
+
     def test_small_real_instance(self, runner, tmp_path):
         from dpnibble import uniform_list_cover
         from dpnibble.generators import incidence_graph
@@ -395,6 +422,20 @@ class TestLoaderRefusals:
             assert r.exit_code == 2, (r.output, r.exception)
             assert isinstance(r.exception, SystemExit)
             assert "error: cannot load cover: not enough memory" in r.output
+
+    def test_file_changed_while_read(self, runner, tmp_path, monkeypatch):
+        from dpnibble import cli, cover_to_json
+        from conftest import RewrittenOnRewind, regular_cover
+        text = cover_to_json(regular_cover(8, 3, 4, seed=12)).encode()
+        at = text.rindex(b"1")
+        changed = text[:at] + b"2" + text[at + 1:]
+        monkeypatch.setattr(cli, "cover_from_json",
+                            lambda fh: cover_from_json(RewrittenOnRewind(fh.read(), changed)))
+        p = tmp_path / "cover.json"
+        p.write_bytes(text)
+        for r in run_both(runner, p):
+            assert r.exit_code == 2, (r.output, r.exception)
+            assert "error: cannot load cover: the cover file changed while it was read" in r.output
 
     def test_directory(self, runner, tmp_path):
         for r in run_both(runner, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import tracemalloc
 from itertools import product
@@ -19,8 +20,8 @@ from dpnibble.errors import CoverValidationError, GenerationError
 from dpnibble.generators import random_dp_cover, random_girth5_regular, random_regular
 from dpnibble.nibble import ResidualView, RoundParams, run_round
 
-from conftest import (cycle_graph, defective_cover, path_graph, random_graph,
-                      regular_cover, validate_reference)
+from conftest import (RewrittenOnRewind, cycle_graph, defective_cover, path_graph,
+                      random_graph, regular_cover, validate_reference)
 
 
 def drop_cover_edges(cov: DpCover, count: int, seed: int) -> DpCover:
@@ -596,6 +597,58 @@ class TestCanonicalFastPath:
                                                                   new):
         monkeypatch.setattr(cover_module, "_PARSE_BLOCK", block)
         assert_edit_takes_json_loads(old, new)
+
+
+class TestFileSource:
+    """A cover file is read in blocks, once for the layout and once for the
+    numbers, and loads as its bytes do."""
+
+    @pytest.mark.parametrize("block", [3, 1 << 18])
+    @pytest.mark.parametrize("which", [0, -1])
+    def test_file_changed_between_the_passes_refused(self, monkeypatch, block, which):
+        # np.fromstring reads past a block that holds fewer numbers than the
+        # first pass counted, so the second pass must read the same bytes
+        monkeypatch.setattr(cover_module, "_PARSE_BLOCK", block)
+        text = cover_to_json(regular_cover(8, 3, 4, seed=12)).encode()
+        at = [i for i, b in enumerate(text) if b in b"0123456789"][which]
+        changed = text[:at] + bytes([48 + (text[at] - 47) % 10]) + text[at + 1:]
+        assert load_outcome(RewrittenOnRewind(text, text)) == load_outcome(text)
+        with pytest.raises(ValueError, match="^the cover file changed while it was read$"):
+            cover_from_json(RewrittenOnRewind(text, changed))
+
+    def test_stream_that_cannot_seek_is_read_whole(self):
+        class Stream(io.BytesIO):
+            def seekable(self):
+                return False
+
+            def seek(self, *args):
+                raise io.UnsupportedOperation("File or stream is not seekable.")
+
+        text = cover_to_json(regular_cover(8, 3, 4, seed=12)).encode()
+        assert load_outcome(Stream(text)) == load_outcome(text)
+        assert load_outcome(Stream(text + b" ")) == load_outcome(text + b" ", fast=False)
+
+    def test_non_canonical_file_takes_json_loads(self, tmp_path):
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(json.loads(cover_to_json(regular_cover(8, 3, 4, seed=12)))))
+        with open(path, "rb") as fh:
+            assert load_outcome(fh) == load_outcome(path.read_text(), fast=False)
+
+
+def test_loading_a_file_holds_one_array_of_its_numbers(tmp_path):
+    # the numbers of this document take 1.2x its size as int64, and the cover
+    # graph is built inside them; holding the file's bytes whole as well, or a
+    # second array of directed keys, passes 2x
+    path = tmp_path / "cover.json"
+    path.write_text(cover_to_json(random_dp_cover(random_regular(2000, 16, 1), 48, 1.0, 2)))
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            cover_from_json(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * path.stat().st_size
 
 
 def test_loading_takes_a_few_times_the_file_size():

@@ -38,6 +38,33 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(3, [(0, 3)])
 
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (2, 3)], r"edge endpoint out of range \[0, 3\)"),
+        ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+        ([(0, 1), (1, 2), (1, 0)], "duplicate edge in edge list"),
+    ])
+    def test_refusals_keep_their_messages(self, edges, message):
+        for in_place in (False, True):
+            e = np.array(edges, dtype=np.int64)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Graph.from_pairs(3, e, e) if in_place else Graph.from_edges(3, e)
+
+    def test_from_edges_leaves_its_input_alone(self):
+        e = random_graph(40, 0.3, seed=2).edge_array()[:, ::-1]
+        before = e.copy()
+        Graph.from_edges(40, e)
+        assert np.array_equal(e, before)
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    def test_in_place_build_matches_from_edges(self, monkeypatch, block):
+        # blocks of a few rows put block boundaries all through the edges
+        monkeypatch.setattr(graph_module, "_KEY_BLOCK", block)
+        edges = np.random.default_rng(7).permutation(random_graph(30, 0.3, seed=4).edge_array())
+        e = np.ascontiguousarray(edges[:, ::-1])
+        g = Graph.from_pairs(30, e, e)
+        assert g == Graph.from_edges(30, edges)
+        assert np.shares_memory(g.indices, e)
+
     def test_symmetry_and_sorted_rows(self):
         g = random_graph(12, 0.4, seed=3)
         for v in range(12):
