@@ -12,15 +12,8 @@ which also makes the finisher's picks), and the view's row gathers read the
 cover rows of those picks.
 
 ``nibble.run_round`` runs one round (``B = 1``) on the view ``color``
-advances.  ``analysis.round_stats`` runs its trials on the whole cover in
-blocks of
-``B = max(1, min(trials, _BLOCK_ENTRIES // max(cover-row entries, colors)))``
-with ``_BLOCK_ENTRIES = 2**16``: the 408-color criterion-3 cover (6,528
-entries) gets ``B = 10``, a 4,800-color, 16-regular cover ``B = 1``.  It
-reads a block per color (``nibble.kept_counts``, ``nibble.residual_degrees``:
-the view's sizes and degrees minus a ``bincount`` of the killed colors'
-owners and of the dying colors' cover rows) into row buffers of about
-``_REDUCE_ENTRIES = 2**16`` entries, each reduced once when full.
+advances; ``analysis.round_stats`` runs its trials on the whole cover in
+blocks whose ``B`` is chosen by ``analysis.block_size``.
 """
 
 from __future__ import annotations

@@ -60,8 +60,8 @@ def _fail(code: int, message: str):
 
 
 def _load_cover(path: str) -> DpCover:
-    """Read and validate a cover file; any malformed document, or one too
-    large for memory, exits 2."""
+    """Read and validate a cover file; any malformed document, one too large
+    for memory, or a file that cannot be read exits 2."""
     try:
         # the loader reads the file in blocks and never holds its bytes whole
         with open(path, "rb") as fh:
@@ -71,6 +71,8 @@ def _load_cover(path: str) -> DpCover:
         _fail(EXIT_USAGE, f"cannot load cover: {exc}")
     except MemoryError:
         _fail(EXIT_USAGE, "cannot load cover: not enough memory")
+    except OSError as exc:
+        _fail(EXIT_USAGE, f"cannot load cover: {exc.strerror or exc}")
 
 
 def _smallest_list(cov: DpCover) -> int:

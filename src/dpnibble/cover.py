@@ -220,38 +220,21 @@ def require_valid(c: DpCover) -> DpCover:
 def from_list_assignment(g: Graph, lists: Mapping[int, Iterable] | Sequence[Iterable]) -> DpCover:
     """Cover encoding an ordinary list assignment.
 
-    Colors sharing a label across a base edge are matched; labels must be
+    Color ids run through the vertices' sorted labels, and the colors of one
+    label at the two ends of a base edge are matched; labels must be
     sortable.  Every vertex needs a nonempty label set.
     """
-    n = g.vertex_count
-    label_lists = []
-    for v in range(n):
+    color, count = [], 0  # color[v] maps each label of v to its color id
+    for v in range(g.vertex_count):
         labels = sorted(set(lists[v]))
         if not labels:
             raise ValueError(f"vertex {v} has an empty color list")
-        label_lists.append(labels)
-    # color ids run through the vertices' sorted labels; each color gets the
-    # key vertex * (number of labels) + label number, labels numbered by first use
-    sizes = np.fromiter(map(len, label_lists), np.int64, count=n)
-    lptr = np.concatenate([[0], np.cumsum(sizes)])
-    number: dict = {}
-    label = np.fromiter((number.setdefault(lab, len(number))
-                         for lab in chain.from_iterable(label_lists)),
-                        np.int64, count=int(lptr[-1]))
-    keys = np.repeat(np.arange(n, dtype=np.int64), sizes) * len(number) + label
-    by_key = np.argsort(keys)
-    sorted_keys = keys[by_key]
-    # every color of u looks up its label at v, for each base edge (u, v)
-    e = g.edge_array()
-    counts = sizes[e[:, 0]]
-    starts = np.repeat(lptr[e[:, 0]] - (np.cumsum(counts) - counts), counts)
-    colors_u = np.arange(int(counts.sum()), dtype=np.int64) + starts
-    wanted = np.repeat(e[:, 1], counts) * len(number) + label[colors_u]
-    pos = np.minimum(np.searchsorted(sorted_keys, wanted), keys.size - 1)
-    hit = sorted_keys[pos] == wanted
-    cover_graph = Graph.from_edges(
-        int(lptr[-1]), np.stack([colors_u[hit], by_key[pos[hit]]], axis=1))
-    return DpCover(g, cover_graph, sizes, np.arange(int(lptr[-1])))
+        color.append(dict(zip(labels, range(count, count + len(labels)))))
+        count += len(labels)
+    pairs = [(color[u][label], color[v][label]) for u, v in g.edge_array().tolist()
+             for label in color[u].keys() & color[v].keys()]
+    return DpCover(g, Graph.from_edges(count, pairs), list(map(len, color)),
+                   np.arange(count))
 
 
 def uniform_list_cover(g: Graph, ell: int) -> DpCover:

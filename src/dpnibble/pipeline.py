@@ -34,7 +34,7 @@ from .errors import (BudgetExceededError, PipelineError, ResampleBudgetError,
 from .graph import max_degree
 from .nibble import (ResidualView, RoundParams, good_round_targets,
                      run_round_until_good)
-from .schedule import ScheduleError, ScheduleInput, derive_constants
+from .schedule import FINISH_RATIO, ScheduleError, ScheduleInput, derive_constants
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,10 @@ def resample_residual(view: ResidualView, max_resamples: int, seed: int):
     costs O(d) array work plus one scan of ``lead``.
     """
     d, sizes = view.max_degree(), view.list_sizes()
-    if sizes.size and sizes.min() < max(8 * d, 1):
+    if sizes.size and sizes.min() < max(FINISH_RATIO * d, 1):
         raise ValueError(
-            f"resampling completion needs lists >= 8*max cover degree "
-            f"({8 * d}); smallest list has {int(sizes.min())}")
+            f"resampling completion needs lists >= {FINISH_RATIO}*max cover degree "
+            f"({FINISH_RATIO * d}); smallest list has {int(sizes.min())}")
     rng = np.random.default_rng(normalize_seed(seed))
     root, alive, left = view.root, view.alive, view.sizes
 
@@ -207,7 +207,7 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
             raise PipelineError(
                 f"round {i}: a vertex has an empty list; instance cannot be "
                 f"completed", telemetry=telemetry)
-        if ell_cur >= 8 * d_cur:
+        if ell_cur >= FINISH_RATIO * d_cur:
             break
         if consts is None:
             try:
@@ -247,7 +247,7 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
     else:
         exhausted = BudgetExceededError(
             f"round budget ({cfg.max_rounds}) exhausted before lists cleared "
-            f"8x the residual degree")
+            f"{FINISH_RATIO}x the residual degree")
         raise PipelineError(str(exhausted), telemetry=telemetry) from exhausted
 
     try:

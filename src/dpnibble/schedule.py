@@ -36,6 +36,10 @@ LD = np.longdouble
 D_TILDE = 2.0
 ALPHA_TILDE = 1.0
 
+# lists at least this many times the cover degree end the nibble rounds and
+# go to the resampling finisher
+FINISH_RATIO = 8
+
 
 class ScheduleError(ValueError):
     """Schedule inputs outside the meaningful domain (e.g. d too small)."""
@@ -148,7 +152,7 @@ def compute_schedule(inp: ScheduleInput, max_iters: int = 10000) -> Schedule:
             ell_hat=float(ell_hat), d_hat=float(d_hat),
             conditions=_conditions(inp, eta, float(dd), int(ell)),
         ))
-        if ell >= 8 * dd:
+        if ell >= FINISH_RATIO * dd:
             i_star = i
             break
         next_ell = np.ceil(keep * ell - ell ** (1 - beta))
@@ -166,7 +170,7 @@ def compute_schedule(inp: ScheduleInput, max_iters: int = 10000) -> Schedule:
 def _conditions(inp: ScheduleInput, eta: LD, d_i: float, ell_i: int):
     logdi = math.log(d_i) if d_i > 0 else float("-inf")
     c1 = d_i >= D_TILDE
-    c2 = float(eta) * d_i < ell_i < 8 * d_i
+    c2 = float(eta) * d_i < ell_i < FINISH_RATIO * d_i
     c3 = inp.s <= d_i ** 0.25
     c4 = logdi > 1 and inp.t <= ALPHA_TILDE * logdi / math.log(logdi)
     c5 = logdi > 0 and (1.0 / logdi ** 5) < float(eta) < (1.0 / logdi)
@@ -193,7 +197,7 @@ def law_prefix(s: Schedule, power: int) -> int:
     the hat-deviation bound holds at index i when every j < i is among them."""
     thresh = 30.0 * math.log(s.input.d) ** power
     for k, st in enumerate(s.states):
-        if st.ell ** s.beta < thresh or st.d ** s.beta < thresh or st.ell > 8 * st.d:
+        if st.ell ** s.beta < thresh or st.d ** s.beta < thresh or st.ell > FINISH_RATIO * st.d:
             return k
     return len(s.states)
 

@@ -327,6 +327,7 @@ def test_c08_finish_correctness(acceptance_reporter):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c09_end_to_end_calibration(tmp_path, acceptance_reporter):
     start = time.perf_counter()
     # Nominal instance is n=2000; girth>=5 32-regular graphs at that density

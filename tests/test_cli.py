@@ -1,3 +1,4 @@
+import errno
 import functools
 import json
 import math
@@ -422,6 +423,23 @@ class TestLoaderRefusals:
             assert r.exit_code == 2, (r.output, r.exception)
             assert isinstance(r.exception, SystemExit)
             assert "error: cannot load cover: not enough memory" in r.output
+
+    def test_unreadable_file(self, runner, tmp_path, monkeypatch):
+        from dpnibble import cli
+
+        def loader(fh):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        p = tmp_path / "cover.json"
+        p.write_text("{}")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "cover_from_json", loader)
+            results = run_both(runner, p)
+        if os.path.exists("/proc/self/mem"):  # reading offset 0 fails with EIO
+            results += run_both(runner, "/proc/self/mem")
+        for r in results:
+            assert r.exit_code == 2, (r.output, r.exception)
+            assert isinstance(r.exception, SystemExit)
+            assert f"error: cannot load cover: {os.strerror(errno.EIO)}" in r.output
 
     def test_file_changed_while_read(self, runner, tmp_path, monkeypatch):
         from dpnibble import cli, cover_to_json

@@ -126,23 +126,28 @@ class TestFromListAssignment:
         assert list(cov.list_sizes()) == [4] * 8
         assert cov.base == g
 
-    def test_matches_label_oracle(self):
+    @pytest.mark.parametrize("as_dict", [False, True], ids=["list", "dict"])
+    @pytest.mark.parametrize("seed", [3, 5, 8, 13])
+    def test_matches_label_oracle(self, seed, as_dict):
         # uneven lists of string labels with repeats; colors run through each
         # vertex's sorted labels and equal labels across a base edge match
-        g = random_graph(12, 0.4, seed=3)
-        rng = np.random.default_rng(4)
+        n = 9 + seed
+        g = random_graph(n, 0.4, seed=seed)
+        rng = np.random.default_rng(seed + 1)
         lists = [rng.choice(list("abcdefgh"), size=rng.integers(1, 7)).tolist()
-                 for _ in range(12)]
-        cov = from_list_assignment(g, lists)
+                 for _ in range(n)]
+        # the mapping form, its keys in reverse order and its lists as tuples
+        cov = from_list_assignment(g, {v: tuple(lists[v]) for v in reversed(range(n))}
+                                   if as_dict else lists)
         labels = [sorted(set(lst)) for lst in lists]
         color = {(v, lab): i for i, (v, lab) in enumerate(
-            (v, lab) for v in range(12) for lab in labels[v])}
+            (v, lab) for v in range(n) for lab in labels[v])}
         expected = sorted((color[u, lab], color[v, lab])
                           for u, v in g.edge_array().tolist()
                           for lab in set(labels[u]) & set(labels[v]))
         assert cov.cover.edge_array().tolist() == [list(e) for e in expected]
-        assert [cov.lists(v).tolist() for v in range(12)] == [
-            [color[v, lab] for lab in labels[v]] for v in range(12)]
+        assert [cov.lists(v).tolist() for v in range(n)] == [
+            [color[v, lab] for lab in labels[v]] for v in range(n)]
 
 
 class TestUniformListCover:
