@@ -9,9 +9,9 @@ generators, and seeded Monte-Carlo verification of the per-round laws.
 
 from .analysis import (RoundStats, StructureReport, classify_structure,
                        exact_round_expectation, round_stats, verify_proper)
-from .cover import (DpCover, PartialColoring, Violation, cover_from_json,
-                    cover_to_json, from_list_assignment, regularize,
-                    uniform_list_cover, validate)
+from .cover import (DpCover, Violation, cover_from_json, cover_to_json,
+                    from_list_assignment, regularize, uniform_list_cover,
+                    validate)
 from .errors import (BudgetExceededError, CoverValidationError, DpnibbleError,
                      GenerationError, PipelineError, ResampleBudgetError,
                      RetriesExhaustedError)

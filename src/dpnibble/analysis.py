@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import gather_rows
-from .cover import DpCover, PartialColoring
+from .cover import DpCover
 from .errors import BudgetExceededError
 from .graph import Graph
 from .nibble import (ResidualView, RoundParams, d_next, keep_fn, kept_counts,
@@ -36,13 +36,13 @@ class ConflictWitness:
     color_v: int
 
 
-def verify_proper(c: DpCover, phi: PartialColoring) -> tuple[bool, ConflictWitness | None]:
-    """True iff no cover edge joins two assigned colors.
+def verify_proper(c: DpCover, a: np.ndarray) -> tuple[bool, ConflictWitness | None]:
+    """True iff no cover edge joins two assigned colors of ``a``, an int64
+    array of a color id per base vertex, -1 where the vertex has none.
 
     Raises ``ValueError`` if the coloring uses a color outside its vertex's
     list; returns a witness pair on failure.
     """
-    a = phi.assignment
     if a.size != c.base.vertex_count:
         raise ValueError("coloring length does not match the base graph")
     assigned = a >= 0

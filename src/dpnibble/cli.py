@@ -251,8 +251,6 @@ def cmd_stats(cover_file, seed, trials, eta, t, anchor, out, summary_path):
     cov = _load_cover(cover_file)
     d = max(max_degree(cov.cover), 1)
     ell = _smallest_list(cov)
-    if t < 1:
-        _fail(EXIT_USAGE, "t must be >= 1")
     try:
         params = RoundParams(eta=eta, d=d, ell=ell, beta=tail_exponent(t))
         stats = analysis.round_stats(cov, params, trials, seed, anchor=anchor)

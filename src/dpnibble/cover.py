@@ -100,20 +100,6 @@ class DpCover:
                 f"cover_edges={self.cover.num_edges})")
 
 
-@dataclass
-class PartialColoring:
-    """Assignment of a color id (or -1 for blank) to each base vertex."""
-
-    assignment: np.ndarray
-
-    @classmethod
-    def blank(cls, n: int) -> "PartialColoring":
-        return cls(np.full(n, -1, dtype=np.int64))
-
-    def is_total(self) -> bool:
-        return bool(np.all(self.assignment >= 0))
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -390,11 +376,11 @@ def _blocks(fh):
             size *= 2
 
 
-def _canonical_parts(source):
+def _canonical_parts(fh):
     """``(vertex_count, base edges, cover edges, list sizes, list entries)`` of
-    the document ``source`` (text, bytes or a seekable binary file) if it is
-    byte for byte what :func:`cover_to_json` writes; else None.  The edges are
-    (m, 2) arrays; they and the entries are views of one array of all the
+    the document in the seekable binary stream ``fh`` if it is byte for byte
+    what :func:`cover_to_json` writes; else None.  The edges are (m, 2)
+    arrays; they and the entries are views of one array of all the
     document's numbers, the only document-sized array of a parse.
 
     The layout is checked on the skeleton, the text with each run of digits
@@ -404,11 +390,6 @@ def _canonical_parts(source):
     file block by block (:func:`_blocks`); a block that the second pass reads
     unlike the first (its ``crc32`` differs) raises ValueError.
     """
-    if isinstance(source, str):
-        if not source.isascii():
-            return None
-        source = source.encode()
-    fh = io.BytesIO(source) if isinstance(source, bytes) else source
     blocks, pieces = [], []
     for block in _blocks(fh):
         buf = np.frombuffer(block, np.uint8)
@@ -504,56 +485,56 @@ def _edge_array(value, what: str, exact: bool) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _check_vertex_count(n, lists: int) -> None:
-    if type(n) is not int or n != lists:
-        raise ValueError(f"base.vertex_count must equal the number of lists "
-                         f"({lists}), got {n!r}")
+def _json_parts(fh):
+    """The parts :func:`_canonical_parts` returns, of any JSON document in the
+    seekable binary stream ``fh``: one ``json.loads`` of its UTF-8 text, and
+    a document not shaped like a cover raises ValueError."""
+    fh.seek(0)
+    text = fh.read()
+    # a JSON boolean needs a true/false token in the text
+    exact = b"true" in text or b"false" in text
+    text = text.decode()
+    doc = json.loads(text)
+    del text
+    try:
+        n, lists = doc["base"]["vertex_count"], doc["lists"]
+        base_edges, cover_edges = doc["base"]["edges"], doc["cover_edges"]
+    except (TypeError, KeyError) as exc:
+        raise ValueError("a cover document is an object with keys base (with "
+                         "vertex_count and edges), lists and cover_edges") from exc
+    if not (isinstance(lists, list) and set(map(type, lists)) <= {list}
+            and set(map(type, chain.from_iterable(lists))) <= {int}):
+        raise ValueError("lists must be a list of lists of integer ids")
+    return (n, _edge_array(base_edges, "base.edges", exact),
+            _edge_array(cover_edges, "cover_edges", exact), *_flat_lists(lists))
 
 
 def cover_from_json(source) -> DpCover:
     """Parse and validate a cover document, given as text, UTF-8 bytes or a
     binary file read from its start; refuses invalid covers.
 
-    The layout :func:`cover_to_json` writes takes the fast path of
-    :func:`_canonical_parts`, which reads a file in blocks, and the cover graph
-    is built in its array of numbers, the one document-sized array of a load;
-    a stream that cannot seek is read whole first.  Any other document is read
-    by ``json.loads`` and refused with the same messages.
+    Every source becomes one seekable binary stream: text is encoded as
+    UTF-8, and a stream that cannot seek is read whole first.  The layout
+    :func:`cover_to_json` writes takes the fast path of
+    :func:`_canonical_parts`, which reads the stream in blocks; any other
+    document is read by :func:`_json_parts` and refused with the same
+    messages.  Both paths end in one tail, which builds the cover graph in
+    the cover edges' array, the one document-sized array of a load.
     """
-    if not isinstance(source, (str, bytes)) and not source.seekable():
-        source = source.read()
-    parts = _canonical_parts(source)
-    if parts is not None:
-        n, base_edges, cover_edges, sizes, lcolors = parts
-        del parts
-        _check_vertex_count(n, sizes.size)
-        base = Graph.from_edges(n, base_edges)
-    else:
-        if not isinstance(source, (str, bytes)):
-            source.seek(0)
-            source = source.read()
-        text = source.decode() if isinstance(source, bytes) else source
-        del source
-        doc = json.loads(text)
-        # a JSON boolean needs a true/false token in the text
-        exact = "true" in text or "false" in text
-        del text
-        try:
-            n, lists = doc["base"]["vertex_count"], doc["lists"]
-            base_edges, cover_edges = doc["base"]["edges"], doc["cover_edges"]
-        except (TypeError, KeyError) as exc:
-            raise ValueError("a cover document is an object with keys base (with "
-                             "vertex_count and edges), lists and cover_edges") from exc
-        if not (isinstance(lists, list) and set(map(type, lists)) <= {list}
-                and set(map(type, chain.from_iterable(lists))) <= {int}):
-            raise ValueError("lists must be a list of lists of integer ids")
-        _check_vertex_count(n, len(lists))
-        base = Graph.from_edges(n, _edge_array(base_edges, "base.edges", exact))
-        sizes, lcolors = _flat_lists(lists)
-        cover_edges = _edge_array(cover_edges, "cover_edges", exact)
+    if isinstance(source, str):
+        source = source.encode()
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    elif not source.seekable():
+        source = io.BytesIO(source.read())
+    n, base_edges, cover_edges, sizes, lcolors = (_canonical_parts(source)
+                                                  or _json_parts(source))
+    if type(n) is not int or n != sizes.size:
+        raise ValueError(f"base.vertex_count must equal the number of lists "
+                         f"({sizes.size}), got {n!r}")
+    base = Graph.from_edges(n, base_edges)
     # both paths own cover_edges, a fresh C-contiguous (m, 2) int64 array
-    cover_graph = Graph.from_pairs(int(sizes.sum()), cover_edges, cover_edges)
-    cov = DpCover(base, cover_graph, sizes, lcolors)
+    cov = DpCover(base, Graph.from_pairs(int(sizes.sum()), cover_edges), sizes, lcolors)
     # the base edges and entries may be views of the parsed numbers: free them
     del base_edges, cover_edges, lcolors
     return require_valid(cov)

@@ -45,36 +45,33 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build from an edge list or (m, 2) array; rejects loops, duplicates,
-        and out-of-range ids."""
-        if isinstance(edges, np.ndarray):
-            e = edges.astype(np.int64, copy=False).reshape(-1, 2)
-        else:
-            e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-        return cls.from_pairs(n, e, np.empty(e.shape, dtype=np.int64))
+        and out-of-range ids.  ``edges`` is copied, never written."""
+        e = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
+                     dtype=np.int64, order="C")
+        return cls.from_pairs(n, e.reshape(-1, 2))
 
     @classmethod
-    def from_pairs(cls, n: int, e: np.ndarray, keys: np.ndarray) -> "Graph":
-        """:meth:`from_edges` of the (m, 2) int64 array ``e``, whose indices are
-        built in the C-contiguous (m, 2) int64 array ``keys``; ``keys`` may be
-        ``e``, which then becomes the indices."""
+    def from_pairs(cls, n: int, e: np.ndarray) -> "Graph":
+        """:meth:`from_edges` of the C-contiguous (m, 2) int64 array ``e``,
+        which is built into the indices in place."""
         if e.size:
             if e.min() < 0 or e.max() >= n:
                 raise ValueError(f"edge endpoint out of range [0, {n})")
             if np.any(e[:, 0] == e[:, 1]):
                 bad = e[e[:, 0] == e[:, 1]][0]
                 raise ValueError(f"self-loop at vertex {bad[0]}")
-        # the pair (u, v) becomes the directed keys (u * n + v, v * n + u), a
-        # block of rows at a time, so that ``keys`` may be ``e``
+        # the pair (u, v) becomes the directed keys (u * n + v, v * n + u) in
+        # place, a block of rows at a time
         for lo in range(0, e.shape[0], _KEY_BLOCK):
-            pair, key = e[lo:lo + _KEY_BLOCK], keys[lo:lo + _KEY_BLOCK]
+            pair = e[lo:lo + _KEY_BLOCK]
             uv = pair[:, 0] * n
             uv += pair[:, 1]
-            np.multiply(pair[:, 1], n, out=key[:, 1])
-            key[:, 1] += pair[:, 0]
-            key[:, 0] = uv
+            pair[:, 1] *= n
+            pair[:, 1] += pair[:, 0]
+            pair[:, 0] = uv
         # one sort of the directed keys orders every row and puts the copies
         # of a repeated edge side by side; the sorted keys become the indices
-        keys = keys.reshape(-1)
+        keys = e.reshape(-1)
         keys.sort()
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edge in edge list")

@@ -28,7 +28,7 @@ import numpy as np
 from ._kernels import alive_picks
 from ._rng import derive_seed, normalize_seed
 from .analysis import verify_proper
-from .cover import DpCover, PartialColoring, regularize, require_valid
+from .cover import DpCover, regularize, require_valid
 from .errors import (BudgetExceededError, PipelineError, ResampleBudgetError,
                      RetriesExhaustedError)
 from .graph import max_degree
@@ -72,19 +72,19 @@ class RoundTelemetry:
 
 @dataclass
 class ColoringResult:
-    coloring: PartialColoring
+    coloring: np.ndarray
     rounds: list[RoundTelemetry]
     finish_resamples: int
-    verified: bool = True
 
 
 def finish_with_stats(c: DpCover, max_resamples: int, seed: int,
                       view: ResidualView | None = None):
     """:func:`resample_residual` on ``view``, a residual of ``c`` (by default
-    all of it); its colors as a PartialColoring of ``c``'s vertices."""
+    all of it); its colors as an int64 array over ``c``'s vertices, -1 off
+    the residual, then the resample count and the conflict trajectory."""
     view = ResidualView(c) if view is None else view
-    coloring = PartialColoring.blank(c.base.vertex_count)
-    coloring.assignment[view.vertices], resamples, trajectory = resample_residual(
+    coloring = np.full(c.base.vertex_count, -1, dtype=np.int64)
+    coloring[view.vertices], resamples, trajectory = resample_residual(
         view, max_resamples, seed)
     return coloring, resamples, trajectory
 
@@ -189,8 +189,7 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
     base_seed = normalize_seed(cfg.seed)
     if cfg.regularize_first:
         # tag far outside the per-round range so streams never coincide
-        c = regularize(c, max(max_degree(c.cover), 1),
-                       derive_seed(base_seed, 10 ** 9))
+        c = regularize(c, max_degree(c.cover), derive_seed(base_seed, 10 ** 9))
 
     n_orig = original.base.vertex_count
     phi_total = np.full(c.base.vertex_count, -1, dtype=np.int64)
@@ -253,14 +252,14 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
     try:
         finished, finish_resamples, _ = finish_with_stats(
             c, cfg.max_finish_resamples, derive_seed(base_seed, 0), view)
-        phi_total[view.vertices] = finished.assignment[view.vertices]
+        phi_total[view.vertices] = finished[view.vertices]
     except (ValueError, ResampleBudgetError) as exc:
         raise PipelineError(f"completion failed: {exc}",
                             telemetry=telemetry) from exc
 
-    result = PartialColoring(phi_total[:n_orig] if cfg.regularize_first else phi_total)
+    result = phi_total[:n_orig]
     ok, witness = verify_proper(original, result)
-    if not ok or not result.is_total():
+    if not ok or np.any(result < 0):
         raise PipelineError(
             f"internal verification failed (witness: {witness})",
             telemetry=telemetry)
@@ -278,9 +277,9 @@ def result_to_json(result: ColoringResult | None, cfg: PipelineConfig,
     if error is not None:
         doc["error"] = error
     if result is not None:
-        doc["coloring"] = result.coloring.assignment.tolist()
+        doc["coloring"] = result.coloring.tolist()
         doc["finish_resamples"] = result.finish_resamples
-        doc["verified"] = result.verified
+        doc["verified"] = True
     rounds = result.rounds if result is not None else (telemetry or [])
     doc["rounds"] = [asdict(r) for r in rounds]
     return json.dumps(doc, sort_keys=True) + "\n"

@@ -46,12 +46,14 @@ class ScheduleError(ValueError):
 
 
 def tail_exponent(t: int) -> float:
-    """The deviation exponent ``beta = 1/(25 t)``.
+    """The deviation exponent ``beta = 1/(25 t)`` of a ``t >= 1``.
 
     Divides integers, so a ``t`` too large for a float gives a tiny ``beta``
-    instead of an ``OverflowError``; raises :class:`ScheduleError` once
-    ``beta`` rounds to 0.
+    instead of an ``OverflowError``; raises :class:`ScheduleError` for
+    ``t < 1`` and once ``beta`` rounds to 0.
     """
+    if t < 1:
+        raise ScheduleError("t must be >= 1")
     beta = 1 / (25 * t)
     if not beta > 0.0:
         raise ScheduleError(f"t of {t.bit_length()} bits is too large: beta = 1/(25t) rounds to 0")

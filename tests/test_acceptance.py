@@ -313,7 +313,7 @@ def test_c08_finish_correctness(acceptance_reporter):
         coloring, resamples, _ = finish_with_stats(cov, budget, seed=20_000 + seed)
         ok, _ = verify_proper(cov, coloring)
         assert resamples < budget
-        assert ok and coloring.is_total()
+        assert ok and np.all(coloring >= 0)
         good += 1
     elapsed = time.perf_counter() - start
     ok = good == 100 and elapsed < 120
@@ -350,9 +350,9 @@ def test_c09_end_to_end_calibration(tmp_path, acceptance_reporter):
                                      "--seed", str(seed), "--out", str(out)])
         if r.exit_code == 0:
             doc = json.loads(out.read_text())
-            phi = dp.PartialColoring(np.asarray(doc["coloring"], dtype=np.int64))
+            phi = np.asarray(doc["coloring"], dtype=np.int64)
             ok, _ = verify_proper(cov, phi)
-            assert ok and phi.is_total(), f"seed {seed} verified=False"
+            assert ok and np.all(phi >= 0), f"seed {seed} verified=False"
             successes += 1
         out.unlink()
     elapsed = time.perf_counter() - start

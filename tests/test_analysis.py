@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpnibble import (DpCover, Graph, PartialColoring, from_list_assignment, keep_fn,
-                      uncolor_fn)
+from dpnibble import DpCover, Graph, from_list_assignment, keep_fn, uncolor_fn
 from dpnibble._rng import scalar_uniform
 from dpnibble import analysis
 from dpnibble.analysis import (block_size, classify_structure, exact_round_expectation,
@@ -22,21 +21,21 @@ from conftest import classify_oracle, cycle_graph, path_graph, regular_cover, st
 class TestVerifyProper:
     def test_empty_coloring(self):
         cov = regular_cover(8, 3, 4, seed=1)
-        ok, witness = verify_proper(cov, PartialColoring.blank(8))
+        ok, witness = verify_proper(cov, np.full(8, -1))
         assert ok and witness is None
 
     def test_matched_pair_rejected_with_witness(self):
         g = Graph.from_edges(2, [(0, 1)])
         cov = from_list_assignment(g, [[0], [0]])
-        phi = PartialColoring(np.array([cov.lists(0)[0], cov.lists(1)[0]]))
+        phi = np.array([cov.lists(0)[0], cov.lists(1)[0]])
         ok, witness = verify_proper(cov, phi)
         assert not ok
         assert {witness.vertex_u, witness.vertex_v} == {0, 1}
 
     def test_unlisted_color_raises(self):
         cov = regular_cover(6, 3, 4, seed=2)
-        phi = PartialColoring.blank(6)
-        phi.assignment[0] = cov.lists(1)[0]
+        phi = np.full(6, -1)
+        phi[0] = cov.lists(1)[0]
         with pytest.raises(ValueError, match="outside its list"):
             verify_proper(cov, phi)
 
@@ -61,7 +60,7 @@ class TestVerifyProper:
         chosen = np.zeros(cov.num_colors, dtype=bool)
         chosen[a[a >= 0]] = True
         bad = np.flatnonzero(chosen[edges[:, 0]] & chosen[edges[:, 1]])
-        ok, witness = verify_proper(cov, PartialColoring(a))
+        ok, witness = verify_proper(cov, a)
         assert ok == (bad.size == 0)
         if bad.size:
             c1, c2 = edges[bad[0]].tolist()

@@ -335,6 +335,23 @@ class TestColor:
         assert doc["ok"] is False
         assert doc["error"] == "not enough memory: Unable to allocate 23.0 GiB for an array"
 
+    @pytest.mark.parametrize("doc", [
+        '{"base":{"edges":[],"vertex_count":1},"cover_edges":[],"lists":[[0]]}',
+        '{"base":{"edges":[[0,1]],"vertex_count":2},"cover_edges":[],"lists":[[0],[1]]}',
+    ], ids=["one-vertex", "one-base-edge"])
+    def test_regularize_first_keeps_a_cover_without_cover_edges(self, runner, tmp_path, doc):
+        # regularizing to degree 1 joined copies of these one-color lists by
+        # a matching, and the schedule of d = 1 cannot color that
+        path = tmp_path / "cover.json"
+        path.write_text(doc)
+        colorings = []
+        for flag in ([], ["--regularize-first"]):
+            out = tmp_path / "res.json"
+            r = invoke(runner, ["color", str(path), "--seed", "1", "--out", str(out), *flag])
+            assert r.exit_code == 0, r.output
+            colorings.append(json.loads(out.read_text())["coloring"])
+        assert colorings[0] == colorings[1]
+
 
 def valid_doc():
     from dpnibble import cover_to_json
@@ -504,6 +521,27 @@ def test_import_warns_nothing():
         [sys.executable, "-W", "error::UserWarning", "-c", "import dpnibble.cli"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert r.returncode == 0, r.stderr
+
+
+def test_public_names():
+    import types
+
+    import dpnibble
+    assert {name for name, value in vars(dpnibble).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)} == {
+        "BudgetExceededError", "ColoringResult", "CoverValidationError", "DpCover",
+        "DpnibbleError", "GenerationError", "Graph", "PipelineConfig", "PipelineError",
+        "ResampleBudgetError", "RetriesExhaustedError", "RoundOutcome", "RoundParams",
+        "RoundStats", "Schedule", "ScheduleError", "ScheduleInput", "ScheduleState",
+        "StructureReport", "Violation", "classify_structure", "color_graph",
+        "compute_schedule", "contains_kst", "cover_from_json", "cover_to_json", "d_next",
+        "derive_constants", "ell_next", "exact_round_expectation", "from_list_assignment",
+        "girth", "good_round_targets", "graph_from_text", "graph_to_text",
+        "hat_deviation_report", "incidence_graph", "keep_fn", "kst_edge_bound",
+        "kst_free_bipartite", "max_degree", "random_dp_cover", "random_girth5_regular",
+        "random_regular", "regularize", "result_to_json", "round_is_good", "round_stats",
+        "run_round", "run_round_until_good", "schedule_to_csv", "uncolor_fn",
+        "uniform_list_cover", "validate", "verify_proper"}
 
 
 class TestStats:

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpnibble import (DpCover, Graph, PartialColoring, contains_kst, cover_from_json,
-                      cover_to_json, from_list_assignment, max_degree, regularize,
-                      uniform_list_cover, validate)
+from dpnibble import (DpCover, Graph, contains_kst, cover_from_json, cover_to_json,
+                      from_list_assignment, max_degree, regularize, uniform_list_cover,
+                      validate)
 from dpnibble import cover as cover_module
 from dpnibble import generators
 from dpnibble.cover import require_valid
@@ -111,8 +111,7 @@ class TestFromListAssignment:
         def dp_colorable():
             from dpnibble.analysis import verify_proper
             for picks in product(range(2), repeat=3):
-                phi = PartialColoring(np.array(
-                    [cov.lists(v)[picks[v]] for v in range(3)], dtype=np.int64))
+                phi = np.array([cov.lists(v)[picks[v]] for v in range(3)], dtype=np.int64)
                 if verify_proper(cov, phi)[0]:
                     return True
             return False
@@ -535,9 +534,9 @@ NON_CANONICAL_EDITS = [
 
 def assert_edit_takes_json_loads(old: str, new: str):
     text = cover_to_json(regular_cover(8, 3, 4, seed=12))
-    assert cover_module._canonical_parts(text) is not None
+    assert cover_module._canonical_parts(io.BytesIO(text.encode())) is not None
     text = text.replace(old, new, 1)
-    assert cover_module._canonical_parts(text) is None
+    assert cover_module._canonical_parts(io.BytesIO(text.encode())) is None
     assert load_outcome(text) == load_outcome(text, fast=False)
 
 
@@ -548,7 +547,7 @@ class TestCanonicalFastPath:
     @settings(max_examples=60, deadline=None)
     @given(canonical_covers())
     def test_valid_covers_agree(self, text):
-        assert cover_module._canonical_parts(text) is not None
+        assert cover_module._canonical_parts(io.BytesIO(text.encode())) is not None
         assert load_outcome(text) == load_outcome(text, fast=False)
         assert load_outcome(text.encode()) == load_outcome(text)
 
@@ -557,7 +556,7 @@ class TestCanonicalFastPath:
         # no vertices, no edges, empty lists: the document is still canonical
         cov = DpCover.from_lists(Graph.empty(len(lists)), Graph.empty(3), lists)
         text = cover_to_json(cov)
-        assert cover_module._canonical_parts(text) is not None
+        assert cover_module._canonical_parts(io.BytesIO(text.encode())) is not None
         assert load_outcome(text) == load_outcome(text, fast=False)
 
     @settings(max_examples=300, deadline=None)
@@ -582,9 +581,9 @@ class TestCanonicalFastPath:
         if mutate:
             at = data.draw(st.integers(0, len(text) - 1))
             text = text[:at] + data.draw(st.sampled_from(MUTATION_BYTES)) + text[at + 1:]
-        whole = cover_module._canonical_parts(text)
+        whole = cover_module._canonical_parts(io.BytesIO(text.encode()))
         with mock.patch.object(cover_module, "_PARSE_BLOCK", block):
-            parts = cover_module._canonical_parts(text)
+            parts = cover_module._canonical_parts(io.BytesIO(text.encode()))
             assert load_outcome(text) == load_outcome(text, fast=False)
         assert (parts is None) == (whole is None)
         if parts is not None:
@@ -604,9 +603,43 @@ class TestCanonicalFastPath:
         assert_edit_takes_json_loads(old, new)
 
 
+class Unseekable(io.BytesIO):
+    """A binary stream that cannot seek, as a pipe."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("File or stream is not seekable.")
+
+
+# a canonical cover with a wrong vertex_count, and one with a trailing comma
+REFUSED_EDITS = [('"vertex_count":8', '"vertex_count":9'), ("]],\"lists\"", "],],\"lists\"")]
+
+
 class TestFileSource:
     """A cover file is read in blocks, once for the layout and once for the
     numbers, and loads as its bytes do."""
+
+    @pytest.mark.parametrize("kind", ["str", "bytes", "file", "stream"])
+    @pytest.mark.parametrize("edit", [None, "dumped", *REFUSED_EDITS],
+                             ids=["canonical", "dumped", "refused-canonical", "refused-json"])
+    def test_every_source_kind_loads_alike(self, tmp_path, kind, edit):
+        text = cover_to_json(regular_cover(8, 3, 4, seed=12))
+        if edit == "dumped":
+            text = json.dumps(json.loads(text))
+        elif edit is not None:
+            assert edit[0] in text
+            text = text.replace(*edit, 1)
+        path = tmp_path / "cover.json"
+        path.write_text(text)
+        with open(path, "rb") as fh:
+            source = {"str": text, "bytes": text.encode(), "file": fh,
+                      "stream": Unseekable(text.encode())}[kind]
+            outcome = load_outcome(source)
+        # every kind loads as json.loads reads the text
+        assert outcome == load_outcome(text, fast=False)
+        assert isinstance(outcome, tuple) == (edit in REFUSED_EDITS)
 
     @pytest.mark.parametrize("block", [3, 1 << 18])
     @pytest.mark.parametrize("which", [0, -1])
@@ -622,16 +655,9 @@ class TestFileSource:
             cover_from_json(RewrittenOnRewind(text, changed))
 
     def test_stream_that_cannot_seek_is_read_whole(self):
-        class Stream(io.BytesIO):
-            def seekable(self):
-                return False
-
-            def seek(self, *args):
-                raise io.UnsupportedOperation("File or stream is not seekable.")
-
         text = cover_to_json(regular_cover(8, 3, 4, seed=12)).encode()
-        assert load_outcome(Stream(text)) == load_outcome(text)
-        assert load_outcome(Stream(text + b" ")) == load_outcome(text + b" ", fast=False)
+        assert load_outcome(Unseekable(text)) == load_outcome(text)
+        assert load_outcome(Unseekable(text + b" ")) == load_outcome(text + b" ", fast=False)
 
     def test_non_canonical_file_takes_json_loads(self, tmp_path):
         path = tmp_path / "cover.json"

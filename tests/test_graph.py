@@ -47,7 +47,7 @@ class TestGraphBasics:
         for in_place in (False, True):
             e = np.array(edges, dtype=np.int64)
             with pytest.raises(ValueError, match=f"^{message}$"):
-                Graph.from_pairs(3, e, e) if in_place else Graph.from_edges(3, e)
+                Graph.from_pairs(3, e) if in_place else Graph.from_edges(3, e)
 
     def test_from_edges_leaves_its_input_alone(self):
         e = random_graph(40, 0.3, seed=2).edge_array()[:, ::-1]
@@ -61,7 +61,7 @@ class TestGraphBasics:
         monkeypatch.setattr(graph_module, "_KEY_BLOCK", block)
         edges = np.random.default_rng(7).permutation(random_graph(30, 0.3, seed=4).edge_array())
         e = np.ascontiguousarray(edges[:, ::-1])
-        g = Graph.from_pairs(30, e, e)
+        g = Graph.from_pairs(30, e)
         assert g == Graph.from_edges(30, edges)
         assert np.shares_memory(g.indices, e)
 

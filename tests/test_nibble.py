@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dpnibble import (Graph, PartialColoring, d_next, ell_next, from_list_assignment,
-                      good_round_targets, keep_fn, round_is_good, run_round,
-                      run_round_until_good, uncolor_fn)
+from dpnibble import (Graph, d_next, ell_next, from_list_assignment, good_round_targets,
+                      keep_fn, round_is_good, run_round, run_round_until_good, uncolor_fn)
 from dpnibble._rng import scalar_uniform
 from dpnibble.analysis import verify_proper
 from dpnibble.errors import RetriesExhaustedError
@@ -137,7 +136,7 @@ class TestRunRound:
         p = RoundParams(eta=0.8, d=5, ell=4, beta=0.05)
         for seed in range(30):
             o = run_round(cov, p, seed)
-            ok, witness = verify_proper(cov, PartialColoring(o.phi))
+            ok, witness = verify_proper(cov, o.phi)
             assert ok, witness
 
     def test_rejects_empty_lists(self):

@@ -63,6 +63,12 @@ class TestDeriveConstants:
         with pytest.raises(ScheduleError, match="too large"):
             ScheduleInput(d=100, epsilon=0.5, s=1, t=10 ** 400)
 
+    @pytest.mark.parametrize("t, message", [(10 ** 400, "t of 1329 bits is too large"),
+                                            (0, "t must be >= 1"), (-1, "t must be >= 1")])
+    def test_beta_refused(self, t, message):
+        with pytest.raises(ScheduleError, match=f"^{message}"):
+            tail_exponent(t)
+
     def test_eta_formula(self):
         kappa, eta, _, _ = derive_constants(ScheduleInput(d=10**4, epsilon=0.1, s=1, t=1))
         assert eta == pytest.approx(kappa / math.log(10**4), rel=1e-12)
