@@ -136,8 +136,11 @@ def classify_structure(cover: Graph, anchor: int, d: int, t: int) -> StructureRe
 # ---------------------------------------------------------------------------
 
 
-# array entries one block of Monte-Carlo trials may touch (see block_size)
-_BLOCK_ENTRIES = 1 << 16
+# array entries one block of Monte-Carlo trials may touch (see block_size):
+# the largest power of two that raised the peak RSS of neither perfbench
+# stats workload; a 1,000-trial `stats` process on the 4,800-color cover
+# peaked 0.5 MB higher at 2^19 and 2.4 MB (6 %) higher at 2^20
+_BLOCK_ENTRIES = 1 << 18
 # int64 entries of each row buffer round_stats reduces at once: 512 KB
 _REDUCE_ENTRIES = 1 << 16
 
@@ -149,6 +152,13 @@ def block_size(c: DpCover, trials: int) -> int:
     kept flag per color, so ``_BLOCK_ENTRIES // max(row entries, colors)``
     trials keep a block's ``(B, K)`` and per-entry arrays near
     ``_BLOCK_ENTRIES`` entries; at least 1, at most ``trials``.
+
+    The budget is set by the number of kernel calls per trial, not by cache
+    fit: every call pays a fixed run of numpy dispatches, which dominates on
+    a small cover.  On the 408-color cover (6,528 row entries) 2^18 instead
+    of 2^16 entries takes B from 10 to 40 and 5,000 in-process trials from
+    about 85 to 50 ms (medians of 7); a larger budget gained at most 5 ms
+    more there and costs peak memory on large covers.
     """
     per_trial = max(c.cover.indices.size, c.num_colors, 1)
     return max(1, min(trials, _BLOCK_ENTRIES // per_trial))

@@ -7,23 +7,23 @@ the same inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 verification/feasibility failure, 2 usage or
 validation error, 3 budget exhaustion.
+
+Each command imports only the modules it runs, so ``stats`` loads neither
+``pipeline`` nor ``generators``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 
 import click
 
-from . import analysis, generators, pipeline
 from .cover import DpCover, cover_from_json, cover_to_json, uniform_list_cover
 from .errors import (BudgetExceededError, CoverValidationError, GenerationError,
                      PipelineError, ResampleBudgetError, RetriesExhaustedError)
 from .graph import graph_to_text, max_degree
-from .nibble import RoundParams
-from .schedule import (ScheduleError, ScheduleInput, compute_schedule, schedule_to_csv,
-                       tail_exponent)
 
 EXIT_FEASIBILITY = 1
 EXIT_USAGE = 2
@@ -116,6 +116,7 @@ _GENERATE_NEEDS = {
 @click.option("--out", type=click.Path(), default=None)
 def cmd_generate(kind, n, d, ell, rho, m, s, t, girth5_base, seed, out):
     """Generate a graph or cover file and print its content digest."""
+    from . import generators
     given = {"n": n, "d": d, "ell": ell, "m": m, "s": s, "t": t}
     for opt in _GENERATE_NEEDS[kind]:
         if given[opt] is None:
@@ -162,6 +163,7 @@ def cmd_generate(kind, n, d, ell, rho, m, s, t, girth5_base, seed, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_schedule(d, epsilon, s, t, max_iters, out):
     """Compute the parameter iteration and emit it as CSV."""
+    from .schedule import ScheduleError, ScheduleInput, compute_schedule, schedule_to_csv
     try:
         sched = compute_schedule(ScheduleInput(d=d, epsilon=epsilon, s=s, t=t),
                                  max_iters=max_iters)
@@ -190,6 +192,8 @@ def cmd_schedule(d, epsilon, s, t, max_iters, out):
 def cmd_color(cover_file, seed, epsilon, t, slack, max_retries,
               max_resamples, max_rounds, regularize_first, out):
     """Run the full coloring pipeline on a cover file."""
+    from . import pipeline
+    from .schedule import ScheduleError, ScheduleInput
     cov = _load_cover(cover_file)
     d = max(max_degree(cov.cover), 1)
     if epsilon is None:
@@ -248,6 +252,9 @@ def cmd_color(cover_file, seed, epsilon, t, slack, max_retries,
 @click.option("--summary", "summary_path", type=click.Path(), default=None)
 def cmd_stats(cover_file, seed, trials, eta, t, anchor, out, summary_path):
     """Seeded Monte-Carlo statistics for one round on a cover."""
+    from . import analysis
+    from .nibble import RoundParams
+    from .schedule import tail_exponent
     cov = _load_cover(cover_file)
     d = max(max_degree(cov.cover), 1)
     ell = _smallest_list(cov)
@@ -267,5 +274,22 @@ def cmd_stats(cover_file, seed, trials, eta, t, anchor, out, summary_path):
         click.echo(f"summary {summary_path}")
 
 
+def run():
+    """Entry of ``python -m dpnibble.cli`` and the ``dpnibble`` script.
+
+    Runs :func:`main`, flushes stdout and stderr and ends the process with
+    ``os._exit``: every output file is closed by then, and the interpreter's
+    teardown of numpy and the loaded modules would only add to the run time.
+    """
+    try:
+        main()
+        code = 0
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    run()

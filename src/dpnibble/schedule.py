@@ -74,8 +74,8 @@ class ScheduleInput:
             raise ScheduleError("d must be a positive integer")
         if not 0.0 < self.epsilon < 100.0:
             raise ScheduleError(f"epsilon must be in (0, 100), got {self.epsilon}")
-        if self.s < 1 or self.t < 1:
-            raise ScheduleError("s and t must be >= 1")
+        if self.s < 1:
+            raise ScheduleError("s must be >= 1")
         tail_exponent(self.t)
 
 

@@ -304,10 +304,10 @@ class TestBlockAgainstSingleRounds:
     def test_block_size_on_the_benchmark_shapes(self):
         # 34 vertices, 16-regular, 12 labels: 6528 cover-row entries
         small = regular_cover(34, 16, 12, seed=77)
-        assert block_size(small, 5000) == 10
+        assert block_size(small, 5000) == 40
         assert block_size(small, 4) == 4
-        # 400 vertices: 76,800 entries, one trial per block
-        assert block_size(regular_cover(400, 16, 12, seed=78), 1000) == 1
+        # 400 vertices: 76,800 entries, three trials per block
+        assert block_size(regular_cover(400, 16, 12, seed=78), 1000) == 3
 
     def test_edgeless_cover_bounds_the_block_by_colors(self):
         cov = from_list_assignment(Graph.empty(1000), [range(8)] * 1000)

@@ -1,5 +1,6 @@
 import errno
 import functools
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,9 @@ from hypothesis import strategies as st
 
 from dpnibble import cover_from_json, girth, graph_from_text
 from dpnibble.cli import main
+
+# the environment of a subprocess that imports dpnibble from this checkout
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 @pytest.fixture
@@ -153,12 +157,16 @@ class TestSchedule:
         r = invoke(runner, ["schedule", "--d", "100", "--epsilon", "0"])
         assert r.exit_code == 2
 
-    def test_huge_t_refused(self, runner):
+    @pytest.mark.parametrize("flags, message", [
         # 1/(25t) once overflowed converting t to a float
-        r = runner.invoke(main, ["schedule", "--d", "100", "--epsilon", "0.5",
-                                 "--t", str(10 ** 400)])
+        (["--t", str(10 ** 400)], "is too large: beta = 1/(25t) rounds to 0"),
+        (["--t", "0"], "error: t must be >= 1"),
+        (["--s", "0"], "error: s must be >= 1"),
+    ])
+    def test_bad_s_or_t_refused(self, runner, flags, message):
+        r = runner.invoke(main, ["schedule", "--d", "100", "--epsilon", "0.5"] + flags)
         assert r.exit_code == 2, (r.output, r.exception)
-        assert "is too large: beta = 1/(25t) rounds to 0" in r.output
+        assert message in r.output
 
     @pytest.mark.parametrize("max_iters", ["0", "-1"])
     def test_max_iters_below_one_refused(self, runner, tmp_path, max_iters):
@@ -237,13 +245,12 @@ class TestColor:
         from dpnibble import uniform_list_cover
         from dpnibble.generators import incidence_graph
         path = self.write_cover(tmp_path, uniform_list_cover(incidence_graph(3, seed=0), 12))
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         results = []
         for name, source in (("file", str(path)), ("pipe", "/dev/stdin")):
             out = tmp_path / f"{name}.json"
             r = subprocess.run([sys.executable, "-m", "dpnibble.cli", "color", source, "--seed",
                                 "9", "--out", str(out)], input=path.read_bytes(),
-                               capture_output=True, env=env)
+                               capture_output=True, env=SRC_ENV)
             assert r.returncode == 0, r.stderr
             results.append(out.read_bytes())
         assert results[0] == results[1]
@@ -288,12 +295,16 @@ class TestColor:
         assert f"error: slack must be finite, got {slack}" in r.output
         assert not out.exists()
 
-    def test_huge_t_refused(self, runner, tmp_path):
+    @pytest.mark.parametrize("t, message", [
+        (str(10 ** 400), "is too large: beta = 1/(25t) rounds to 0"),
+        ("0", "error: t must be >= 1"),
+    ])
+    def test_bad_t_refused(self, runner, tmp_path, t, message):
         from conftest import regular_cover
         path = self.write_cover(tmp_path, regular_cover(10, 2, 16, seed=1))
-        r = runner.invoke(main, ["color", str(path), "--seed", "1", "--t", str(10 ** 400)])
+        r = runner.invoke(main, ["color", str(path), "--seed", "1", "--t", t])
         assert r.exit_code == 2, (r.output, r.exception)
-        assert "is too large: beta = 1/(25t) rounds to 0" in r.output
+        assert message in r.output
 
     def test_bad_cover_file_usage_error(self, runner, tmp_path):
         p = tmp_path / "bad.json"
@@ -516,32 +527,126 @@ class TestEmptyCover:
 
 
 def test_import_warns_nothing():
-    src = Path(__file__).resolve().parents[1] / "src"
     r = subprocess.run(
         [sys.executable, "-W", "error::UserWarning", "-c", "import dpnibble.cli"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        capture_output=True, text=True, env=SRC_ENV)
     assert r.returncode == 0, r.stderr
 
 
-def test_public_names():
-    import types
+PUBLIC_NAMES = {
+    "BudgetExceededError", "ColoringResult", "CoverValidationError", "DpCover",
+    "DpnibbleError", "GenerationError", "Graph", "PipelineConfig", "PipelineError",
+    "ResampleBudgetError", "RetriesExhaustedError", "RoundOutcome", "RoundParams",
+    "RoundStats", "Schedule", "ScheduleError", "ScheduleInput", "ScheduleState",
+    "StructureReport", "Violation", "classify_structure", "color_graph",
+    "compute_schedule", "contains_kst", "cover_from_json", "cover_to_json", "d_next",
+    "derive_constants", "ell_next", "exact_round_expectation", "from_list_assignment",
+    "girth", "good_round_targets", "graph_from_text", "graph_to_text",
+    "hat_deviation_report", "incidence_graph", "keep_fn", "kst_edge_bound",
+    "kst_free_bipartite", "max_degree", "random_dp_cover", "random_girth5_regular",
+    "random_regular", "regularize", "result_to_json", "round_is_good", "round_stats",
+    "run_round", "run_round_until_good", "schedule_to_csv", "uncolor_fn",
+    "uniform_list_cover", "validate", "verify_proper"}
 
+
+def test_public_names():
     import dpnibble
-    assert {name for name, value in vars(dpnibble).items()
-            if not name.startswith("_") and not isinstance(value, types.ModuleType)} == {
-        "BudgetExceededError", "ColoringResult", "CoverValidationError", "DpCover",
-        "DpnibbleError", "GenerationError", "Graph", "PipelineConfig", "PipelineError",
-        "ResampleBudgetError", "RetriesExhaustedError", "RoundOutcome", "RoundParams",
-        "RoundStats", "Schedule", "ScheduleError", "ScheduleInput", "ScheduleState",
-        "StructureReport", "Violation", "classify_structure", "color_graph",
-        "compute_schedule", "contains_kst", "cover_from_json", "cover_to_json", "d_next",
-        "derive_constants", "ell_next", "exact_round_expectation", "from_list_assignment",
-        "girth", "good_round_targets", "graph_from_text", "graph_to_text",
-        "hat_deviation_report", "incidence_graph", "keep_fn", "kst_edge_bound",
-        "kst_free_bipartite", "max_degree", "random_dp_cover", "random_girth5_regular",
-        "random_regular", "regularize", "result_to_json", "round_is_good", "round_stats",
-        "run_round", "run_round_until_good", "schedule_to_csv", "uncolor_fn",
-        "uniform_list_cover", "validate", "verify_proper"}
+    assert len(dpnibble.__all__) == len(PUBLIC_NAMES) == 55
+    assert set(dpnibble.__all__) == PUBLIC_NAMES
+    assert PUBLIC_NAMES <= set(dir(dpnibble))
+    for name in PUBLIC_NAMES:
+        value = getattr(dpnibble, name)
+        # the object of the module that defines it, not a copy
+        assert value.__module__.startswith("dpnibble.")
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    with pytest.raises(AttributeError):
+        dpnibble.no_such_name
+
+
+def loaded_modules(tmp_path, args) -> set:
+    """The ``dpnibble`` modules a fresh process has loaded after running the
+    command ``args`` through ``cli.main``."""
+    script = ("import json, sys\n"
+              "from dpnibble import cli\n"
+              f"cli.main({args!r}, standalone_mode=False)\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dpnibble'))))\n")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       env=SRC_ENV, cwd=tmp_path, timeout=120)
+    assert r.returncode == 0, r.stderr
+    return set(json.loads(r.stdout.splitlines()[-1]))
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    from dpnibble import cover_to_json, incidence_graph, uniform_list_cover
+    cover = tmp_path / "cover.json"
+    cover.write_text(cover_to_json(uniform_list_cover(incidence_graph(3, seed=0), 12)))
+    stats = loaded_modules(tmp_path, ["stats", str(cover), "--seed", "5", "--trials", "20",
+                                      "--eta", "0.4", "--out", "stats.csv"])
+    assert "dpnibble.analysis" in stats
+    assert not stats & {"dpnibble.pipeline", "dpnibble.generators"}
+    color = loaded_modules(tmp_path, ["color", str(cover), "--seed", "9",
+                                      "--out", "result.json"])
+    assert "dpnibble.pipeline" in color
+    assert "dpnibble.generators" not in color
+
+
+class TestProcessExit:
+    """``python -m dpnibble.cli`` ends in ``os._exit``: its exit code, its
+    streams and its output file are those of ``main`` under ``CliRunner``."""
+
+    # stdout on a pipe is block-buffered unless PYTHONUNBUFFERED is set, and
+    # os._exit drops whatever is left in a buffer
+    env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+
+    @pytest.fixture(scope="class")
+    def covers(self, tmp_path_factory):
+        from dpnibble import Graph, cover_to_json, from_list_assignment, uniform_list_cover
+        from dpnibble.generators import incidence_graph
+        d = tmp_path_factory.mktemp("covers")
+        docs = {"good": uniform_list_cover(incidence_graph(3, seed=0), 12),
+                "budget": uniform_list_cover(incidence_graph(5, seed=0), 14),
+                "infeasible": from_list_assignment(Graph.from_edges(2, [(0, 1)]), [[0], [0]])}
+        for name, cov in docs.items():
+            (d / f"{name}.json").write_text(cover_to_json(cov))
+        (d / "bad.json").write_text('{"base": ')
+        return d
+
+    @pytest.mark.parametrize("cover, flags, code", [
+        ("good", ["color", "--seed", "9"], 0),
+        ("good", ["stats", "--seed", "5", "--trials", "20", "--eta", "0.4", "--anchor", "0"], 0),
+        ("infeasible", ["color", "--seed", "1", "--max-retries", "1"], 1),
+        ("bad", ["color", "--seed", "1"], 2),
+        ("budget", ["color", "--seed", "1", "--max-rounds", "1"], 3),
+    ])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_exit_code_and_output(self, runner, covers, tmp_path, cover, flags, code,
+                                  to_file):
+        args = [flags[0], str(covers / f"{cover}.json"), *flags[1:]]
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if to_file else []
+        reference = runner.invoke(main, args + extra)
+        assert reference.exit_code == code, reference.output
+        expected = out.read_bytes() if to_file and code != 2 else None
+        if to_file:
+            out.unlink(missing_ok=True)
+        r = subprocess.run([sys.executable, "-m", "dpnibble.cli", *args, *extra],
+                           capture_output=True, env=self.env, timeout=120)
+        assert r.returncode == code, r.stderr
+        assert r.stdout == reference.stdout_bytes
+        assert r.stderr == reference.stderr_bytes
+        if expected is not None:
+            assert out.read_bytes() == expected
+            label = "result" if flags[0] == "color" else "stats"
+            digest = hashlib.sha256(expected).hexdigest()[:16]
+            assert r.stdout == f"{label} {out} sha256:{digest}\n".encode()
+
+    def test_usage_error(self, runner, covers):
+        args = ["color", str(covers / "good.json")]
+        r = subprocess.run([sys.executable, "-m", "dpnibble.cli", *args],
+                           capture_output=True, env=self.env, timeout=120)
+        assert r.returncode == runner.invoke(main, args).exit_code == 2
+        assert r.stdout == b""
+        assert b"Error: Missing option '--seed'." in r.stderr
 
 
 class TestStats:

@@ -12,16 +12,22 @@ import subprocess
 import sys
 from pathlib import Path
 
-from dpnibble import cover_to_json, incidence_graph, uniform_list_cover
+from dpnibble import analysis, cover_to_json, incidence_graph, uniform_list_cover
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def six_regular_cover():
+    """A 6-regular cover with lists of 20 (< 8 * 6, so ``color`` needs nibble
+    rounds)."""
+    return uniform_list_cover(incidence_graph(5, seed=0), 20)
+
+
 def traced(tmp_path, *args) -> dict:
-    """Run one traced command on a 6-regular cover with lists of 20 (< 8 * 6,
-    so ``color`` needs nibble rounds); returns the recorded trace."""
+    """Run one traced command on :func:`six_regular_cover`; returns the
+    recorded trace."""
     cover = tmp_path / "cover.json"
-    cover.write_text(cover_to_json(uniform_list_cover(incidence_graph(5, seed=0), 20)))
+    cover.write_text(cover_to_json(six_regular_cover()))
     trace = tmp_path / "trace.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -55,6 +61,7 @@ def test_traced_stats_records_kernel_spans(tmp_path):
     names = [name for name, _ in spans]
     assert names.count("analysis.round_stats") == 1
     stats = names.index("analysis.round_stats")
-    # 1,240 colors with 6 cover edges each: blocks of 8 trials, 4 kernel calls
-    assert [p for name, p in spans if name == "kernels.round"] == [stats] * 4
+    # one kernel call per block of trials
+    calls = -(-30 // analysis.block_size(six_regular_cover(), 30))
+    assert [p for name, p in spans if name == "kernels.round"] == [stats] * calls
     assert recorded["counts"]["analysis.trials"] == 30
