@@ -11,9 +11,9 @@ activated ``(trial, vertex)`` entries pick a color (:func:`alive_picks`,
 which also makes the finisher's picks), and the view's row gathers read the
 cover rows of those picks.
 
-``nibble.run_round`` runs one round (``B = 1``) on the view ``color``
-advances; ``analysis.round_stats`` runs its trials on the whole cover in
-blocks whose ``B`` is chosen by ``analysis.block_size``.
+Both ``nibble.run_round``, one round (``B = 1``) on the view ``color``
+advances, and ``analysis.round_stats``, trials on the whole cover in blocks
+whose ``B`` is chosen by ``analysis.block_size``, call it directly.
 """
 
 from __future__ import annotations
@@ -81,13 +81,15 @@ def alive_picks(view, u, ranks=slice(None)):
 
 def round_kernel(view, eta, seed, block=1):
     """``block`` nibble rounds at seeds ``seed, seed+1, ...`` on the residual
-    ``view``, whose lists are nonempty; returns (kept, phi, hits).
+    ``view``; returns (kept, phi, hits), or raises ``ValueError`` on an empty list.
 
     ``phi`` is ``(block, n)`` over the view's vertices, a vertex's color or
     -1; ``kept`` is ``(block, K)`` over the root colors.  Only the activated
     vertices pick (:func:`alive_picks`); ``hits`` holds the cover rows of
     their picks, keyed ``trial * K + color`` when ``block > 1``.
     """
+    if np.any(view.list_sizes() < 1):
+        raise ValueError("every vertex needs a nonempty list")
     u_act, u_col = vertex_uniforms(seed, view.vertices.size, block)
     activated = u_act < eta
     trial, ranks = mask_entries(activated)

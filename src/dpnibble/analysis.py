@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import gather_rows
+from ._kernels import gather_rows, round_kernel
 from .cover import DpCover
 from .errors import BudgetExceededError
 from .graph import Graph
 from .nibble import (ResidualView, RoundParams, d_next, keep_fn, kept_counts,
-                     residual_degrees, run_block)
+                     residual_degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def round_stats(c: DpCover, p: RoundParams, trials: int, seed: int,
     view = ResidualView(c)
     for lo in range(0, trials, block):
         b = min(block, trials - lo)
-        kept, phi, _ = run_block(view, p, seed + lo, b)
+        kept, phi, _ = round_kernel(view, p.eta, seed + lo, b)
         row = lo % rows
         kept_buf[row:row + b] = kept_counts(view, kept)
         res_buf[row:row + b] = residual_degrees(view, kept, phi < 0)

@@ -193,17 +193,11 @@ def cmd_color(cover_file, seed, epsilon, t, slack, max_retries,
               max_resamples, max_rounds, regularize_first, out):
     """Run the full coloring pipeline on a cover file."""
     from . import pipeline
-    from .schedule import ScheduleError, ScheduleInput
+    from .schedule import ScheduleInput
     cov = _load_cover(cover_file)
     d = max(max_degree(cov.cover), 1)
     if epsilon is None:
-        # choose the margin so the schedule's initial list size matches the
-        # cover's smallest list, kept below the schedule's bound of 100: lists
-        # that long are already 8x the degree and need no schedule
-        import math
-        ell_min = _smallest_list(cov)
-        epsilon = min(max(ell_min * math.log(max(d, 3)) / max(d, 3) - 1.0, 0.01),
-                      math.nextafter(100.0, 0.0))
+        epsilon = pipeline.default_epsilon(cov)
     try:
         cfg = pipeline.PipelineConfig(
             # no step of `color` reads s; it is echoed in the result JSON
@@ -211,7 +205,7 @@ def cmd_color(cover_file, seed, epsilon, t, slack, max_retries,
             seed=seed, slack=slack, max_round_retries=max_retries,
             max_finish_resamples=max_resamples, max_rounds=max_rounds,
             regularize_first=regularize_first)
-    except (ScheduleError, ValueError) as exc:
+    except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
     result = None
     error = None
@@ -253,8 +247,7 @@ def cmd_color(cover_file, seed, epsilon, t, slack, max_retries,
 def cmd_stats(cover_file, seed, trials, eta, t, anchor, out, summary_path):
     """Seeded Monte-Carlo statistics for one round on a cover."""
     from . import analysis
-    from .nibble import RoundParams
-    from .schedule import tail_exponent
+    from .nibble import RoundParams, tail_exponent
     cov = _load_cover(cover_file)
     d = max(max_degree(cov.cover), 1)
     ell = _smallest_list(cov)

@@ -16,6 +16,10 @@ class BudgetExceededError(DpnibbleError):
     """
 
 
+class ScheduleError(ValueError):
+    """Schedule inputs outside the meaningful domain (e.g. d too small)."""
+
+
 class GenerationError(DpnibbleError):
     """A generator could not produce an instance within its retry budget."""
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .cover import DpCover
-from .errors import RetriesExhaustedError
+from .errors import RetriesExhaustedError, ScheduleError
 
 
 def keep_fn(d: float, ell: float, eta: float) -> float:
@@ -87,22 +87,38 @@ class RoundParams:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
 
 
-class ResidualView:
-    """The residual of a partial coloring, as arrays over a root cover.
+def tail_exponent(t: int) -> float:
+    """The deviation exponent ``beta = 1/(25 t)`` of a ``t >= 1``.
 
-    ``blank`` marks uncolored vertices, ``alive`` the colors left on their
-    lists; ``sizes`` counts alive colors per vertex, ``deg`` alive neighbours
-    per alive color.  Residual vertex ``i`` is the blank vertex
-    ``vertices[i]`` with its alive colors in increasing order: the ids a
-    renumbered residual cover would give them, so a round draws the same
-    streams on either.  A list is read as its root list through ``alive``.
-    ``ResidualView(cover)`` is the whole cover, and
-    :attr:`RoundOutcome.residual` advances it in place.
+    Divides integers, so a ``t`` too large for a float gives a tiny ``beta``
+    instead of an ``OverflowError``; raises :class:`ScheduleError` for
+    ``t < 1`` and once ``beta`` rounds to 0.
+    """
+    if t < 1:
+        raise ScheduleError("t must be >= 1")
+    beta = 1 / (25 * t)
+    if not beta > 0.0:
+        raise ScheduleError(f"t of {t.bit_length()} bits is too large: beta = 1/(25t) rounds to 0")
+    return beta
+
+
+class ResidualView:
+    """A partial coloring and its residual, as arrays over a root cover.
+
+    ``color`` holds each root vertex's color, -1 while it is blank; ``alive``
+    marks the colors left on the blank vertices' lists, ``sizes`` counts
+    alive colors per vertex, ``deg`` alive neighbours per alive color.
+    Residual vertex ``i`` is the blank vertex ``vertices[i]`` with its alive
+    colors in increasing order: the ids a renumbered residual cover would
+    give them, so a round draws the same streams on either.  A list is read
+    as its root list through ``alive``.  ``ResidualView(cover)`` is the whole
+    cover, uncolored, and :attr:`RoundOutcome.residual` advances it in place.
     """
 
     def __init__(self, root: DpCover):
         n = root.base.vertex_count
-        self.root, self.blank, self.alive = root, np.ones(n, bool), np.ones(root.num_colors, bool)
+        self.root, self.alive = root, np.ones(root.num_colors, bool)
+        self.color = np.full(n, -1, dtype=np.int64)
         self.sizes, self.deg = root.list_sizes(), root.cover.degrees()
         # gathers of the root lists and of the cover rows
         self.list_rows = _kernels.row_gather(root.lptr, root.lcolors)
@@ -203,7 +219,7 @@ class RoundOutcome:
             raise ValueError("a round was already applied to this residual view")
         colored = self.phi >= 0
         v.alive[self.dying] = False
-        v.blank[self.vertices[colored]] = False
+        v.color[self.vertices[colored]] = self.phi[colored]
         np.subtract.at(v.sizes, v.root.owner[self.dying], 1)
         # dead colors' degrees may fall below 0: nothing reads them
         np.subtract.at(v.deg, v.cover_rows(self.dying), 1)
@@ -212,21 +228,11 @@ class RoundOutcome:
         return v
 
 
-def run_block(view: ResidualView, params: RoundParams, seed: int,
-              block: int) -> tuple[np.ndarray, ...]:
-    """Kernel arrays of ``block`` rounds at seeds ``seed .. seed+block-1`` on
-    ``view``: ``(kept, phi, hits)``, see
-    :func:`_kernels.round_kernel`."""
-    if np.any(view.list_sizes() < 1):
-        raise ValueError("every vertex needs a nonempty list")
-    return _kernels.round_kernel(view, params.eta, seed, block)
-
-
 def run_round(cover: DpCover | ResidualView, params: RoundParams,
               seed: int) -> RoundOutcome:
     """Execute one round; a pure function of (cover, params, seed)."""
     view = cover if isinstance(cover, ResidualView) else ResidualView(cover)
-    return RoundOutcome(view, seed, *run_block(view, params, seed, 1))
+    return RoundOutcome(view, seed, *_kernels.round_kernel(view, params.eta, seed))
 
 
 def round_is_good(outcome: RoundOutcome, ell_target: float, d_target: float) -> bool:

@@ -30,11 +30,11 @@ from ._rng import derive_seed, normalize_seed
 from .analysis import verify_proper
 from .cover import DpCover, regularize, require_valid
 from .errors import (BudgetExceededError, PipelineError, ResampleBudgetError,
-                     RetriesExhaustedError)
+                     RetriesExhaustedError, ScheduleError)
 from .graph import max_degree
 from .nibble import (ResidualView, RoundParams, good_round_targets,
                      run_round_until_good)
-from .schedule import FINISH_RATIO, ScheduleError, ScheduleInput, derive_constants
+from .schedule import FINISH_RATIO, ScheduleInput, derive_constants
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,17 @@ class PipelineConfig:
             raise ValueError("budgets must be >= 1")
 
 
+def default_epsilon(c: DpCover) -> float:
+    """The margin ``color`` uses without ``--epsilon``: the schedule's initial
+    list size then matches the cover's smallest list.  It is kept below the
+    schedule's bound of 100; lists that long are already 8x the degree and
+    need no schedule."""
+    d = max(max_degree(c.cover), 3)
+    sizes = c.list_sizes()
+    ell = int(sizes.min()) if sizes.size else 0
+    return min(max(ell * math.log(d) / d - 1.0, 0.01), math.nextafter(100.0, 0.0))
+
+
 @dataclass(frozen=True)
 class RoundTelemetry:
     iteration: int
@@ -79,28 +90,18 @@ class ColoringResult:
 
 def finish_with_stats(c: DpCover, max_resamples: int, seed: int,
                       view: ResidualView | None = None):
-    """:func:`resample_residual` on ``view``, a residual of ``c`` (by default
-    all of it); its colors as an int64 array over ``c``'s vertices, -1 off
-    the residual, then the resample count and the conflict trajectory."""
-    view = ResidualView(c) if view is None else view
-    coloring = np.full(c.base.vertex_count, -1, dtype=np.int64)
-    coloring[view.vertices], resamples, trajectory = resample_residual(
-        view, max_resamples, seed)
-    return coloring, resamples, trajectory
-
-
-def resample_residual(view: ResidualView, max_resamples: int, seed: int):
-    """Proper colors for the residual vertices by iterated resampling.
+    """Proper colors for the blank vertices of ``view``, a residual of ``c``
+    (by default all of it), by iterated resampling.
 
     Requires every alive list to be at least eight times the residual cover
     degree.  Assigns every residual vertex a uniform alive color, then
     repeatedly picks the first violated cover edge (lexicographic order) and
     redraws both endpoint vertices, until no violation remains or the budget
-    runs out.  Returns the root color ids chosen, by residual rank, the
-    resample count and the conflict trajectory (empty without cover edges).
-    The rows walked are the root cover's: dead colors are never chosen, and
-    ranks and root ids are ordered alike, so the draws are those of a
-    renumbered residual cover.
+    runs out.  Returns a copy of ``view.color`` with these colors filled in,
+    the resample count and the conflict trajectory (empty without cover
+    edges); the view itself is left as it was.  The rows walked are the root
+    cover's: dead colors are never chosen, and ranks and root ids are
+    ordered alike, so the draws are those of a renumbered residual cover.
 
     This is the resampling algorithm of Moser and Tardos, and like it the
     finisher re-checks only the events a redraw can change: a vertex moving
@@ -111,6 +112,7 @@ def resample_residual(view: ResidualView, max_resamples: int, seed: int):
     above it; the first violated edge starts at the first lead.  A resample
     costs O(d) array work plus one scan of ``lead``.
     """
+    view = ResidualView(c) if view is None else view
     d, sizes = view.max_degree(), view.list_sizes()
     if sizes.size and sizes.min() < max(FINISH_RATIO * d, 1):
         raise ValueError(
@@ -128,10 +130,11 @@ def resample_residual(view: ResidualView, max_resamples: int, seed: int):
 
     # one uniform per vertex, in vertex order: the same doubles as scalar draws
     chosen = alive_picks(view, rng.random(sizes.size))
+    coloring = view.color.copy()
+    coloring[view.vertices] = chosen
     if d == 0:
-        return chosen, 0, []
+        return coloring, 0, []
     ptr, idx = root.cover.indptr, root.cover.indices
-    rank = np.cumsum(view.blank) - 1
 
     def row(x: int) -> np.ndarray:
         return idx[ptr[x]:ptr[x + 1]]
@@ -166,7 +169,7 @@ def resample_residual(view: ResidualView, max_resamples: int, seed: int):
     while True:
         trajectory.append(count)
         if count == 0:
-            return chosen, resamples, trajectory
+            return coloring, resamples, trajectory
         if resamples >= max_resamples:
             raise ResampleBudgetError(
                 f"{count} conflicts remain after {resamples} resamples",
@@ -175,9 +178,9 @@ def resample_residual(view: ResidualView, max_resamples: int, seed: int):
         rx = row(x)
         y = int(rx[on[rx] & (rx > x)][0])
         for v in sorted((int(root.owner[x]), int(root.owner[y]))):
-            a, b = int(chosen[rank[v]]), draw(v)
+            a, b = int(coloring[v]), draw(v)
             if a != b:
-                chosen[rank[v]] = b
+                coloring[v] = b
                 count += move(a, b)
         resamples += 1
 
@@ -191,8 +194,6 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
         # tag far outside the per-round range so streams never coincide
         c = regularize(c, max_degree(c.cover), derive_seed(base_seed, 10 ** 9))
 
-    n_orig = original.base.vertex_count
-    phi_total = np.full(c.base.vertex_count, -1, dtype=np.int64)
     view = ResidualView(c)
     telemetry: list[RoundTelemetry] = []
     consts = None
@@ -230,8 +231,6 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
             raise PipelineError(
                 f"round {i}: {exc}", telemetry=telemetry) from exc
 
-        colored = outcome.phi >= 0
-        phi_total[outcome.vertices[colored]] = outcome.phi[colored]
         view = outcome.residual
         res_sizes = view.list_sizes()
         telemetry.append(RoundTelemetry(
@@ -240,7 +239,7 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
             ell=ell_cur, d=d_cur,
             min_kept=int(res_sizes.min()) if res_sizes.size else ell_cur,
             max_residual_degree=view.max_degree(),
-            colored=int(np.count_nonzero(colored)),
+            colored=int(np.count_nonzero(outcome.phi >= 0)),
             remaining=view.vertices.size,
         ))
     else:
@@ -250,14 +249,13 @@ def color_graph(c: DpCover, cfg: PipelineConfig) -> ColoringResult:
         raise PipelineError(str(exhausted), telemetry=telemetry) from exhausted
 
     try:
-        finished, finish_resamples, _ = finish_with_stats(
+        coloring, finish_resamples, _ = finish_with_stats(
             c, cfg.max_finish_resamples, derive_seed(base_seed, 0), view)
-        phi_total[view.vertices] = finished[view.vertices]
     except (ValueError, ResampleBudgetError) as exc:
         raise PipelineError(f"completion failed: {exc}",
                             telemetry=telemetry) from exc
 
-    result = phi_total[:n_orig]
+    result = coloring[:original.base.vertex_count]
     ok, witness = verify_proper(original, result)
     if not ok or np.any(result < 0):
         raise PipelineError(

@@ -29,6 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ScheduleError
+from .nibble import tail_exponent
+
 LD = np.longdouble
 
 # bookkeeping proxies for the unquantified minimum-degree and t-range
@@ -39,25 +42,6 @@ ALPHA_TILDE = 1.0
 # lists at least this many times the cover degree end the nibble rounds and
 # go to the resampling finisher
 FINISH_RATIO = 8
-
-
-class ScheduleError(ValueError):
-    """Schedule inputs outside the meaningful domain (e.g. d too small)."""
-
-
-def tail_exponent(t: int) -> float:
-    """The deviation exponent ``beta = 1/(25 t)`` of a ``t >= 1``.
-
-    Divides integers, so a ``t`` too large for a float gives a tiny ``beta``
-    instead of an ``OverflowError``; raises :class:`ScheduleError` for
-    ``t < 1`` and once ``beta`` rounds to 0.
-    """
-    if t < 1:
-        raise ScheduleError("t must be >= 1")
-    beta = 1 / (25 * t)
-    if not beta > 0.0:
-        raise ScheduleError(f"t of {t.bit_length()} bits is too large: beta = 1/(25t) rounds to 0")
-    return beta
 
 
 @dataclass(frozen=True)

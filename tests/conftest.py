@@ -197,7 +197,7 @@ def residual_cover(view) -> tuple[DpCover, np.ndarray]:
     the root id of every new color.
     """
     root = view.root
-    vertices = np.flatnonzero(view.blank).tolist()
+    vertices = np.flatnonzero(view.color < 0).tolist()
     colors = np.flatnonzero(view.alive)
     vnew = {v: i for i, v in enumerate(vertices)}
     cnew = {x: i for i, x in enumerate(colors.tolist())}

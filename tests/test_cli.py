@@ -584,6 +584,7 @@ def test_commands_import_only_what_they_run(tmp_path):
                                       "--eta", "0.4", "--out", "stats.csv"])
     assert "dpnibble.analysis" in stats
     assert not stats & {"dpnibble.pipeline", "dpnibble.generators"}
+    assert "dpnibble.schedule" not in stats
     color = loaded_modules(tmp_path, ["color", str(cover), "--seed", "9",
                                       "--out", "result.json"])
     assert "dpnibble.pipeline" in color

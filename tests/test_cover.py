@@ -289,7 +289,7 @@ class TestResidual:
     def test_identity_when_nothing_colored(self):
         cov = regular_cover(10, 3, 4, seed=6)
         view = ResidualView(cov)
-        assert view.blank.all() and view.alive.all()
+        assert np.all(view.color < 0) and view.alive.all()
         assert np.array_equal(view.vertices, np.arange(10))
         assert np.array_equal(view.list_sizes(), cov.list_sizes())
         assert np.array_equal(view.deg, cov.cover.degrees())
@@ -316,7 +316,7 @@ class TestResidual:
         # residual vertex i is the i-th blank vertex; its list is its root
         # list through `alive`, and alive colors belong to blank vertices only
         assert np.array_equal(view.vertices, np.flatnonzero(outcome.phi < 0))
-        assert np.all(view.blank[cov.owner[view.alive]])
+        assert np.all(view.color[cov.owner[view.alive]] < 0)
         for i, v in enumerate(view.vertices):
             assert view.list_sizes()[i] == np.count_nonzero(view.alive[cov.lists(int(v))])
 
@@ -328,7 +328,7 @@ class TestResidual:
         p = RoundParams(eta=0.5, d=4, ell=8, beta=0.02)
         for seed in range(5):
             view = run_round(view, p, seed).residual
-            assert np.all(view.blank[cov.owner[view.alive]])
+            assert np.all(view.color[cov.owner[view.alive]] < 0)
             assert np.array_equal(
                 view.sizes, np.bincount(cov.owner[view.alive], minlength=16))
             live = np.flatnonzero(view.alive)

@@ -36,7 +36,8 @@ REGULARIZED = "f06cd426c9e714d318e40c19173b1143a89ec910d9fbab03da98a2ee97851ae4"
 FINISH_ONLY = "d4024a80d7efc1861c24318aec07ee49624024751ca3db9cfb09a1782c6d3aba"
 # 200 trials of stats --anchor 0 on a 16-regular cover with lists of 12
 STATS = "067530bf15680fa03cfacef9f6d5e5619e4ff459b49ea3994933535401877402"
-# 100 trials on a 4,800-color, 16-regular cover: one trial per kernel call
+# 100 trials on a 4,800-color, 16-regular cover, first recorded with one
+# trial per kernel call (3 since the trial blocks grew to 2^18 entries)
 STATS_LARGE = "eb6d8052e0c4672bf8a6cc5fa7bcb684a3211ccb03df5ba77820c1f0f9124264"
 # 200 trials of stats --anchor 3 on the 16-regular base thinned at rho = 0.8,
 # so the cover rows have unequal widths
@@ -45,7 +46,7 @@ STATS_THINNED = "2c6a71d2f9e05477bb355d21194c95639bf94a1d763d9acfc1abc4f4895e9e8
 # unequal cover rows
 THINNED = "173182d6f9412e2e9f523434ce25573d993cbdd49488cdebd41a9f6704e8f369"
 # 1,003 trials on the 4,800-color cover and 5,003 trials of --anchor 0 on the
-# 408-color cover: trial counts that are no multiple of a block (1 and 10
+# 408-color cover: trial counts that are no multiple of a block (3 and 40
 # trials) or of a reduction buffer
 STATS_LARGE_ODD = "94df7c804976d9b1cb4987652a5ef99f1f68c2e070cc3d4a5bf5ec4be8965b7f"
 STATS_ANCHOR_ODD = "f3ba2b257f345b6387975fc58dbf72cfcd4562c8ac8fe2d0556e28d8e89d829c"
@@ -77,6 +78,20 @@ GENERATED = {
     "perfbench_probe": (["--kind", "dp_cover", "--n", "34", "--d", "4", "--ell", "32",
                          "--seed", "79", "--rho", "1"],
                         "4bccb6c7564e0e949a5c3f727792a22ee2cb8bc359d2e5664f40ad554b29ce27"),
+}
+
+# the primary runs of the four perfbench/run.py workloads on the covers it
+# generates (the perfbench_* arguments above), `stats` at --eta 0.1
+PERFBENCH_RUNS = {
+    "calib-color": ("calib", ["color", "--seed", "0"],
+                    "d907e7ac917f58e380c95ea1b524f86abe5fde72064942f6f13c9addd261b295"),
+    "finish-color": ("finish", ["color", "--seed", "0"],
+                     "deabef257b3ffb7237f6b4a01198951bbf48987e003587c2911b2d61672bfc0a"),
+    "stats-small": ("small", ["stats", "--seed", "1", "--trials", "5000", "--eta", "0.1",
+                              "--anchor", "0"],
+                    "6f3d2e5806202a09b54c5f18864f2852c8528a6e21e63f7e619466ad5b3568fd"),
+    "stats-large": ("large", ["stats", "--seed", "1", "--trials", "1000", "--eta", "0.1"],
+                    "0b388c554bbed6c4e29167f40a2459f1997d7fff90241a123b132385be1d6abd"),
 }
 
 
@@ -147,7 +162,7 @@ def test_thinned_result(covers, tmp_path):
     ("large", ["--seed", "6", "--trials", "1003", "--eta", "0.1"], STATS_LARGE_ODD),
     ("stats", ["--seed", "7", "--trials", "5003", "--eta", "0.1", "--anchor", "0"],
      STATS_ANCHOR_ODD),
-], ids=["one-trial-blocks", "thinned", "one-trial-blocks-odd", "anchor-blocks-odd"])
+], ids=["large-blocks", "thinned", "large-blocks-odd", "anchor-blocks-odd"])
 def test_stats_csv(covers, tmp_path, monkeypatch, name, args, expected):
     monkeypatch.chdir(covers[name].parent)
     assert digest(["stats", f"{name}.json"] + args, tmp_path / "s.csv") == expected
@@ -157,3 +172,20 @@ def test_stats_csv(covers, tmp_path, monkeypatch, name, args, expected):
 def test_generated_cover(tmp_path, kind):
     args, expected = GENERATED[kind]
     assert digest(["generate"] + args, tmp_path / "c.json") == expected
+
+
+@pytest.fixture(scope="module")
+def perfbench_covers(tmp_path_factory):
+    root = tmp_path_factory.mktemp("perfbench")
+    for name, _, _ in PERFBENCH_RUNS.values():
+        args, expected = GENERATED[f"perfbench_{name}"]
+        assert digest(["generate"] + args, root / f"{name}.json") == expected
+    return root
+
+
+@pytest.mark.parametrize("workload", sorted(PERFBENCH_RUNS))
+def test_perfbench_run(perfbench_covers, tmp_path, monkeypatch, workload):
+    # the stats CSV header echoes the cover path: run by the relative name
+    monkeypatch.chdir(perfbench_covers)
+    name, (command, *args), expected = PERFBENCH_RUNS[workload]
+    assert digest([command, f"{name}.json"] + args, tmp_path / "out") == expected

@@ -6,7 +6,7 @@ import pytest
 from dpnibble import (Graph, d_next, ell_next, from_list_assignment, good_round_targets,
                       keep_fn, round_is_good, run_round, run_round_until_good, uncolor_fn)
 from dpnibble._rng import scalar_uniform
-from dpnibble.analysis import verify_proper
+from dpnibble.analysis import round_stats, verify_proper
 from dpnibble.errors import RetriesExhaustedError
 from dpnibble.nibble import RoundParams, count_violations
 
@@ -144,8 +144,12 @@ class TestRunRound:
         cov = from_list_assignment(g, [[0], [1]])
         from dpnibble.cover import DpCover
         broken = DpCover(g, cov.cover, [2, 0], [0, 1])
+        # the round kernel refuses it, for `color` and for `stats` alike
+        p = RoundParams(eta=0.5, d=1, ell=1, beta=0.1)
         with pytest.raises(ValueError, match="nonempty"):
-            run_round(broken, RoundParams(eta=0.5, d=1, ell=1, beta=0.1), 0)
+            run_round(broken, p, 0)
+        with pytest.raises(ValueError, match="nonempty"):
+            round_stats(broken, p, 3, 0)
 
 
 class TestGoodRounds:

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from dpnibble import (DpCover, Graph, PipelineConfig, ScheduleInput, color_graph,
                       from_list_assignment, pipeline, uniform_list_cover)
+from dpnibble._kernels import round_kernel
 from dpnibble.analysis import verify_proper
 from dpnibble.errors import PipelineError, ResampleBudgetError, RetriesExhaustedError
 from dpnibble.generators import incidence_graph, random_dp_cover, random_regular
 from dpnibble.graph import max_degree
 from dpnibble.nibble import (ResidualView, RoundParams, count_violations, kept_counts,
-                             residual_degrees, run_block, run_round, run_round_until_good)
-from dpnibble.pipeline import finish_with_stats, resample_residual, result_to_json
+                             residual_degrees, run_round, run_round_until_good)
+from dpnibble.pipeline import default_epsilon, finish_with_stats, result_to_json
 
 from conftest import finish_by_rescan, path_graph, regular_cover, residual_cover
 
@@ -87,9 +88,16 @@ RESCAN_COVERS = {
 
 
 def residual_after(cov, p: RoundParams, rounds: int) -> ResidualView:
-    view = ResidualView(cov)
+    """The view after ``rounds`` rounds from seed 100; its ``color`` holds
+    the rounds' picks, a proper partial coloring."""
+    view, picks = ResidualView(cov), np.full(cov.base.vertex_count, -1)
     for seed in range(100, 100 + rounds):
-        view = run_round(view, p, seed).residual
+        outcome = run_round(view, p, seed)
+        colored = outcome.phi >= 0
+        picks[outcome.vertices[colored]] = outcome.phi[colored]
+        view = outcome.residual
+        assert np.array_equal(view.color, picks)
+        assert verify_proper(cov, view.color)[0]
     return view
 
 
@@ -141,11 +149,15 @@ class TestFinishAgainstRescan:
         cov, root_ids = residual_cover(view)
         assert view.vertices.size == cov.base.vertex_count > 0
         assert (view.max_degree() == 0) == (name == "edgeless")
+        partial = view.color.copy()
         for seed in range(60):
             colors, resamples, trajectory, done = finish_by_rescan(cov, 1000, seed)
             assert done
-            got, got_resamples, got_trajectory = resample_residual(view, 1000, seed)
-            assert got.tolist() == root_ids[colors].tolist(), seed
+            got, got_resamples, got_trajectory = finish_with_stats(view.root, 1000, seed, view)
+            assert got[view.vertices].tolist() == root_ids[colors].tolist(), seed
+            # the rounds' colors are kept, and the view is left as it was
+            assert np.array_equal(got[partial >= 0], partial[partial >= 0])
+            assert np.array_equal(view.color, partial)
             # without cover edges the finisher records no trajectory
             expect = trajectory if cov.cover.num_edges else []
             assert (got_resamples, got_trajectory) == (resamples, expect), seed
@@ -159,7 +171,7 @@ class TestFinishAgainstRescan:
             if done:
                 continue
             with pytest.raises(ResampleBudgetError) as exc:
-                resample_residual(view, 0, seed)
+                finish_with_stats(view.root, 0, seed, view)
             assert exc.value.conflict_trajectory == trajectory
 
     # recorded before the finisher updated its state incrementally
@@ -204,19 +216,34 @@ class TestColorGraph:
         ell = math.ceil(4 * 6 / math.log(6))
         cov = uniform_list_cover(base, ell)
         eps = ell * math.log(6) / 6 - 1
-        assigned = []
+        picks = np.full(cov.base.vertex_count, -1)
+        finished = []
 
         def checked_round(*args, **kwargs):
             # no alive color may neighbour a color assigned so far
             outcome = run_round_until_good(*args, **kwargs)
-            assigned.extend(outcome.phi[outcome.phi >= 0].tolist())
-            for x in assigned:
+            colored = outcome.phi >= 0
+            picks[outcome.vertices[colored]] = outcome.phi[colored]
+            for x in picks[picks >= 0].tolist():
                 assert not outcome.residual.alive[cov.cover.neighbors(x)].any(), x
+            # the view holds the accepted rounds' picks, -1 elsewhere
+            assert np.array_equal(outcome.residual.color, picks)
             return outcome
 
+        def checked_finish(c, max_resamples, seed, view):
+            # the finisher completes a copy of the view's coloring
+            out = finish_with_stats(c, max_resamples, seed, view)
+            assert np.array_equal(view.color, picks)
+            assert np.array_equal(out[0][picks >= 0], picks[picks >= 0])
+            finished.append(out[0])
+            return out
+
         monkeypatch.setattr(pipeline, "run_round_until_good", checked_round)
+        monkeypatch.setattr(pipeline, "finish_with_stats", checked_finish)
         res = color_graph(cov, quick_cfg(6, eps, seed=7))
         assert len(res.rounds) > 0
+        assert np.count_nonzero(picks >= 0) == sum(t.colored for t in res.rounds) > 0
+        assert len(finished) == 1 and np.array_equal(res.coloring, finished[0])
         ok, _ = verify_proper(cov, res.coloring)
         assert ok and np.all(res.coloring >= 0)
         # telemetry is coherent
@@ -300,7 +327,7 @@ class TestResultJson:
 # ---------------------------------------------------------------------------
 
 
-STATE = ("blank", "alive", "sizes", "deg", "vertices")
+STATE = ("color", "alive", "sizes", "deg", "vertices")
 
 
 def snapshot(view: ResidualView) -> SimpleNamespace:
@@ -321,21 +348,21 @@ def full_array_round(before: SimpleNamespace, p: RoundParams, seed: int, ell_t: 
                      d_t: float) -> SimpleNamespace:
     """The round at ``seed`` recomputed by the full-array helpers ``stats``
     runs, on the residual cover of the state ``before``, and mapped back to
-    root ids: ``phi``, the kept sizes, the next ``alive``, ``blank`` and
+    root ids: ``phi``, the kept sizes, the next ``alive``, ``color`` and
     degrees, and the violation counts."""
     cov, root_ids = before.cover, before.root_ids
     view = ResidualView(cov)
-    kept, phi, _ = run_block(view, p, seed, 1)
+    kept, phi, _ = round_kernel(view, p.eta, seed)
     sizes = kept_counts(view, kept)[0]
     alive = np.zeros_like(before.alive)
     alive[root_ids[kept[0] & (phi[0] < 0)[cov.owner]]] = True
     deg = np.zeros_like(before.deg)
     deg[root_ids] = residual_degrees(view, kept, phi < 0)[0]
-    blank = before.blank.copy()
-    blank[before.vertices[phi[0] >= 0]] = False
+    picks = np.where(phi[0] >= 0, root_ids[phi[0]], -1)
+    color = before.color.copy()
+    color[before.vertices[picks >= 0]] = picks[picks >= 0]
     return SimpleNamespace(
-        phi=np.where(phi[0] >= 0, root_ids[phi[0]], -1), kept_sizes=sizes,
-        alive=alive, blank=blank, deg=deg,
+        phi=picks, kept_sizes=sizes, alive=alive, color=color, deg=deg,
         counts=(int(np.count_nonzero(sizes <= max(ell_t, 0))),
                 int(np.count_nonzero(deg[alive] >= d_t))))
 
@@ -368,10 +395,10 @@ class CheckedRounds:
         after = outcome.residual
         assert after is view
         assert np.array_equal(after.alive, ref.alive)
-        assert np.array_equal(after.blank, ref.blank)
-        assert np.array_equal(after.vertices, np.flatnonzero(ref.blank))
+        assert np.array_equal(after.color, ref.color)
+        assert np.array_equal(after.vertices, np.flatnonzero(ref.color < 0))
         assert np.array_equal(after.sizes, np.bincount(view.root.owner[ref.alive],
-                                                       minlength=ref.blank.size))
+                                                       minlength=ref.color.size))
         assert np.array_equal(after.list_sizes(), after.sizes[after.vertices])
         assert np.array_equal(after.deg[ref.alive], ref.deg[ref.alive])
         assert after.max_degree() == int(ref.deg[ref.alive].max(initial=0))
@@ -404,9 +431,7 @@ def random_covers(draw) -> DpCover:
 
 def cli_cfg(cov, seed: int) -> PipelineConfig:
     """The configuration ``dpnibble color`` builds without ``--epsilon``."""
-    d = max(max_degree(cov.cover), 1)
-    ell = int(cov.list_sizes().min())
-    return quick_cfg(d, min(max(ell * math.log(max(d, 3)) / max(d, 3) - 1.0, 0.01), 99.0), seed)
+    return quick_cfg(max(max_degree(cov.cover), 1), default_epsilon(cov), seed)
 
 
 class TestRoundStateAgainstFullArrays:
