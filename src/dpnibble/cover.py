@@ -9,9 +9,13 @@ no two picks adjacent in ``H``.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import os
+import stat
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -358,6 +362,11 @@ _MAX_ID = 10 ** 18
 # byte that is no digit, so it splits no run of digits; it keeps the masks and
 # copies of a parse small, and none of them is document-sized
 _PARSE_BLOCK = 1 << 18
+# the sidecar PATH.dpcache of a cover file PATH: _MAGIC, the int64 words (file
+# size, n, base pairs, cover pairs, lists, entries), the file's sha256, then the
+# base edges, cover edges, list sizes and list entries as raw int64 arrays
+_MAGIC = b"dpcache\x01"
+_SIDE_HEAD = len(_MAGIC) + 6 * 8 + 32
 
 
 def _blocks(fh):
@@ -376,12 +385,13 @@ def _blocks(fh):
             size *= 2
 
 
-def _canonical_parts(fh):
+def _canonical_parts(fh, h=None):
     """``(vertex_count, base edges, cover edges, list sizes, list entries)`` of
     the document in the seekable binary stream ``fh`` if it is byte for byte
     what :func:`cover_to_json` writes; else None.  The edges are (m, 2)
     arrays; they and the entries are views of one array of all the
-    document's numbers, the only document-sized array of a parse.
+    document's numbers, the only document-sized array of a parse.  The hash
+    ``h``, if given, is updated with the bytes of the first pass.
 
     The layout is checked on the skeleton, the text with each run of digits
     cut to one ``0``, and no run of two or more digits may start with ``0``.
@@ -392,6 +402,8 @@ def _canonical_parts(fh):
     """
     blocks, pieces = [], []
     for block in _blocks(fh):
+        if h:
+            h.update(block)
         buf = np.frombuffer(block, np.uint8)
         digit = (buf - ord("0")) < 10  # uint8 subtraction wraps the lower bytes past 9
         # the skeleton keeps every byte but the second and later digits of a
@@ -485,12 +497,15 @@ def _edge_array(value, what: str, exact: bool) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _json_parts(fh):
+def _json_parts(fh, h=None):
     """The parts :func:`_canonical_parts` returns, of any JSON document in the
     seekable binary stream ``fh``: one ``json.loads`` of its UTF-8 text, and
-    a document not shaped like a cover raises ValueError."""
+    a document not shaped like a cover raises ValueError.  The hash ``h``, if
+    given, is updated with the text."""
     fh.seek(0)
     text = fh.read()
+    if h:
+        h.update(text)
     # a JSON boolean needs a true/false token in the text
     exact = b"true" in text or b"false" in text
     text = text.decode()
@@ -509,6 +524,32 @@ def _json_parts(fh):
             _edge_array(cover_edges, "cover_edges", exact), *_flat_lists(lists))
 
 
+def _read_sidecar(fh, side: str, size: int):
+    """The parts in the sidecar ``side`` if it is keyed by the ``size`` bytes of
+    ``fh`` and trusted: a regular file of this user that group and others
+    cannot write, whose header fits ``fh`` and its own length; else None."""
+    # no symbolic link, no wait for a FIFO's writer; open closes what it refuses
+    with suppress(OSError), open(side, "rb", opener=lambda p, f: os.open(
+            p, f | os.O_NONBLOCK | os.O_NOFOLLOW)) as sc:
+        # a header cut short is padded here and fails the length check
+        st, head = os.fstat(sc.fileno()), sc.read(_SIDE_HEAD).ljust(_SIDE_HEAD, b"\0")
+        got, n, mb, mc, nl, ne = map(int, np.frombuffer(head, np.int64, 6, len(_MAGIC)))
+        words = (2 * mb, 2 * mc, nl, ne)
+        if not (head.startswith(_MAGIC) and stat.S_ISREG(st.st_mode)
+                and st.st_uid == os.geteuid() and not st.st_mode & 0o022 and got == size
+                and min(words) >= 0 and st.st_size == _SIDE_HEAD + 8 * sum(words)):
+            return None
+        h, buf = hashlib.sha256(), bytearray(_PARSE_BLOCK)
+        fh.seek(0)
+        while k := fh.readinto(buf):
+            h.update(memoryview(buf)[:k])
+        # a part per array: the cover graph built in one keeps no other alive
+        parts = [np.empty(k, np.int64) for k in words]
+        if h.digest() == head[-32:] and all(sc.readinto(a) == a.nbytes for a in parts):
+            return n, parts[0].reshape(mb, 2), parts[1].reshape(mc, 2), parts[2], parts[3]
+    return None
+
+
 def cover_from_json(source) -> DpCover:
     """Parse and validate a cover document, given as text, UTF-8 bytes or a
     binary file read from its start; refuses invalid covers.
@@ -520,6 +561,10 @@ def cover_from_json(source) -> DpCover:
     document is read by :func:`_json_parts` and refused with the same
     messages.  Both paths end in one tail, which builds the cover graph in
     the cover edges' array, the one document-sized array of a load.
+
+    A valid cover in a regular file ``PATH`` gets the sidecar ``PATH.dpcache``
+    of its parsed numbers, keyed by the sha256 of the bytes parsed; a later
+    load of the same bytes reads the numbers there and runs the same tail.
     """
     if isinstance(source, str):
         source = source.encode()
@@ -527,14 +572,42 @@ def cover_from_json(source) -> DpCover:
         source = io.BytesIO(source)
     elif not source.seekable():
         source = io.BytesIO(source.read())
-    n, base_edges, cover_edges, sizes, lcolors = (_canonical_parts(source)
-                                                  or _json_parts(source))
+    side = size = h = tmp = done = None
+    with suppress(OSError):  # io.UnsupportedOperation, from fileno, is one
+        st = os.fstat(source.fileno())
+        if (isinstance(source.name, str) and stat.S_ISREG(st.st_mode) and hasattr(os, "geteuid")
+                and os.path.samestat(os.lstat(source.name), st)):
+            side, size = source.name + ".dpcache", st.st_size
+    if not (parts := side and _read_sidecar(source, side, size)):
+        # each parse hashes the bytes it reads, the key of a new sidecar
+        parts = (_canonical_parts(source, h := side and hashlib.sha256())
+                 or _json_parts(source, h := side and hashlib.sha256()))
+    n, base_edges, cover_edges, sizes, lcolors = parts
     if type(n) is not int or n != sizes.size:
         raise ValueError(f"base.vertex_count must equal the number of lists "
                          f"({sizes.size}), got {n!r}")
-    base = Graph.from_edges(n, base_edges)
-    # both paths own cover_edges, a fresh C-contiguous (m, 2) int64 array
-    cov = DpCover(base, Graph.from_pairs(int(sizes.sum()), cover_edges), sizes, lcolors)
-    # the base edges and entries may be views of the parsed numbers: free them
-    del base_edges, cover_edges, lcolors
-    return require_valid(cov)
+    # the sidecar of the ``size`` bytes parsed is staged before the tail builds in cover_edges
+    if h and source.tell() == size:
+        counts = np.array([size, n, len(base_edges), len(cover_edges), n, len(lcolors)], np.int64)
+        with suppress(OSError):
+            tmp = f"{side}.{os.getpid()}"
+            with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644), "wb") as out:
+                out.write(_MAGIC + counts.tobytes() + h.digest())
+                for a in (base_edges, cover_edges, sizes, lcolors):
+                    a.tofile(out)
+            done = True
+    try:
+        base = Graph.from_edges(n, base_edges)
+        # both paths own cover_edges, a fresh C-contiguous (m, 2) int64 array
+        cov = DpCover(base, Graph.from_pairs(int(sizes.sum()), cover_edges), sizes, lcolors)
+        # the base edges and entries may be views of the parsed numbers: free them
+        del base_edges, cover_edges, lcolors
+        require_valid(cov)
+        if done:
+            with suppress(OSError):
+                os.replace(tmp, side)
+    finally:  # a refused cover, a sidecar not written whole or not moved, a stale file
+        if tmp:
+            with suppress(OSError):
+                os.unlink(tmp)
+    return cov

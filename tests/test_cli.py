@@ -241,19 +241,28 @@ class TestColor:
         assert json.loads(out.read_text())["verified"] is True
 
     def test_cover_from_a_pipe(self, tmp_path):
-        # /dev/stdin on a pipe cannot seek, so the loader reads it whole
+        # /dev/stdin on a pipe cannot seek, so the loader reads it whole; on a
+        # redirected file it is a link, not the file: neither gets a sidecar
         from dpnibble import uniform_list_cover
         from dpnibble.generators import incidence_graph
         path = self.write_cover(tmp_path, uniform_list_cover(incidence_graph(3, seed=0), 12))
-        results = []
-        for name, source in (("file", str(path)), ("pipe", "/dev/stdin")):
+        results, made = [], ["cover.json"]
+        for name, source in (("pipe", "/dev/stdin"), ("redirect", "/dev/stdin"),
+                             ("file", str(path))):
             out = tmp_path / f"{name}.json"
-            r = subprocess.run([sys.executable, "-m", "dpnibble.cli", "color", source, "--seed",
-                                "9", "--out", str(out)], input=path.read_bytes(),
-                               capture_output=True, env=SRC_ENV)
+            with open(path, "rb") as fh:
+                stdin = {"stdin": fh} if name == "redirect" else {"input": fh.read()}
+                r = subprocess.run([sys.executable, "-m", "dpnibble.cli", "color", source,
+                                    "--seed", "9", "--out", str(out)],
+                                   capture_output=True, env=SRC_ENV, **stdin)
             assert r.returncode == 0, r.stderr
             results.append(out.read_bytes())
-        assert results[0] == results[1]
+            made.append(out.name)
+            if name != "file":
+                assert sorted(p.name for p in tmp_path.iterdir()) == sorted(made)
+        assert not os.path.exists("/dev/stdin.dpcache")
+        assert (tmp_path / "cover.json.dpcache").exists()
+        assert results[0] == results[1] == results[2]
 
     def test_small_real_instance(self, runner, tmp_path):
         from dpnibble import uniform_list_cover
@@ -497,9 +506,168 @@ def test_color_validates_a_loaded_cover_once(runner, tmp_path, monkeypatch):
     calls = []
     validate = cover.validate
     monkeypatch.setattr(cover, "validate", lambda c: calls.append(c) or validate(c))
-    r = invoke(runner, ["color", str(path), "--seed", "1"])
-    assert r.exit_code == 0, r.output
-    assert len(calls) == 1
+    for run in (1, 2):  # cold, then warm from the sidecar
+        r = invoke(runner, ["color", str(path), "--seed", "1"])
+        assert r.exit_code == 0, r.output
+        assert len(calls) == run
+    assert (tmp_path / "cover.json.dpcache").exists()
+
+
+class TestParseCache:
+    """A valid cover file gets a sidecar PATH.dpcache of its parsed numbers,
+    which a later load uses only if it is trusted and keyed by the file's
+    bytes; the outputs and exit codes never depend on it."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        from dpnibble import cover_to_json
+        from conftest import regular_cover
+        p = tmp_path / "cover.json"
+        p.write_text(cover_to_json(regular_cover(10, 2, 16, seed=2)))
+        return p
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The number of text parses so far."""
+        from dpnibble import cover
+        calls = []
+        parse = cover._canonical_parts
+        monkeypatch.setattr(cover, "_canonical_parts", lambda *a: calls.append(a) or parse(*a))
+        return calls
+
+    def run(self, runner, path, command="color", code=0):
+        """The output bytes of ``command`` on ``path``, which exits ``code``."""
+        out = path.parent / "out"
+        out.unlink(missing_ok=True)
+        args = {"color": ["color", str(path), "--seed", "1"],
+                "stats": ["stats", str(path), "--seed", "1", "--trials", "20", "--eta", "0.5"]}
+        r = invoke(runner, args[command] + ["--out", str(out)])
+        assert r.exit_code == code, r.output
+        return out.read_bytes() if code == 0 else r.output
+
+    @staticmethod
+    def files(path):
+        return sorted(p.name for p in path.parent.iterdir() if p.name != "out")
+
+    @pytest.mark.parametrize("command", ["color", "stats"])
+    def test_cold_and_warm_outputs_agree(self, runner, path, parses, command):
+        assert self.files(path) == ["cover.json"]
+        cold = self.run(runner, path, command)
+        assert len(parses) == 1 and self.files(path) == ["cover.json", "cover.json.dpcache"]
+        assert self.run(runner, path, command) == cold
+        assert len(parses) == 1
+
+    def test_warm_cover_edges_are_their_own_array(self, runner, path):
+        from dpnibble import cover_from_json
+        self.run(runner, path)
+        with open(path, "rb") as fh:
+            c = cover_from_json(fh)
+        base = c.cover.indices.base
+        assert base is None or base.nbytes <= c.cover.indices.nbytes
+
+    @pytest.mark.parametrize("edit", ["trailing-space", "another-cover"])
+    def test_same_size_edit_rewrites_the_sidecar(self, runner, path, parses, tmp_path_factory,
+                                                 edit):
+        from dpnibble import cover_to_json
+        from conftest import regular_cover
+        cold = self.run(runner, path)
+        old = (path.parent / "cover.json.dpcache").read_bytes()
+        if edit == "trailing-space":  # the same cover, no longer canonical text
+            text = path.read_bytes()[:-1] + b" "
+        else:  # a cover of the same size with other edges and lists
+            text = cover_to_json(regular_cover(10, 2, 16, seed=3)).encode()
+        assert len(text) == path.stat().st_size and text != path.read_bytes()
+        path.write_bytes(text)
+        fresh = tmp_path_factory.mktemp("fresh") / "cover.json"
+        fresh.write_bytes(text)
+        expected = self.run(runner, fresh)
+        assert (expected == cold) == (edit == "trailing-space")
+        assert self.run(runner, path) == expected and len(parses) == 3
+        new = (path.parent / "cover.json.dpcache").read_bytes()
+        assert new != old
+        assert self.run(runner, path) == expected and len(parses) == 3
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[:len(b) // 2],
+        lambda b: b[:20],
+        lambda b: bytes(range(256)) * (len(b) // 256) + b[:len(b) % 256],
+        lambda b: b"x" + b[1:],
+        lambda b: b + b"\0" * 8,
+    ], ids=["truncated", "header-cut", "garbage", "wrong-magic", "too-long"])
+    def test_damaged_sidecar_is_ignored(self, runner, path, parses, damage):
+        cold = self.run(runner, path)
+        side = path.parent / "cover.json.dpcache"
+        good = side.read_bytes()
+        side.write_bytes(damage(good))
+        assert self.run(runner, path) == cold and len(parses) == 2
+        assert side.read_bytes() == good
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo", "symlink"])
+    def test_sidecar_that_is_no_regular_file_is_ignored(self, runner, path, kind):
+        good = path.parent / "good.dpcache"
+        cold = self.run(runner, path)
+        side = path.parent / "cover.json.dpcache"
+        side.rename(good)
+        {"directory": side.mkdir, "fifo": lambda: os.mkfifo(side),
+         "symlink": lambda: side.symlink_to(good)}[kind]()
+        # in a process of its own, so that a load waiting on the FIFO times out
+        r = subprocess.run([sys.executable, "-m", "dpnibble.cli", "color", str(path), "--seed",
+                            "1", "--out", str(path.parent / "out")],
+                           capture_output=True, env=SRC_ENV, timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert (path.parent / "out").read_bytes() == cold
+        assert self.files(path) == ["cover.json", "cover.json.dpcache", "good.dpcache"]
+        if kind == "directory":  # no sidecar can take its place
+            assert side.is_dir()
+        else:
+            assert not side.is_symlink() and side.read_bytes() == good.read_bytes()
+
+    def test_sidecar_others_can_write_is_ignored(self, runner, path, parses):
+        cold = self.run(runner, path)
+        side = path.parent / "cover.json.dpcache"
+        side.chmod(0o666)
+        assert self.run(runner, path) == cold and len(parses) == 2
+        assert not side.stat().st_mode & 0o022
+        assert self.run(runner, path) == cold and len(parses) == 2
+
+    def test_sidecar_of_another_user_is_ignored(self, runner, path, parses, monkeypatch):
+        cold = self.run(runner, path)
+        uid = os.geteuid()
+        monkeypatch.setattr(os, "geteuid", lambda: uid + 1)
+        assert self.run(runner, path) == cold and len(parses) == 2
+        monkeypatch.setattr(os, "geteuid", lambda: uid)
+        assert self.run(runner, path) == cold and len(parses) == 2
+
+    def test_failing_write_still_exits_zero(self, runner, path, parses, monkeypatch):
+        def refuse(*args):
+            raise OSError(errno.EACCES, "refused")
+        cold = self.run(runner, path)
+        (path.parent / "cover.json.dpcache").unlink()
+        monkeypatch.setattr(os, "replace", refuse)
+        assert self.run(runner, path) == cold and len(parses) == 2
+        assert self.files(path) == ["cover.json"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace('"lists":[[', '"lists":[[999', 1),  # an entry out of range
+        lambda t: t.replace('"vertex_count":10', '"vertex_count":11', 1),
+        lambda t: t[:-3],
+    ], ids=["invalid-cover", "list-count", "cut-short"])
+    def test_refused_cover_leaves_no_sidecar(self, runner, path, edit):
+        path.write_text(edit(path.read_text()))
+        for command in ("color", "stats"):
+            assert "error: cannot load cover:" in self.run(runner, path, command, code=2)
+            assert self.files(path) == ["cover.json"]
+
+    def test_invalid_cover_leaves_no_sidecar(self, runner, path):
+        from dpnibble import cover_to_json
+        from dpnibble.cover import DpCover
+        from dpnibble.graph import Graph
+        # one list holds both ends of a cover edge: every part parses, and
+        # validate refuses the cover
+        cov = DpCover(Graph.empty(2), Graph.from_edges(2, [(0, 1)]), [2, 0], [0, 1])
+        path.write_text(cover_to_json(cov))
+        assert "error: cannot load cover:" in self.run(runner, path, code=2)
+        assert self.files(path) == ["cover.json"]
 
 
 class TestEmptyCover:
@@ -769,6 +937,10 @@ def mutated_documents():
 
 
 class TestHostileCoverFiles:
+    """Every mutation is written to the same path, so it meets the sidecar a
+    valid cover of an earlier example left there: a stale sidecar, often for
+    a file of the same size, must never change what the loader does."""
+
     @given(data=mutated_documents())
     @settings(max_examples=500, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

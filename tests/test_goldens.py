@@ -188,4 +188,9 @@ def test_perfbench_run(perfbench_covers, tmp_path, monkeypatch, workload):
     # the stats CSV header echoes the cover path: run by the relative name
     monkeypatch.chdir(perfbench_covers)
     name, (command, *args), expected = PERFBENCH_RUNS[workload]
-    assert digest([command, f"{name}.json"] + args, tmp_path / "out") == expected
+    # the first run parses the text and leaves the sidecar, the second reads it
+    side = perfbench_covers / f"{name}.json.dpcache"
+    assert not side.exists()
+    assert digest([command, f"{name}.json"] + args, tmp_path / "cold") == expected
+    assert side.exists()
+    assert digest([command, f"{name}.json"] + args, tmp_path / "warm") == expected
