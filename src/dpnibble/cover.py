@@ -131,13 +131,15 @@ def _base_adjacency(base: Graph):
 
 
 def validate(c: DpCover, max_violations: int = 1000) -> list[Violation]:
-    """All structural defects of a cover; empty list iff the cover is valid.
+    """The first ``max_violations`` (>= 1) structural defects of a cover; empty iff it is valid.
 
     The partition defects come first, then the cover edges inside a list, then
     those across a non-edge of the base (both in lexicographic edge order),
     then each color with two partners in one list, ordered by color and list.
     The cover CSR is read in row blocks of about ``_VALIDATE_BLOCK`` entries.
     """
+    if max_violations < 1:
+        raise ValueError(f"max_violations must be >= 1, got {max_violations}")
     out: list[Violation] = []
 
     def add(found, kind, *ids):
@@ -305,6 +307,9 @@ def regularize(c: DpCover, d: int, seed: int) -> DpCover:
 
 
 _CANONICAL = {"sort_keys": True, "separators": (",", ":")}
+# the canonical document is these pieces joined around its four parts: the
+# base edges' pairs, the vertex count, the cover edges' pairs and the lists
+_LAYOUT = ('{"base":{"edges":[', '],"vertex_count":', '},"cover_edges":[', '],"lists":', '}\n')
 
 
 def cover_to_json(c: DpCover) -> str:
@@ -313,23 +318,23 @@ def cover_to_json(c: DpCover) -> str:
     The two edge arrays are formatted straight from their ids, which gives
     the same text as dumping them as lists of pairs.
     """
+    head, l1, l2, l3, tail = _LAYOUT
     lists = json.dumps([lst.tolist() for lst in c.all_lists()], **_CANONICAL)
-    base = _pairs_text(c.base.edge_array(), c.base.vertex_count)
-    return (f'{{"base":{{"edges":{base},"vertex_count":{c.base.vertex_count}}},'
-            f'"cover_edges":{_pairs_text(c.cover.edge_array(), c.num_colors)},'
-            f'"lists":{lists}}}\n')
+    return "".join((head, _pairs_text(c.base.edge_array(), c.base.vertex_count), l1,
+                    str(c.base.vertex_count), l2, _pairs_text(c.cover.edge_array(), c.num_colors),
+                    l3, lists, tail))
 
 
 def _pairs_text(e: np.ndarray, count: int) -> str:
     """``json.dumps`` of an (m, 2) array of ids below ``count`` as a list of
-    pairs, without spaces.
+    pairs, without spaces or the outer brackets (:data:`_LAYOUT` has them).
 
     Row ``i`` of a table holds the word ``[i,`` and row ``count + i`` the word
     ``i],``, each NUL-padded to ``w + 2`` bytes for ``w`` digits; one gather at
     the ids ``a`` and ``count + b`` of every pair spells the text.
     """
     if not len(e):
-        return "[]"
+        return ""
     ids = np.arange(count, dtype=np.int64)
     w = len(str(count - 1))
     power = 10 ** np.arange(w - 1, -1, -1, dtype=np.int64)
@@ -342,16 +347,9 @@ def _pairs_text(e: np.ndarray, count: int) -> str:
     table[count:, :-2], table[count:, -2] = digits, ord("]")
     table[:, -1] = ord(",")
     words = np.take(table, (e + [0, count]).ravel(), axis=0)
-    return "[" + words.tobytes().replace(b"\0", b"")[:-1].decode() + "]"
+    return words.tobytes().replace(b"\0", b"")[:-1].decode()
 
 
-# the skeleton of a canonical document, each run of digits cut to one 0:
-# _HEAD, the base edges' pairs, _MID, the cover edges' pairs, _LISTS, the
-# lists, _TAIL
-_HEAD = b'{"base":{"edges":['
-_MID = b'],"vertex_count":0},"cover_edges":['
-_LISTS = b'],"lists":['
-_TAIL = b']}\n'
 # tables for bytes.translate: digits stay and every other byte becomes a
 # space; every digit becomes 0 and every other byte stays
 _DIGITS_ONLY = bytes(c if c in b"0123456789" else 32 for c in range(256))
@@ -395,6 +393,8 @@ def _canonical_parts(fh, h=None):
 
     The layout is checked on the skeleton, the text with each run of digits
     cut to one ``0``, and no run of two or more digits may start with ``0``.
+    Piece by piece, it must equal what :func:`cover_to_json` writes around
+    :data:`_LAYOUT` for the counts it spells, with every number 0.
     A second pass reads the numbers by ``np.fromstring`` from a copy of each
     block with every other byte turned into a space.  Both passes read the
     file block by block (:func:`_blocks`); a block that the second pass reads
@@ -421,18 +421,28 @@ def _canonical_parts(fh, h=None):
         blocks.append((len(block), zlib.crc32(block), pieces[-1].count(b"0")))  # one 0 per number
     skeleton = b"".join(pieces)
     del pieces
-    if not (skeleton.startswith(_HEAD) and skeleton.endswith(_TAIL)):
+    # the counts the skeleton spells: a pair [0,0] takes 5 bytes, then a comma
+    head, l1, l2, l3, tail = (piece.encode() for piece in _LAYOUT)
+    mid = l1 + b"0" + l2
+    if (b := skeleton.find(mid)) < 0 or (e := skeleton.find(l3, b)) < 0:
         return None
-    mid = skeleton.find(_MID, len(_HEAD))
-    lists = skeleton.find(_LISTS, mid + len(_MID))
-    if mid < 0 or lists < 0:
+    mb, mc = (b - len(head) + 1) // 6, (e - b - len(mid) + 1) // 6
+    region = np.frombuffer(skeleton, np.uint8)[e + len(l3):len(skeleton) - len(tail)]
+    # past the outer [, a list of k > 0 entries and the byte after it take 2k + 2 bytes, [] 3
+    opens = np.flatnonzero(region == ord("["))
+    sizes = np.diff(opens[1:], append=region.size) // 2 - 1
+    counts = sizes.tolist()  # a set of these: np.unique would import numpy.ma (0.5 MB)
+    zeros = {k: b"[" + (b"0," * k)[:-1] + b"]" for k in set(counts)}
+    # the writer's pieces for those counts, one at a time: wrong counts spell another
+    pos = 0
+    for piece in (head, (b"[0,0]," * mb)[:-1], mid, (b"[0,0]," * mc)[:-1], l3,
+                  b"[" + b",".join(map(zeros.__getitem__, counts)) + b"]", tail):
+        if not skeleton.startswith(piece, pos):
+            return None
+        pos += len(piece)
+    if pos != len(skeleton):
         return None
-    mb = _pair_count(skeleton, len(_HEAD), mid)
-    mc = _pair_count(skeleton, mid + len(_MID), lists)
-    sizes = _list_sizes(skeleton, lists + len(_LISTS), len(skeleton) - len(_TAIL))
-    if mb is None or mc is None or sizes is None:
-        return None
-    del skeleton
+    del skeleton, region
     at = 2 * mb  # where vertex_count is
     end = at + 1 + 2 * mc  # where the list entries start
     # the skeleton holds one 0 per number, so the blocks' counts add up to
@@ -452,34 +462,6 @@ def _canonical_parts(fh, h=None):
         return None
     return (int(ids[at]), ids[:at].reshape(mb, 2), ids[at + 1:end].reshape(mc, 2),
             sizes, ids[end:])
-
-
-def _pair_count(skeleton: bytes, a: int, b: int) -> int | None:
-    """m if ``skeleton[a:b]`` is m pairs ``[0,0]`` with commas between."""
-    m = (b - a + 1) // 6
-    pairs = (b"[0,0]," * m)[:-1]
-    return m if len(pairs) == b - a and skeleton.startswith(pairs, a) else None
-
-
-def _list_sizes(skeleton: bytes, a: int, b: int) -> np.ndarray | None:
-    """The sizes of the lists if ``skeleton[a:b]`` is their skeleton, a
-    ``[0,...,0]`` or ``[]`` per list with commas between; else None."""
-    region = np.frombuffer(skeleton, np.uint8, b - a, a)
-    # a list of k >= 1 entries takes 2k + 1 bytes, an empty one 2, then a comma
-    opens = np.flatnonzero(region == ord("["))
-    sizes = np.diff(opens, append=region.size + 1) // 2 - 1
-    if np.any(sizes < 0):
-        return None
-    length = 2 * sizes + 1 + (sizes == 0)
-    starts = np.cumsum(length + 1) - length - 1
-    if region.size != (starts[-1] + length[-1] if sizes.size else 0):
-        return None
-    expected = np.full(region.size, ord(","), np.uint8)
-    expected[starts] = ord("[")
-    expected[starts + length - 1] = ord("]")
-    first = np.repeat(starts + 1 - 2 * (np.cumsum(sizes) - sizes), sizes)
-    expected[first + 2 * np.arange(first.size)] = ord("0")
-    return sizes if np.array_equal(expected, region) else None
 
 
 def _edge_array(value, what: str, exact: bool) -> np.ndarray:

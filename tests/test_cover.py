@@ -244,6 +244,14 @@ class TestValidate:
             "color-in-no-list(9,)", "color-in-multiple-lists(1,)",
             "list-not-independent(3, 6, 7)"]
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_refused(self, cap):
+        # a cap below 1 once returned [], the answer for a valid cover
+        g = Graph.from_edges(2, [(0, 1)])
+        cov = DpCover.from_lists(g, Graph.from_edges(4, [(0, 1)]), [[0, 1], [2, 3]])
+        with pytest.raises(ValueError, match="max_violations must be >= 1"):
+            validate(cov, max_violations=cap)
+
     def test_thrice_matched_color_reported_once(self):
         g = Graph.from_edges(2, [(0, 1)])
         cover_graph = Graph.from_edges(6, [(0, 3), (0, 4), (0, 5)])
@@ -529,6 +537,7 @@ NON_CANONICAL_EDITS = [
     ('{"base":{', '{"base":{"cover_edges":[[0,1]],'),  # key inside base
     ('{"base":', '{"a":1,"base":'),                  # key before base
     ("]],\"lists\"", "]], \"lists\""),
+    ("}\n", "}\n\n"),                                 # a byte after the layout
 ]
 
 
@@ -558,6 +567,21 @@ class TestCanonicalFastPath:
         text = cover_to_json(cov)
         assert cover_module._canonical_parts(io.BytesIO(text.encode())) is not None
         assert load_outcome(text) == load_outcome(text, fast=False)
+
+    def test_many_small_lists_take_the_fast_path(self):
+        # 50,000 lists of 0-3 entries and no edges: the check renders the
+        # lists from a table of one zero list per size
+        rng = np.random.default_rng(33)
+        sizes = rng.integers(0, 4, 50_000)
+        total = int(sizes.sum())
+        cov = DpCover(Graph.empty(sizes.size), Graph.empty(total), sizes, rng.permutation(total))
+        text = cover_to_json(cov).encode()
+        parts = cover_module._canonical_parts(io.BytesIO(text))
+        want = cover_module._json_parts(io.BytesIO(text))
+        assert parts is not None and parts[0] == want[0] == sizes.size
+        for got, exp in zip(parts[1:], want[1:]):
+            assert np.array_equal(got, exp)
+        assert np.array_equal(parts[3], sizes)
 
     @settings(max_examples=300, deadline=None)
     @given(canonical_covers(), st.data())

@@ -191,6 +191,10 @@ def test_perfbench_run(perfbench_covers, tmp_path, monkeypatch, workload):
     # the first run parses the text and leaves the sidecar, the second reads it
     side = perfbench_covers / f"{name}.json.dpcache"
     assert not side.exists()
-    assert digest([command, f"{name}.json"] + args, tmp_path / "cold") == expected
+    with monkeypatch.context() as m:
+        # the cold load must take the canonical fast path: json.loads of a
+        # benchmark cover would multiply the load's peak memory
+        m.setattr("dpnibble.cover._json_parts", lambda *a: pytest.fail("json.loads path"))
+        assert digest([command, f"{name}.json"] + args, tmp_path / "cold") == expected
     assert side.exists()
     assert digest([command, f"{name}.json"] + args, tmp_path / "warm") == expected
