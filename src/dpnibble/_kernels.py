@@ -55,11 +55,9 @@ def row_gather(ptr, idx):
 
 
 def mask_entries(mask):
-    """``(trial, column)`` of the true entries of a ``(B, m)`` mask, in row order,
-    ``trial`` None when ``B = 1``; a 2-D ``nonzero`` costs several times this."""
+    """``(trial, column)`` of the true entries of a ``(B, m)`` mask, in row order;
+    a 2-D ``nonzero`` costs several times this."""
     keys = mask.reshape(-1).nonzero()[0]
-    if mask.shape[0] == 1:
-        return None, keys
     trial = keys // mask.shape[1]
     return trial, keys - trial * mask.shape[1]
 
@@ -86,7 +84,7 @@ def round_kernel(view, eta, seed, block=1):
     ``phi`` is ``(block, n)`` over the view's vertices, a vertex's color or
     -1; ``kept`` is ``(block, K)`` over the root colors.  Only the activated
     vertices pick (:func:`alive_picks`); ``hits`` holds the cover rows of
-    their picks, keyed ``trial * K + color`` when ``block > 1``.
+    their picks, keyed ``trial * K + color``.
     """
     if np.any(view.list_sizes() < 1):
         raise ValueError("every vertex needs a nonempty list")
@@ -95,13 +93,13 @@ def round_kernel(view, eta, seed, block=1):
     trial, ranks = mask_entries(activated)
     pick = alive_picks(view, u_col[activated], ranks)
     width = view.root.num_colors
-    offsets = None if trial is None else trial * width
+    offsets = trial * width
     hits = view.cover_rows(pick, offsets)
     kept = np.ones((block, width), dtype=bool)
     flat = kept.reshape(-1)
     flat[hits] = False
     phi = np.full(activated.shape, -1, dtype=np.int64)
-    phi[activated] = np.where(flat[pick if offsets is None else pick + offsets], pick, -1)
+    phi[activated] = np.where(flat[pick + offsets], pick, -1)
     return kept, phi, hits
 
 

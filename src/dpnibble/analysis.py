@@ -40,14 +40,18 @@ def verify_proper(c: DpCover, a: np.ndarray) -> tuple[bool, ConflictWitness | No
     """True iff no cover edge joins two assigned colors of ``a``, an int64
     array of a color id per base vertex, -1 where the vertex has none.
 
-    Raises ``ValueError`` if the coloring uses a color outside its vertex's
-    list; returns a witness pair on failure.
+    Raises ``ValueError`` if ``a`` is not an integer array or uses a color
+    outside its vertex's list; returns a witness pair on failure.
     """
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"a coloring holds integer color ids, not {a.dtype}")
     if a.size != c.base.vertex_count:
         raise ValueError("coloring length does not match the base graph")
     assigned = a >= 0
     if np.any(assigned):
-        owners_ok = c.owner[a[assigned]] == np.nonzero(assigned)[0]
+        # an id past the last color reads the owner -1, which no vertex is
+        owner = np.append(c.owner, -1)
+        owners_ok = owner[np.minimum(a[assigned], c.num_colors)] == np.nonzero(assigned)[0]
         if not np.all(owners_ok):
             v = int(np.nonzero(assigned)[0][np.argmin(owners_ok)])
             raise ValueError(f"vertex {v} is assigned color {int(a[v])} outside its list")

@@ -6,7 +6,8 @@ Every randomized command requires an explicit ``--seed``; repeated runs with
 the same inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 verification/feasibility failure, 2 usage or
-validation error, 3 budget exhaustion.
+validation error, 3 budget exhaustion.  ``main.invoke`` maps every command's
+exceptions to them; every budget error subclasses ``BudgetExceededError``.
 
 Each command imports only the modules it runs, so ``stats`` loads neither
 ``pipeline`` nor ``generators``.
@@ -21,8 +22,7 @@ import sys
 import click
 
 from .cover import DpCover, cover_from_json, cover_to_json, uniform_list_cover
-from .errors import (BudgetExceededError, CoverValidationError, GenerationError,
-                     PipelineError, ResampleBudgetError, RetriesExhaustedError)
+from .errors import BudgetExceededError, CoverValidationError, PipelineError, tail_exponent
 from .graph import graph_to_text, max_degree
 
 EXIT_FEASIBILITY = 1
@@ -81,7 +81,22 @@ def _smallest_list(cov: DpCover) -> int:
     return int(sizes.min()) if sizes.size else 0
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: :meth:`invoke` holds the exit-code policy."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MemoryError as exc:
+            _fail(EXIT_USAGE, f"not enough memory: {exc}")
+        except BudgetExceededError as exc:
+            _fail(EXIT_BUDGET, str(exc))
+        # np.arange(2**63) is empty, so such an n first overflows in Graph.from_edges
+        except (ValueError, OverflowError) as exc:
+            _fail(EXIT_USAGE, str(exc))
+
+
+@click.group(cls=_Commands)
 def main():
     """DP-coloring engine: generators, schedules, coloring runs, statistics."""
 
@@ -122,31 +137,23 @@ def cmd_generate(kind, n, d, ell, rho, m, s, t, girth5_base, seed, out):
         if given[opt] is None:
             _fail(EXIT_USAGE, f"missing --{opt}: --kind {kind} needs "
                               + " ".join(f"--{o}" for o in _GENERATE_NEEDS[kind]))
-    try:
-        if kind == "regular":
-            g = generators.random_regular(n, d, seed)
-            _write_output(graph_to_text(g), out, "graph")
-        elif kind == "girth5_regular":
-            g = generators.random_girth5_regular(n, d, seed)
-            _write_output(graph_to_text(g), out, "graph")
-        elif kind in ("dp_cover", "list_cover"):
-            base = (generators.random_girth5_regular(n, d, seed + 1)
-                    if girth5_base else generators.random_regular(n, d, seed + 1))
-            if kind == "dp_cover":
-                cov = generators.random_dp_cover(base, ell, rho, seed)
-            else:
-                cov = uniform_list_cover(base, ell)
-            _write_output(cover_to_json(cov), out, "cover")
-        elif kind == "kst_free_bipartite":
-            g = generators.kst_free_bipartite(m, n, s, t, seed)
-            _write_output(graph_to_text(g), out, "graph")
-    # np.arange(2**63) is empty, so such an n first overflows in Graph.from_edges
-    except (ValueError, TypeError, OverflowError) as exc:
-        _fail(EXIT_USAGE, str(exc))
-    except MemoryError as exc:
-        _fail(EXIT_USAGE, f"not enough memory: {exc}")
-    except (GenerationError, BudgetExceededError) as exc:
-        _fail(EXIT_BUDGET, str(exc))
+    if kind == "regular":
+        g = generators.random_regular(n, d, seed)
+        _write_output(graph_to_text(g), out, "graph")
+    elif kind == "girth5_regular":
+        g = generators.random_girth5_regular(n, d, seed)
+        _write_output(graph_to_text(g), out, "graph")
+    elif kind in ("dp_cover", "list_cover"):
+        base = (generators.random_girth5_regular(n, d, seed + 1)
+                if girth5_base else generators.random_regular(n, d, seed + 1))
+        if kind == "dp_cover":
+            cov = generators.random_dp_cover(base, ell, rho, seed)
+        else:
+            cov = uniform_list_cover(base, ell)
+        _write_output(cover_to_json(cov), out, "cover")
+    elif kind == "kst_free_bipartite":
+        g = generators.kst_free_bipartite(m, n, s, t, seed)
+        _write_output(graph_to_text(g), out, "graph")
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +170,9 @@ def cmd_generate(kind, n, d, ell, rho, m, s, t, girth5_base, seed, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_schedule(d, epsilon, s, t, max_iters, out):
     """Compute the parameter iteration and emit it as CSV."""
-    from .schedule import ScheduleError, ScheduleInput, compute_schedule, schedule_to_csv
-    try:
-        sched = compute_schedule(ScheduleInput(d=d, epsilon=epsilon, s=s, t=t),
-                                 max_iters=max_iters)
-    except ScheduleError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    from .schedule import ScheduleInput, compute_schedule, schedule_to_csv
+    sched = compute_schedule(ScheduleInput(d=d, epsilon=epsilon, s=s, t=t),
+                             max_iters=max_iters)
     _write_output(schedule_to_csv(sched), out, "schedule")
 
 
@@ -198,28 +202,20 @@ def cmd_color(cover_file, seed, epsilon, t, slack, max_retries,
     d = max(max_degree(cov.cover), 1)
     if epsilon is None:
         epsilon = pipeline.default_epsilon(cov)
-    try:
-        cfg = pipeline.PipelineConfig(
-            # no step of `color` reads s; it is echoed in the result JSON
-            schedule_input=ScheduleInput(d=d, epsilon=epsilon, s=2, t=t),
-            seed=seed, slack=slack, max_round_retries=max_retries,
-            max_finish_resamples=max_resamples, max_rounds=max_rounds,
-            regularize_first=regularize_first)
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
-    result = None
-    error = None
-    telemetry = None
+    cfg = pipeline.PipelineConfig(
+        # no step of `color` reads s; it is echoed in the result JSON
+        schedule_input=ScheduleInput(d=d, epsilon=epsilon, s=2, t=t),
+        seed=seed, slack=slack, max_round_retries=max_retries,
+        max_finish_resamples=max_resamples, max_rounds=max_rounds,
+        regularize_first=regularize_first)
+    result = error = telemetry = None
     code = 0
+    # a failed run writes its failure document before it exits
     try:
         result = pipeline.color_graph(cov, cfg)
     except PipelineError as exc:
-        error = str(exc)
-        telemetry = exc.telemetry
-        budget = (RetriesExhaustedError, ResampleBudgetError, BudgetExceededError)
-        code = EXIT_BUDGET if isinstance(exc.__cause__, budget) else EXIT_FEASIBILITY
-    except CoverValidationError as exc:
-        error, code = str(exc), EXIT_USAGE
+        error, telemetry = str(exc), exc.telemetry
+        code = EXIT_BUDGET if isinstance(exc.__cause__, BudgetExceededError) else EXIT_FEASIBILITY
     except MemoryError as exc:
         error, code = f"not enough memory: {exc}", EXIT_USAGE
     doc = pipeline.result_to_json(result, cfg, error=error, telemetry=telemetry)
@@ -247,17 +243,12 @@ def cmd_color(cover_file, seed, epsilon, t, slack, max_retries,
 def cmd_stats(cover_file, seed, trials, eta, t, anchor, out, summary_path):
     """Seeded Monte-Carlo statistics for one round on a cover."""
     from . import analysis
-    from .nibble import RoundParams, tail_exponent
+    from .nibble import RoundParams
     cov = _load_cover(cover_file)
     d = max(max_degree(cov.cover), 1)
     ell = _smallest_list(cov)
-    try:
-        params = RoundParams(eta=eta, d=d, ell=ell, beta=tail_exponent(t))
-        stats = analysis.round_stats(cov, params, trials, seed, anchor=anchor)
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
-    except MemoryError as exc:
-        _fail(EXIT_USAGE, f"not enough memory: {exc}")
+    params = RoundParams(eta=eta, d=d, ell=ell, beta=tail_exponent(t))
+    stats = analysis.round_stats(cov, params, trials, seed, anchor=anchor)
     config = {"cover_file": cover_file, "seed": seed, "trials": trials,
               "eta": eta, "t": t, "anchor": anchor,
               "d": d, "ell": ell}

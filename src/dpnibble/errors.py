@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the ``t`` check of ``schedule`` and ``stats``."""
 
 from __future__ import annotations
 
@@ -20,7 +20,22 @@ class ScheduleError(ValueError):
     """Schedule inputs outside the meaningful domain (e.g. d too small)."""
 
 
-class GenerationError(DpnibbleError):
+def tail_exponent(t: int) -> float:
+    """The deviation exponent ``beta = 1/(25 t)`` of a ``t >= 1``.
+
+    Divides integers, so a ``t`` too large for a float gives a tiny ``beta``
+    instead of an ``OverflowError``; raises :class:`ScheduleError` for
+    ``t < 1`` and once ``beta`` rounds to 0.
+    """
+    if t < 1:
+        raise ScheduleError("t must be >= 1")
+    beta = 1 / (25 * t)
+    if not beta > 0.0:
+        raise ScheduleError(f"t of {t.bit_length()} bits is too large: beta = 1/(25t) rounds to 0")
+    return beta
+
+
+class GenerationError(BudgetExceededError):
     """A generator could not produce an instance within its retry budget."""
 
 
@@ -37,7 +52,7 @@ class CoverValidationError(DpnibbleError):
         super().__init__(f"invalid cover: {lines}{extra}")
 
 
-class RetriesExhaustedError(DpnibbleError):
+class RetriesExhaustedError(BudgetExceededError):
     """No good round was found within the retry budget.
 
     ``violations`` maps each tried seed to its (vertex_events, color_events)
@@ -49,7 +64,7 @@ class RetriesExhaustedError(DpnibbleError):
         self.violations = dict(violations or {})
 
 
-class ResampleBudgetError(DpnibbleError):
+class ResampleBudgetError(BudgetExceededError):
     """The resampling finisher did not clear all conflicts within budget.
 
     ``conflict_trajectory`` records the conflict count after each resample

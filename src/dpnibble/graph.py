@@ -368,17 +368,21 @@ def graph_from_text(text: str) -> Graph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "p":
+        kind, *fields = line.split()
+        if kind not in ("p", "e"):
+            raise ValueError(f"line {lineno}: unknown record {kind!r}")
+        if len(fields) != {"p": 1, "e": 2}[kind]:
+            raise ValueError(f"line {lineno}: malformed record {line!r}")
+        if kind == "p":
             if n is not None:
                 raise ValueError(f"line {lineno}: repeated 'p' line")
-            n = int(parts[1])
-        elif parts[0] == "e":
+            n = int(fields[0])
+            if n < 0:
+                raise ValueError(f"line {lineno}: negative vertex count {n}")
+        else:
             if n is None:
                 raise ValueError(f"line {lineno}: 'e' before 'p'")
-            edges.append((int(parts[1]), int(parts[2])))
-        else:
-            raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
+            edges.append((int(fields[0]), int(fields[1])))
     if n is None:
         raise ValueError("missing 'p' line")
     return Graph.from_edges(n, edges)

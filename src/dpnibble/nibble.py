@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .cover import DpCover
-from .errors import RetriesExhaustedError, ScheduleError
+from .errors import RetriesExhaustedError
 
 
 def keep_fn(d: float, ell: float, eta: float) -> float:
@@ -87,21 +87,6 @@ class RoundParams:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
 
 
-def tail_exponent(t: int) -> float:
-    """The deviation exponent ``beta = 1/(25 t)`` of a ``t >= 1``.
-
-    Divides integers, so a ``t`` too large for a float gives a tiny ``beta``
-    instead of an ``OverflowError``; raises :class:`ScheduleError` for
-    ``t < 1`` and once ``beta`` rounds to 0.
-    """
-    if t < 1:
-        raise ScheduleError("t must be >= 1")
-    beta = 1 / (25 * t)
-    if not beta > 0.0:
-        raise ScheduleError(f"t of {t.bit_length()} bits is too large: beta = 1/(25t) rounds to 0")
-    return beta
-
-
 class ResidualView:
     """A partial coloring and its residual, as arrays over a root cover.
 
@@ -145,9 +130,7 @@ def kept_counts(view: ResidualView, kept: np.ndarray) -> np.ndarray:
     ``bincount`` of the owners of the killed colors, keyed ``trial * n + owner``."""
     block, n = kept.shape[0], view.sizes.size
     trial, killed = _kernels.mask_entries(~kept)
-    owners = view.root.owner[killed]
-    if trial is not None:
-        owners += trial * n
+    owners = view.root.owner[killed] + trial * n
     return view.sizes - np.bincount(owners, minlength=block * n).reshape(block, n)
 
 
@@ -164,7 +147,7 @@ def residual_degrees(view: ResidualView, kept: np.ndarray, blank: np.ndarray) ->
     stays = np.take(blank, view.root.owner, axis=1)
     stays &= kept
     trial, dying = _kernels.mask_entries(~stays)
-    hits = view.cover_rows(dying, None if trial is None else trial * width)
+    hits = view.cover_rows(dying, trial * width)
     return view.deg - np.bincount(hits, minlength=block * width).reshape(block, width)
 
 

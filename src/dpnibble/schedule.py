@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScheduleError
-from .nibble import tail_exponent
+from .errors import ScheduleError, tail_exponent
 
 LD = np.longdouble
 

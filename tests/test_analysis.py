@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpnibble import DpCover, Graph, from_list_assignment, keep_fn, uncolor_fn
+from dpnibble import (DpCover, Graph, from_list_assignment, keep_fn, uncolor_fn,
+                      uniform_list_cover)
 from dpnibble._rng import scalar_uniform
 from dpnibble import analysis
 from dpnibble.analysis import (block_size, classify_structure, exact_round_expectation,
@@ -38,6 +39,13 @@ class TestVerifyProper:
         phi[0] = cov.lists(1)[0]
         with pytest.raises(ValueError, match="outside its list"):
             verify_proper(cov, phi)
+        # a color id past the last color, and a float array
+        cov = uniform_list_cover(path_graph(3), 2)
+        assert cov.num_colors == 6
+        with pytest.raises(ValueError, match="vertex 2 is assigned color 10 outside its list"):
+            verify_proper(cov, np.array([0, 2, 10]))
+        with pytest.raises(ValueError, match="integer color ids, not float64"):
+            verify_proper(cov, np.array([0.0, 2.0, 4.0]))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_full_edge_scan(self, seed):

@@ -753,6 +753,10 @@ def test_commands_import_only_what_they_run(tmp_path):
     assert "dpnibble.analysis" in stats
     assert not stats & {"dpnibble.pipeline", "dpnibble.generators"}
     assert "dpnibble.schedule" not in stats
+    schedule = loaded_modules(tmp_path, ["schedule", "--d", "8", "--epsilon", "0.5",
+                                         "--out", "schedule.csv"])
+    assert "dpnibble.schedule" in schedule
+    assert "dpnibble.nibble" not in schedule
     color = loaded_modules(tmp_path, ["color", str(cover), "--seed", "9",
                                       "--out", "result.json"])
     assert "dpnibble.pipeline" in color
@@ -774,11 +778,17 @@ class TestProcessExit:
         d = tmp_path_factory.mktemp("covers")
         docs = {"good": uniform_list_cover(incidence_graph(3, seed=0), 12),
                 "budget": uniform_list_cover(incidence_graph(5, seed=0), 14),
+                "retries": uniform_list_cover(incidence_graph(5, seed=0), 6),
+                "resamples": uniform_list_cover(incidence_graph(3, seed=0), 32),
                 "infeasible": from_list_assignment(Graph.from_edges(2, [(0, 1)]), [[0], [0]])}
         for name, cov in docs.items():
             (d / f"{name}.json").write_text(cover_to_json(cov))
         (d / "bad.json").write_text('{"base": ')
         return d
+
+    # the start of the message of each budget a `color` run below exhausts
+    budget_errors = {"retries": "round 295: no good round in 1 tries ",
+                     "resamples": "completion failed: 1 conflicts remain after 1 resamples"}
 
     @pytest.mark.parametrize("cover, flags, code", [
         ("good", ["color", "--seed", "9"], 0),
@@ -786,6 +796,8 @@ class TestProcessExit:
         ("infeasible", ["color", "--seed", "1", "--max-retries", "1"], 1),
         ("bad", ["color", "--seed", "1"], 2),
         ("budget", ["color", "--seed", "1", "--max-rounds", "1"], 3),
+        ("retries", ["color", "--seed", "1", "--max-retries", "1"], 3),
+        ("resamples", ["color", "--seed", "0", "--max-resamples", "1"], 3),
     ])
     @pytest.mark.parametrize("to_file", [False, True])
     def test_exit_code_and_output(self, runner, covers, tmp_path, cover, flags, code,
@@ -795,6 +807,10 @@ class TestProcessExit:
         extra = ["--out", str(out)] if to_file else []
         reference = runner.invoke(main, args + extra)
         assert reference.exit_code == code, reference.output
+        if cover in self.budget_errors:
+            assert f"error: {self.budget_errors[cover]}" in reference.stderr
+            doc = out.read_text() if to_file else reference.stdout
+            assert json.loads(doc)["ok"] is False
         expected = out.read_bytes() if to_file and code != 2 else None
         if to_file:
             out.unlink(missing_ok=True)

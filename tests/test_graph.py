@@ -228,9 +228,16 @@ class TestEdgeListFormat:
         g = graph_from_text("# header\np 3\n# mid\ne 0 1\ne 1 2\n")
         assert g.num_edges == 2
 
-    def test_rejects_unknown_records(self):
-        with pytest.raises(ValueError, match="unknown record"):
-            graph_from_text("p 2\nq 0 1\n")
+    @pytest.mark.parametrize("text, message", [
+        ("p 2\nq 0 1\n", "line 2: unknown record 'q'"),
+        ("p 3\ne 0\n", "line 2: malformed record 'e 0'"),
+        ("p\n", "line 1: malformed record 'p'"),
+        ("p 3\ne 0 1 2\n", "line 2: malformed record 'e 0 1 2'"),
+        ("p -1\n", "line 1: negative vertex count -1"),
+    ])
+    def test_rejects_unknown_records(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            graph_from_text(text)
 
     def test_rejects_edge_before_header(self):
         with pytest.raises(ValueError, match="before"):
