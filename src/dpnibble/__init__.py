@@ -15,9 +15,10 @@ import importlib
 # public name -> the module that defines it
 _MODULE_OF = {name: module for module, names in {
     "analysis": ("RoundStats", "StructureReport", "classify_structure",
-                 "exact_round_expectation", "round_stats", "verify_proper"),
+                 "exact_round_expectation", "round_stats"),
     "cover": ("DpCover", "Violation", "cover_from_json", "cover_to_json",
-              "from_list_assignment", "regularize", "uniform_list_cover", "validate"),
+              "from_list_assignment", "regularize", "uniform_list_cover", "validate",
+              "verify_proper"),
     "errors": ("BudgetExceededError", "CoverValidationError", "DpnibbleError",
                "GenerationError", "PipelineError", "ResampleBudgetError",
                "RetriesExhaustedError"),

@@ -1,10 +1,11 @@
 """Verification and empirical measurement utilities.
 
-Four tasks: certify proper colorings, classify the two-step neighborhood of
-an anchor color into concentration-friendly and problematic parts, estimate
-per-round statistics by seeded Monte Carlo, and compute the same quantities
-exactly by brute-force enumeration on micro instances (the oracle grounding
-the closed forms and the Monte Carlo).
+Three tasks: classify the two-step neighborhood of an anchor color into
+concentration-friendly and problematic parts, estimate per-round statistics
+by seeded Monte Carlo, and compute the same quantities exactly by brute-force
+enumeration on micro instances (the oracle grounding the closed forms and the
+Monte Carlo).  The proper-coloring check, :func:`verify_proper`, lives in
+``cover`` beside ``validate`` and is imported here under its old name.
 """
 
 from __future__ import annotations
@@ -15,60 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import gather_rows, round_kernel
-from .cover import DpCover
+from ._kernels import round_kernel
+from .cover import ConflictWitness, DpCover, verify_proper  # noqa: F401
 from .errors import BudgetExceededError
 from .graph import Graph
 from .nibble import (ResidualView, RoundParams, d_next, keep_fn, kept_counts,
                      residual_degrees)
-
-
-# ---------------------------------------------------------------------------
-# proper-coloring verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConflictWitness:
-    vertex_u: int
-    vertex_v: int
-    color_u: int
-    color_v: int
-
-
-def verify_proper(c: DpCover, a: np.ndarray) -> tuple[bool, ConflictWitness | None]:
-    """True iff no cover edge joins two assigned colors of ``a``, an int64
-    array of a color id per base vertex, -1 where the vertex has none.
-
-    Raises ``ValueError`` if ``a`` is not an integer array or uses a color
-    outside its vertex's list; returns a witness pair on failure.
-    """
-    if a.dtype.kind not in "iu":
-        raise ValueError(f"a coloring holds integer color ids, not {a.dtype}")
-    if a.size != c.base.vertex_count:
-        raise ValueError("coloring length does not match the base graph")
-    assigned = a >= 0
-    if np.any(assigned):
-        # an id past the last color reads the owner -1, which no vertex is
-        owner = np.append(c.owner, -1)
-        owners_ok = owner[np.minimum(a[assigned], c.num_colors)] == np.nonzero(assigned)[0]
-        if not np.all(owners_ok):
-            v = int(np.nonzero(assigned)[0][np.argmin(owners_ok)])
-            raise ValueError(f"vertex {v} is assigned color {int(a[v])} outside its list")
-    # the rows of the chosen colors, in increasing order: the first entry that
-    # is chosen too is the lexicographically first conflict, as its partner's
-    # row, holding it as well, does not come earlier
-    colors = np.sort(a[assigned])
-    chosen = np.zeros(c.num_colors, dtype=bool)
-    chosen[colors] = True
-    partners = gather_rows(c.cover.indptr, c.cover.indices, colors)
-    bad = chosen[partners]
-    if not np.any(bad):
-        return True, None
-    i = int(np.argmax(bad))
-    c1 = int(np.repeat(colors, c.cover.degrees()[colors])[i])
-    c2 = int(partners[i])
-    return False, ConflictWitness(int(c.owner[c1]), int(c.owner[c2]), c1, c2)
 
 
 # ---------------------------------------------------------------------------

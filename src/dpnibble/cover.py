@@ -109,8 +109,12 @@ class DpCover:
 # ---------------------------------------------------------------------------
 
 
-# cover CSR entries validate reads at a time
-_VALIDATE_BLOCK = 1 << 16
+# cover CSR entries validate reads at a time.  A block's temporaries take
+# about 56 bytes an entry: in-process on the calib / finish perfbench covers
+# (2-core container, medians of 9 in three interleaved sweeps) 2^12 takes
+# 46-60 / 48-58 ms, 2^14 35-41 / 30-40 ms and 2^16 33-40 / 31-39 ms, while
+# the traced peak falls from 4.49 / 7.36 MB at 2^16 to 2.55 / 4.74 MB at 2^14
+_VALIDATE_BLOCK = 1 << 14
 # most base vertices whose adjacency validate packs into n * n bits (2 MB)
 _BITSET_MAX = 4096
 _BIT = np.array([1 << i for i in range(8)], dtype=np.uint8)
@@ -202,6 +206,49 @@ def require_valid(c: DpCover) -> DpCover:
             raise CoverValidationError(violations)
         c._valid = True
     return c
+
+
+@dataclass(frozen=True)
+class ConflictWitness:
+    vertex_u: int
+    vertex_v: int
+    color_u: int
+    color_v: int
+
+
+def verify_proper(c: DpCover, a: np.ndarray) -> tuple[bool, ConflictWitness | None]:
+    """True iff no cover edge joins two assigned colors of ``a``, an int64
+    array of a color id per base vertex, -1 where the vertex has none.
+
+    Raises ``ValueError`` if ``a`` is not an integer array or uses a color
+    outside its vertex's list; returns a witness pair on failure.
+    """
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"a coloring holds integer color ids, not {a.dtype}")
+    if a.size != c.base.vertex_count:
+        raise ValueError("coloring length does not match the base graph")
+    assigned = a >= 0
+    if np.any(assigned):
+        # an id past the last color reads the owner -1, which no vertex is
+        owner = np.append(c.owner, -1)
+        owners_ok = owner[np.minimum(a[assigned], c.num_colors)] == np.nonzero(assigned)[0]
+        if not np.all(owners_ok):
+            v = int(np.nonzero(assigned)[0][np.argmin(owners_ok)])
+            raise ValueError(f"vertex {v} is assigned color {int(a[v])} outside its list")
+    # the rows of the chosen colors, in increasing order: the first entry that
+    # is chosen too is the lexicographically first conflict, as its partner's
+    # row, holding it as well, does not come earlier
+    colors = np.sort(a[assigned])
+    chosen = np.zeros(c.num_colors, dtype=bool)
+    chosen[colors] = True
+    partners = gather_rows(c.cover.indptr, c.cover.indices, colors)
+    bad = chosen[partners]
+    if not np.any(bad):
+        return True, None
+    i = int(np.argmax(bad))
+    c1 = int(np.repeat(colors, c.cover.degrees()[colors])[i])
+    c2 = int(partners[i])
+    return False, ConflictWitness(int(c.owner[c1]), int(c.owner[c2]), c1, c2)
 
 
 # ---------------------------------------------------------------------------

@@ -363,7 +363,7 @@ def graph_to_text(g: Graph) -> str:
 
 def graph_from_text(text: str) -> Graph:
     n = None
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -373,16 +373,27 @@ def graph_from_text(text: str) -> Graph:
             raise ValueError(f"line {lineno}: unknown record {kind!r}")
         if len(fields) != {"p": 1, "e": 2}[kind]:
             raise ValueError(f"line {lineno}: malformed record {line!r}")
+        try:
+            values = [int(f) for f in fields]
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
         if kind == "p":
             if n is not None:
                 raise ValueError(f"line {lineno}: repeated 'p' line")
-            n = int(fields[0])
+            n = values[0]
             if n < 0:
                 raise ValueError(f"line {lineno}: negative vertex count {n}")
         else:
             if n is None:
                 raise ValueError(f"line {lineno}: 'e' before 'p'")
-            edges.append((int(fields[0]), int(fields[1])))
+            u, v = values
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"line {lineno}: edge endpoint out of range [0, {n})")
+            if u == v:
+                raise ValueError(f"line {lineno}: self-loop at vertex {u}")
+            if (min(u, v), max(u, v)) in edges:
+                raise ValueError(f"line {lineno}: repeated edge {u} {v}")
+            edges.add((min(u, v), max(u, v)))
     if n is None:
         raise ValueError("missing 'p' line")
     return Graph.from_edges(n, edges)

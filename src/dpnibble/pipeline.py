@@ -27,8 +27,7 @@ import numpy as np
 
 from ._kernels import alive_picks
 from ._rng import derive_seed, normalize_seed
-from .analysis import verify_proper
-from .cover import DpCover, regularize, require_valid
+from .cover import DpCover, regularize, require_valid, verify_proper
 from .errors import (BudgetExceededError, PipelineError, ResampleBudgetError,
                      RetriesExhaustedError, ScheduleError)
 from .graph import max_degree
@@ -279,5 +278,6 @@ def result_to_json(result: ColoringResult | None, cfg: PipelineConfig,
         doc["finish_resamples"] = result.finish_resamples
         doc["verified"] = True
     rounds = result.rounds if result is not None else (telemetry or [])
-    doc["rounds"] = [asdict(r) for r in rounds]
+    # the fields of a round are ints: its __dict__ needs no asdict deep copy
+    doc["rounds"] = [vars(r) for r in rounds]
     return json.dumps(doc, sort_keys=True) + "\n"

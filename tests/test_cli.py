@@ -729,6 +729,9 @@ def test_public_names():
         assert getattr(sys.modules[value.__module__], name) is value, name
     with pytest.raises(AttributeError):
         dpnibble.no_such_name
+    # the coloring check moved beside validate; its old module still names it
+    from dpnibble import analysis, cover
+    assert dpnibble.verify_proper is analysis.verify_proper is cover.verify_proper
 
 
 def loaded_modules(tmp_path, args) -> set:

@@ -258,7 +258,7 @@ class TestValidate:
         cov = DpCover.from_lists(g, cover_graph, [[0, 1, 2], [3, 4, 5]])
         assert [str(v) for v in validate(cov)] == ["not-a-matching(1, 0)"]
 
-    @pytest.mark.parametrize("block", [1, 64, 1 << 16])
+    @pytest.mark.parametrize("block", [1, 64, cover_module._VALIDATE_BLOCK, 1 << 16])
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n", [40, 4096, 4097])
     def test_matches_reference_in_row_blocks(self, monkeypatch, block, seed, n):
@@ -717,3 +717,18 @@ def test_loading_takes_a_few_times_the_file_size():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * len(text)
+
+
+def test_validate_holds_one_small_block_of_temporaries():
+    # 256,000 cover CSR entries; a block's temporaries take about 56 bytes an
+    # entry, so 2^16-entry blocks trace 3.8 MB above the per-color count and
+    # 2^14-entry blocks 1.0 MB.  The cover's own arrays are made untraced.
+    cov = random_dp_cover(random_regular(1000, 8, 1), 32, 1.0, 2)
+    assert cov.cover.indices.size > 2 ** 16
+    tracemalloc.start()
+    try:
+        assert validate(cov) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * cov.num_colors <= 2 * 2 ** 20

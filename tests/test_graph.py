@@ -234,6 +234,11 @@ class TestEdgeListFormat:
         ("p\n", "line 1: malformed record 'p'"),
         ("p 3\ne 0 1 2\n", "line 2: malformed record 'e 0 1 2'"),
         ("p -1\n", "line 1: negative vertex count -1"),
+        ("p 2\ne 0 x\n", "line 2: non-numeric field in 'e 0 x'"),
+        ("p two\n", "line 1: non-numeric field in 'p two'"),
+        ("p 2\ne 0 1\ne 0 5\n", r"line 3: edge endpoint out of range \[0, 2\)"),
+        ("p 3\ne 0 1\ne 2 2\n", "line 3: self-loop at vertex 2"),
+        ("p 3\ne 0 1\ne 1 2\ne 1 0\n", "line 4: repeated edge 1 0"),
     ])
     def test_rejects_unknown_records(self, text, message):
         with pytest.raises(ValueError, match=message):
