@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import alive_picks
-from ._rng import derive_seed, normalize_seed
+from ._rng import derive_seed, normalize_seed, scalar_uniform, vertex_uniforms
 from .cover import DpCover, regularize, require_valid, verify_proper
 from .errors import (BudgetExceededError, PipelineError, ResampleBudgetError,
                      RetriesExhaustedError, ScheduleError)
@@ -102,6 +102,13 @@ def finish_with_stats(c: DpCover, max_resamples: int, seed: int,
     cover's: dead colors are never chosen, and ranks and root ids are
     ordered alike, so the draws are those of a renumbered residual cover.
 
+    Every draw comes from the counter hash of ``_rng``, keyed by residual
+    rank (a vertex's index in ``view.vertices``), never from ``numpy.random``:
+    rank ``r`` first picks with draw 0 of ``(seed, r)``
+    (:func:`~dpnibble._rng.vertex_uniforms`), and resample ``j`` (counted
+    from 1) redraws it with draw 0 of ``(seed + j, r)``
+    (:func:`~dpnibble._rng.scalar_uniform`), so each draw replays on its own.
+
     This is the resampling algorithm of Moser and Tardos, and like it the
     finisher re-checks only the events a redraw can change: a vertex moving
     from color ``a`` to ``b`` touches the cover rows of ``a``, ``b`` and the
@@ -117,18 +124,18 @@ def finish_with_stats(c: DpCover, max_resamples: int, seed: int,
         raise ValueError(
             f"resampling completion needs lists >= {FINISH_RATIO}*max cover degree "
             f"({FINISH_RATIO * d}); smallest list has {int(sizes.min())}")
-    rng = np.random.default_rng(normalize_seed(seed))
+    seed = normalize_seed(seed)
     root, alive, left = view.root, view.alive, view.sizes
 
-    def draw(v: int) -> int:
+    def draw(v: int, stream: int) -> int:
         lst = root.lists(v)
         if lst.size > left[v]:  # some of its colors are dead
             lst = lst[alive[lst]]
-        j = min(int(rng.random() * lst.size), lst.size - 1)
-        return int(lst[j])
+        u = scalar_uniform(stream, int(np.searchsorted(view.vertices, v)), 0)
+        return int(lst[min(int(u * lst.size), lst.size - 1)])
 
-    # one uniform per vertex, in vertex order: the same doubles as scalar draws
-    chosen = alive_picks(view, rng.random(sizes.size))
+    u, _ = vertex_uniforms(seed, sizes.size)
+    chosen = alive_picks(view, u[0])
     coloring = view.color.copy()
     coloring[view.vertices] = chosen
     if d == 0:
@@ -176,8 +183,8 @@ def finish_with_stats(c: DpCover, max_resamples: int, seed: int,
         x = int(np.argmax(lead))
         rx = row(x)
         y = int(rx[on[rx] & (rx > x)][0])
-        for v in sorted((int(root.owner[x]), int(root.owner[y]))):
-            a, b = int(coloring[v]), draw(v)
+        for v in (int(root.owner[x]), int(root.owner[y])):
+            a, b = int(coloring[v]), draw(v, seed + resamples + 1)
             if a != b:
                 coloring[v] = b
                 count += move(a, b)

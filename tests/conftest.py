@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dpnibble import DpCover, Graph
+from dpnibble._rng import scalar_uniform
 from dpnibble.cover import Violation
 from dpnibble.generators import random_dp_cover, random_regular
 
@@ -137,24 +138,24 @@ def contains_kst_oracle(g: Graph, s: int, t: int, left=None, right=None) -> bool
 def finish_by_rescan(c: DpCover, max_resamples: int, seed: int):
     """Resampling completion that rescans every cover edge after each redraw.
 
-    The draws follow the library's stream: one uniform per vertex in vertex
-    order, then for each resample one uniform per endpoint vertex of the
-    first violated edge (lexicographic), lower vertex first.  Returns the
-    colors, the resample count, the conflict count before each resample and
-    whether the coloring is proper.
+    The draws follow the library's stream, one scalar hash each: vertex
+    ``v`` first picks with draw 0 of ``(seed, v)``, and resample ``j``
+    (from 1) redraws both endpoint vertices of the first violated edge
+    (lexicographic) with draw 0 of ``(seed + j, v)``.  Returns the colors,
+    the resample count, the conflict count before each resample and whether
+    the coloring is proper.
     """
-    rng = np.random.default_rng(seed)
     lists = [c.lists(v).tolist() for v in range(c.base.vertex_count)]
     owner = {x: v for v, lst in enumerate(lists) for x in lst}
     edges = sorted({(min(x, y), max(x, y))
                     for x in range(c.num_colors)
                     for y in c.cover.neighbors(x).tolist()})
 
-    def draw(v):
+    def draw(v, stream):
         lst = lists[v]
-        return lst[min(int(rng.random() * len(lst)), len(lst) - 1)]
+        return lst[min(int(scalar_uniform(stream, v, 0) * len(lst)), len(lst) - 1)]
 
-    chosen = [draw(v) for v in range(len(lists))]
+    chosen = [draw(v, seed) for v in range(len(lists))]
     trajectory = []
     for resamples in range(max_resamples + 1):
         on = set(chosen)
@@ -163,8 +164,8 @@ def finish_by_rescan(c: DpCover, max_resamples: int, seed: int):
         if not violated or resamples == max_resamples:
             return chosen, resamples, trajectory, not violated
         x, y = violated[0]
-        for w in sorted((owner[x], owner[y])):
-            chosen[w] = draw(w)
+        for w in (owner[x], owner[y]):
+            chosen[w] = draw(w, seed + resamples + 1)
 
 
 def classify_oracle(cover: Graph, anchor: int, d: int, t: int):

@@ -568,14 +568,21 @@ class TestParseCache:
     @pytest.mark.parametrize("edit", ["trailing-space", "another-cover"])
     def test_same_size_edit_rewrites_the_sidecar(self, runner, path, parses, tmp_path_factory,
                                                  edit):
-        from dpnibble import cover_to_json
+        from dpnibble import DpCover, Graph, cover_to_json
         from conftest import regular_cover
         cold = self.run(runner, path)
         old = (path.parent / "cover.json.dpcache").read_bytes()
         if edit == "trailing-space":  # the same cover, no longer canonical text
             text = path.read_bytes()[:-1] + b" "
-        else:  # a cover of the same size with other edges and lists
-            text = cover_to_json(regular_cover(10, 2, 16, seed=3)).encode()
+        else:
+            # a cover of the same size with other edges and lists: another
+            # seed's, its color ids reversed, so that a coloring without
+            # conflicts, which picks the same list positions, differs too
+            c = regular_cover(10, 2, 16, seed=3)
+            top = c.num_colors - 1
+            text = cover_to_json(DpCover(
+                c.base, Graph.from_edges(c.num_colors, top - c.cover.edge_array()),
+                c.list_sizes(), top - c.lcolors)).encode()
         assert len(text) == path.stat().st_size and text != path.read_bytes()
         path.write_bytes(text)
         fresh = tmp_path_factory.mktemp("fresh") / "cover.json"
@@ -735,12 +742,14 @@ def test_public_names():
 
 
 def loaded_modules(tmp_path, args) -> set:
-    """The ``dpnibble`` modules a fresh process has loaded after running the
-    command ``args`` through ``cli.main``."""
+    """The ``dpnibble`` modules, and ``numpy.random`` if it is one, that a
+    fresh process has loaded after running the command ``args`` through
+    ``cli.main``."""
     script = ("import json, sys\n"
               "from dpnibble import cli\n"
               f"cli.main({args!r}, standalone_mode=False)\n"
-              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dpnibble'))))\n")
+              "print(json.dumps(sorted(m for m in sys.modules\n"
+              "                        if m.startswith('dpnibble') or m == 'numpy.random')))\n")
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                        env=SRC_ENV, cwd=tmp_path, timeout=120)
     assert r.returncode == 0, r.stderr
@@ -764,6 +773,9 @@ def test_commands_import_only_what_they_run(tmp_path):
                                       "--out", "result.json"])
     assert "dpnibble.pipeline" in color
     assert "dpnibble.generators" not in color
+    # every draw of color comes from the counter hash, and verify_proper from cover
+    assert "dpnibble.analysis" not in color
+    assert "numpy.random" not in color
 
 
 class TestProcessExit:

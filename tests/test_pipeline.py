@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dpnibble import (DpCover, Graph, PipelineConfig, ScheduleInput, color_graph,
                       from_list_assignment, pipeline, uniform_list_cover)
 from dpnibble._kernels import round_kernel
+from dpnibble._rng import scalar_uniform
 from dpnibble.analysis import verify_proper
 from dpnibble.errors import PipelineError, ResampleBudgetError, RetriesExhaustedError
 from dpnibble.generators import incidence_graph, random_dp_cover, random_regular
@@ -70,6 +71,26 @@ class TestFinish:
         with pytest.raises(ResampleBudgetError) as exc:
             finish_with_stats(cov, 0, seed=seed)
         assert exc.value.conflict_trajectory[0] >= 1
+
+    def test_draws_replay_from_scalar_uniform(self):
+        # two vertices with eight matched labels each: the pair conflicts when
+        # both draw one label.  The first picks read draw 0 of (seed, vertex),
+        # resample j redraws both vertices from draw 0 of (seed + j, vertex)
+        cov = k2_matched(8)
+
+        def labels(stream):
+            return [int(scalar_uniform(stream, v, 0) * 8) for v in (0, 1)]
+
+        runs = []
+        for seed in range(200):
+            j = 0
+            while labels(seed + j)[0] == labels(seed + j)[1]:
+                j += 1
+            coloring, resamples, trajectory = finish_with_stats(cov, 100, seed)
+            assert coloring.tolist() == [labels(seed + j)[0], 8 + labels(seed + j)[1]]
+            assert (resamples, trajectory) == (j, [1] * j + [0])
+            runs.append(j)
+        assert runs.count(1) >= 10 and max(runs) >= 2
 
     def test_deterministic(self):
         cov = regular_cover(60, 3, 24, seed=5)
