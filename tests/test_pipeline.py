@@ -195,21 +195,22 @@ class TestFinishAgainstRescan:
                 finish_with_stats(view.root, 0, seed, view)
             assert exc.value.conflict_trajectory == trajectory
 
-    # recorded before the finisher updated its state incrementally
+    # recorded when the finisher moved to the counter hash; seed 2 takes ten
+    # resamples and its conflict count rises once, as the earlier pin's did
     def test_pinned_trajectory(self):
         cov = regular_cover(60, 3, 24, seed=5)
-        coloring, resamples, trajectory = finish_with_stats(cov, 1000, seed=17)
-        assert resamples == 8
-        assert trajectory == [5, 4, 3, 4, 3, 2, 2, 1, 0]
+        coloring, resamples, trajectory = finish_with_stats(cov, 1000, seed=2)
+        assert resamples == 10
+        assert trajectory == [7, 6, 7, 6, 5, 4, 4, 3, 2, 1, 0]
         assert hashlib.sha256(coloring.astype("<i8").tobytes()).hexdigest() == \
-            "4ba4a4c269d2713dd3ad16069d941a2e58e9ce736bc5e6a406828f83bd2177a8"
+            "ba2f881b00c5c40d899e9bad592d05ab1e202b854b2e6f49148347aedac68bf2"
 
     def test_pinned_budget_error(self):
         cov = regular_cover(60, 3, 24, seed=5)
         with pytest.raises(ResampleBudgetError) as exc:
-            finish_with_stats(cov, 3, seed=17)
-        assert str(exc.value) == "4 conflicts remain after 3 resamples"
-        assert exc.value.conflict_trajectory == [5, 4, 3, 4]
+            finish_with_stats(cov, 3, seed=2)
+        assert str(exc.value) == "6 conflicts remain after 3 resamples"
+        assert exc.value.conflict_trajectory == [7, 6, 7, 6]
 
 
 def quick_cfg(d, eps, seed, **kw):
