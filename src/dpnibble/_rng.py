@@ -3,12 +3,10 @@
 A nibble round must consume exactly two uniforms per vertex (activation and
 color index) from a stream that depends only on ``(seed, vertex)``, so the
 outcome is independent of iteration order and any draw can be reproduced on
-its own by :func:`scalar_uniform`.  The resampling finisher draws from the
-same hash (draw 0 of ``(seed, vertex)`` for its first picks, of
-``(seed + j, vertex)`` for the redraws of resample ``j``); ``numpy.random``
-serves only the instance generators.
-We hash the counter ``(seed, vertex, draw)`` with the splitmix64 finalizer;
-the multiplier constants are the standard splitmix64 / LXM stream constants.
+its own by :func:`scalar_uniform`; the resampling finisher draws from it
+too, and ``numpy.random`` serves only the instance generators.  We hash the
+counter ``(seed, vertex, draw)`` with the splitmix64 finalizer; the
+multiplier constants are the standard splitmix64 / LXM stream constants.
 """
 
 from __future__ import annotations

@@ -109,11 +109,10 @@ class DpCover:
 # ---------------------------------------------------------------------------
 
 
-# cover CSR entries validate reads at a time.  A block's temporaries take
-# about 56 bytes an entry: in-process on the calib / finish perfbench covers
-# (2-core container, medians of 9 in three interleaved sweeps) 2^12 takes
-# 46-60 / 48-58 ms, 2^14 35-41 / 30-40 ms and 2^16 33-40 / 31-39 ms, while
-# the traced peak falls from 4.49 / 7.36 MB at 2^16 to 2.55 / 4.74 MB at 2^14
+# cover CSR entries validate reads at a time, about 56 bytes of temporaries
+# each.  On the calib / finish perfbench covers (2-core container, medians of
+# 9): 2^12 46-60 / 48-58 ms, 2^14 35-41 / 30-40 ms, 2^16 33-40 / 31-39 ms;
+# traced peak 2.55 / 4.74 MB at 2^14 against 4.49 / 7.36 MB at 2^16
 _VALIDATE_BLOCK = 1 << 14
 # most base vertices whose adjacency validate packs into n * n bits (2 MB)
 _BITSET_MAX = 4096

@@ -391,9 +391,10 @@ def graph_from_text(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: edge endpoint out of range [0, {n})")
             if u == v:
                 raise ValueError(f"line {lineno}: self-loop at vertex {u}")
-            if (min(u, v), max(u, v)) in edges:
+            edge = (min(u, v), max(u, v))
+            if edge in edges:
                 raise ValueError(f"line {lineno}: repeated edge {u} {v}")
-            edges.add((min(u, v), max(u, v)))
+            edges.add(edge)
     if n is None:
         raise ValueError("missing 'p' line")
     return Graph.from_edges(n, edges)

@@ -102,12 +102,9 @@ def finish_with_stats(c: DpCover, max_resamples: int, seed: int,
     cover's: dead colors are never chosen, and ranks and root ids are
     ordered alike, so the draws are those of a renumbered residual cover.
 
-    Every draw comes from the counter hash of ``_rng``, keyed by residual
-    rank (a vertex's index in ``view.vertices``), never from ``numpy.random``:
-    rank ``r`` first picks with draw 0 of ``(seed, r)``
-    (:func:`~dpnibble._rng.vertex_uniforms`), and resample ``j`` (counted
-    from 1) redraws it with draw 0 of ``(seed + j, r)``
-    (:func:`~dpnibble._rng.scalar_uniform`), so each draw replays on its own.
+    Every draw is draw 0 of the ``_rng`` counter hash at a residual rank
+    ``r`` (an index in ``view.vertices``): of ``(seed, r)`` for the first
+    picks, of ``(seed + j, r)`` for the redraws of resample ``j`` (from 1).
 
     This is the resampling algorithm of Moser and Tardos, and like it the
     finisher re-checks only the events a redraw can change: a vertex moving
@@ -124,7 +121,6 @@ def finish_with_stats(c: DpCover, max_resamples: int, seed: int,
         raise ValueError(
             f"resampling completion needs lists >= {FINISH_RATIO}*max cover degree "
             f"({FINISH_RATIO * d}); smallest list has {int(sizes.min())}")
-    seed = normalize_seed(seed)
     root, alive, left = view.root, view.alive, view.sizes
 
     def draw(v: int, stream: int) -> int:
