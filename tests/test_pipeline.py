@@ -74,7 +74,7 @@ class TestFinish:
 
     def test_draws_replay_from_scalar_uniform(self):
         # two vertices with eight matched labels each: the pair conflicts when
-        # both draw one label.  The first picks read draw 0 of (seed, vertex),
+        # both draw the same label.  The first picks read draw 0 of (seed, vertex),
         # resample j redraws both vertices from draw 0 of (seed + j, vertex)
         cov = k2_matched(8)
 
